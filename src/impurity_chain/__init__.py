@@ -32,6 +32,7 @@ from .xfer import (
     cell_density_elements,
     finite_n_density_matrix,
     impurity_density_matrix,
+    limit_states,
     partition_function,
     tm_eigen,
     transfer_matrices,
@@ -39,10 +40,15 @@ from .xfer import (
 from .oracle import TooLarge, brute_force_density_matrix, wootters_concurrence
 from .measures import (
     MeasureBundle,
+    coherence_batch,
+    concurrence_batch,
     concurrence_x,
+    correlators_batch,
     l1_coherence,
     measure_bundle,
     qfi,
+    qfi_batch,
+    qfi_dB_batch,
     qfi_field_derivative,
     spin_correlators,
 )
@@ -51,21 +57,34 @@ from .teleport import (
     InputState,
     TeleportOutput,
     average_fidelity,
+    average_fidelity_batch,
     beats_classical_bound,
     bell_probabilities,
     fidelity,
     output_concurrence,
+    output_concurrence_batch,
     teleport_output,
 )
-from .cli import (
-    ConfigError,
-    NotFound,
-    SweepConfig,
-    find_critical_field,
-    find_threshold_temperature,
-    run_point,
-    run_sweep,
+
+# The CLI names resolve on first use, so importing the package does not
+# import `cli` (and `python -m impurity_chain.cli` runs it only once).
+_CLI_NAMES = (
+    "ConfigError",
+    "NotFound",
+    "SweepConfig",
+    "find_critical_field",
+    "find_threshold_temperature",
+    "run_point",
+    "run_sweep",
 )
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -73,12 +92,16 @@ __all__ = [
     "zeeman_fields", "dimer_block", "dimer_spectrum", "boltzmann_weights",
     "ScaledTransferMatrix", "TmEigen", "XState", "InvalidN", "DegenerateGap",
     "NotAState", "transfer_matrices", "tm_eigen", "partition_function",
-    "cell_density_elements", "impurity_density_matrix", "finite_n_density_matrix",
+    "cell_density_elements", "limit_states", "impurity_density_matrix",
+    "finite_n_density_matrix",
     "TooLarge", "brute_force_density_matrix", "wootters_concurrence",
     "MeasureBundle", "measure_bundle", "concurrence_x", "l1_coherence",
     "spin_correlators", "qfi", "qfi_field_derivative",
+    "concurrence_batch", "coherence_batch", "correlators_batch", "qfi_batch",
+    "qfi_dB_batch",
     "FormulaMismatch", "InputState", "TeleportOutput", "bell_probabilities",
     "teleport_output", "output_concurrence", "fidelity", "average_fidelity",
+    "output_concurrence_batch", "average_fidelity_batch",
     "beats_classical_bound",
     "ConfigError", "NotFound", "SweepConfig", "run_point", "run_sweep",
     "find_threshold_temperature", "find_critical_field",

@@ -11,8 +11,9 @@ Configuration is plain `key = value` text (# comments), overridable with
 repeated --set key=value flags.  CSV output is RFC-4180 style with 17
 significant digits, byte-identical across reruns and worker counts.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(non-finite result), 4 nothing found (finders).
+Exit codes: 0 success, 2 configuration error (including unknown keys), 3
+numerical failure (a non-finite result or a solver exception, reported with
+its parameter point), 4 nothing found (finders).
 """
 
 from __future__ import annotations
@@ -20,23 +21,29 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .measures import (
+    coherence_batch,
+    concurrence_batch,
     concurrence_x,
-    l1_coherence,
+    correlators_batch,
+    correlators_shortcut_batch,
     qfi,
+    qfi_batch,
+    qfi_dB_batch,
     qfi_field_derivative,
-    spin_correlators,
-    spin_correlators_shortcut,
 )
-from .model import ModelParams
-from .teleport import InputState, average_fidelity, output_concurrence
-from .xfer import impurity_density_matrix
+from .model import ModelParams, OverflowRisk
+from .teleport import InputState, average_fidelity_batch, output_concurrence_batch
+from .xfer import DegenerateGap, InvalidN, NotAState, impurity_density_matrix, limit_states
 
 __all__ = [
     "ConfigError",
@@ -87,6 +94,49 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
+# quantities of state batches
+
+# the output concurrence is reported for the maximally entangled input
+_COUT_INPUT = InputState(theta=math.pi / 2.0)
+
+# quantity -> its column as an array function of (5, n) states; qfi_dB and
+# rho_elements are filled in by _quantity_values
+_MEASURES = {
+    "concurrence": concurrence_batch,
+    "coherence": coherence_batch,
+    "sxsx": lambda states: correlators_batch(states)[0],
+    "szsz": lambda states: correlators_batch(states)[1],
+    "qfi": qfi_batch,
+    "favg": average_fidelity_batch,
+    "cout": lambda states: output_concurrence_batch(states, _COUT_INPUT.input_concurrence),
+}
+
+
+def _quantity_values(states: np.ndarray, quantities, qfi_db, alt: bool) -> dict:
+    """Every requested column, one array each, in CSV column order."""
+    values = {}
+    for q in quantities:
+        if q == "rho_elements":
+            values.update(zip(QUANTITY_COLUMNS[q], states))
+        elif q == "qfi_dB":
+            values[q] = qfi_db
+        else:
+            values[q] = _MEASURES[q](states)
+    if alt:
+        values["sxsx_alt"], values["szsz_alt"] = correlators_shortcut_batch(states)
+    return values
+
+
+def _check_finite(values: dict, point_at) -> None:
+    """Raise NonFiniteError naming the first point with a non-finite column."""
+    finite = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        bad = [k for k, v in values.items() if not math.isfinite(v[i])]
+        raise NonFiniteError(f"non-finite {bad} at {point_at(i)}")
+
+
+# ---------------------------------------------------------------------------
 # single point
 
 @dataclass(frozen=True)
@@ -108,32 +158,12 @@ def run_point(p: ModelParams, quantities, impurity: bool = True,
     if unknown:
         raise ConfigError(f"unknown quantities {unknown}; valid: {sorted(QUANTITY_COLUMNS)}")
     st = impurity_density_matrix(p, impurity=impurity)
-    values: dict[str, float] = {}
-    for q in quantities:
-        if q == "concurrence":
-            values[q] = concurrence_x(st)
-        elif q == "coherence":
-            values[q] = l1_coherence(st)
-        elif q == "sxsx":
-            values[q] = spin_correlators(st)[0]
-        elif q == "szsz":
-            values[q] = spin_correlators(st)[1]
-        elif q == "qfi":
-            values[q] = qfi(st)
-        elif q == "qfi_dB":
-            values[q] = qfi_field_derivative(p, delta_b=delta_b, impurity=impurity)
-        elif q == "favg":
-            values[q] = average_fidelity(st)
-        elif q == "cout":
-            values[q] = output_concurrence(st, InputState(theta=math.pi / 2.0))
-        elif q == "rho_elements":
-            values.update(r11=st.r11, r22=st.r22, r33=st.r33, r44=st.r44, r23=st.r23)
-    if alt_correlators:
-        values["sxsx_alt"], values["szsz_alt"] = spin_correlators_shortcut(st)
-    bad = [k for k, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise NonFiniteError(f"non-finite {bad} at {p}")
-    return SweepRecord(params=p, values=values)
+    qfi_db = None
+    if "qfi_dB" in quantities:
+        qfi_db = np.array([qfi_field_derivative(p, delta_b=delta_b, impurity=impurity)])
+    values = _quantity_values(st.column(), quantities, qfi_db, alt_correlators)
+    _check_finite(values, lambda i: p)
+    return SweepRecord(params=p, values={k: float(v[0]) for k, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +195,8 @@ class SweepConfig:
                 raise ConfigError(f"axis {name!r} needs count >= 2, got {count}")
             if not start < stop:
                 raise ConfigError(f"axis {name!r} needs start < stop")
+            if name == "T" and not start > 0.0:
+                raise ConfigError(f"axis 'T' needs positive temperatures, got start {start!r}")
         if not self.quantities:
             raise ConfigError("no quantities requested")
         unknown = [q for q in self.quantities if q not in QUANTITY_COLUMNS]
@@ -179,29 +211,28 @@ class SweepConfig:
             cols.extend(ALT_CORRELATOR_COLUMNS)
         return cols
 
-    def grid(self) -> list[ModelParams]:
-        """Grid points in row order: last axis fastest, like nested loops."""
-        axis_values = [
-            [start + (stop - start) * i / (count - 1) for i in range(count)]
-            for (_, start, stop, count) in self.axes
-        ]
-        points = []
-        if len(self.axes) == 1:
-            for v in axis_values[0]:
-                points.append(replace(self.params, **{self.axes[0][0]: v}))
-        else:
-            for v1 in axis_values[0]:
-                for v2 in axis_values[1]:
-                    points.append(replace(
-                        self.params,
-                        **{self.axes[0][0]: v1, self.axes[1][0]: v2},
-                    ))
-        return points
+    def grid(self) -> dict[str, np.ndarray]:
+        """Grid points in row order, last axis fastest like nested loops:
+        one array per ModelParams field."""
+        values = [start + (stop - start) * np.arange(count) / (count - 1)
+                  for (_, start, stop, count) in self.axes]
+        if len(values) == 2:
+            values = [np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0]))]
+        n = len(values[0])
+        grid = {name: np.full(n, getattr(self.params, name)) for name in PARAM_COLUMNS}
+        for (name, *_), column in zip(self.axes, values):
+            grid[name] = column
+        return grid
 
 
-def _sweep_worker(task) -> dict[str, float]:
-    p, quantities, impurity, delta_b, alt = task
-    return run_point(p, quantities, impurity, delta_b, alt).values
+def _sweep_chunk(task) -> dict:
+    """Every column of a contiguous run of grid points, in one kernel call."""
+    columns, quantities, impurity, delta_b, alt = task
+    states = limit_states(**columns, impurity=impurity)
+    qfi_db = qfi_dB_batch(columns, delta_b, impurity) if "qfi_dB" in quantities else None
+    values = _quantity_values(states, quantities, qfi_db, alt)
+    _check_finite(values, lambda i: ModelParams(**{k: float(v[i]) for k, v in columns.items()}))
+    return values
 
 
 def _format(v: float) -> str:
@@ -212,27 +243,32 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     """Run the grid and write the CSV plus a run-manifest sidecar.
 
     Output bytes depend only on the configuration, not on the worker count:
-    points are computed by pure functions and gathered in grid order.
+    every point is computed independently of the batch it sits in, and with
+    workers > 1 each worker takes one contiguous chunk of the grid.
     """
-    points = cfg.grid()
-    tasks = [(p, cfg.quantities, cfg.impurity, cfg.delta_b, cfg.alt_correlators)
-             for p in points]
+    grid = cfg.grid()
+    rows = len(grid["B"])
+    task = (cfg.quantities, cfg.impurity, cfg.delta_b, cfg.alt_correlators)
     if workers > 1:
+        size = -(-rows // workers)
+        chunks = [{k: v[i:i + size] for k, v in grid.items()} for i in range(0, rows, size)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, tasks, chunksize=32))
+            parts = list(pool.map(_sweep_chunk, [(c, *task) for c in chunks]))
+        values = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
     else:
-        results = [_sweep_worker(t) for t in tasks]
+        values = _sweep_chunk((grid, *task))
 
-    columns = cfg.columns()
+    # rows are formatted as they are written; fixed parameters once per sweep
+    axes = {name for name, *_ in cfg.axes}
+    cells = [map(_format, grid[c].tolist()) if c in axes
+             else itertools.repeat(_format(getattr(cfg.params, c)), rows) for c in PARAM_COLUMNS]
+    cells += [map(_format, values[c].tolist()) for c in cfg.columns()[len(PARAM_COLUMNS):]]
     out_dir = os.path.dirname(os.path.abspath(cfg.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(cfg.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for p, values in zip(points, results):
-            row = [_format(getattr(p, c)) for c in PARAM_COLUMNS]
-            row.extend(_format(values[c]) for c in columns[len(PARAM_COLUMNS):])
-            writer.writerow(row)
+        writer.writerow(cfg.columns())
+        writer.writerows(zip(*cells))
     _write_manifest(cfg)
     return cfg.out
 
@@ -258,41 +294,56 @@ def _concurrence_at(p: ModelParams, impurity: bool) -> float:
     return concurrence_x(impurity_density_matrix(p, impurity=impurity))
 
 
+def _states_along(p: ModelParams, name: str, values: np.ndarray, impurity: bool) -> np.ndarray:
+    """States at p with one parameter replaced by an array, in one kernel call."""
+    return limit_states(**dict(vars(p), **{name: values}), impurity=impurity)
+
+
+def _coarse_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    return lo + (hi - lo) * np.arange(points) / (points - 1)
+
+
+def _concurrence_positive(p: ModelParams, temps: np.ndarray, impurity: bool) -> list[bool]:
+    return (concurrence_batch(_states_along(p, "T", temps, impurity)) > 0.0).tolist()
+
+
 def concurrence_sign_brackets(p: ModelParams, t_range, impurity: bool = True,
                               points: int = 64) -> int:
     """Number of (C > 0) sign changes of C(T) on a uniform coarse scan."""
-    lo, hi = t_range
-    temps = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-    positive = [_concurrence_at(replace(p, T=t), impurity) > 0.0 for t in temps]
+    positive = _concurrence_positive(p, _coarse_grid(*t_range, points), impurity)
     return sum(1 for a, b in zip(positive, positive[1:]) if a != b)
 
 
 def find_threshold_temperature(p: ModelParams, t_range, impurity: bool = True,
-                               points: int = 64, tol: float = 1e-6) -> float | None:
+                               points: int = 64, tol: float = 1e-6,
+                               with_brackets: bool = False):
     """Largest temperature where the concurrence changes between zero and positive.
 
-    Coarse scan with `points` samples, then bisection of the last bracket down
-    to `tol`.  Returns None when C is identically zero or strictly positive
-    over the whole range.
+    Coarse scan with `points` samples in one batched call, then bisection of
+    the last bracket down to `tol`, one point at a time.  Returns None when
+    C is identically zero or strictly positive over the whole range.  With
+    with_brackets=True, returns (threshold or None, number of sign-change
+    brackets on the coarse scan) instead.
     """
     lo, hi = t_range
     if not 0.0 < lo < hi:
         raise ValueError(f"bad temperature range {t_range}")
-    temps = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-    positive = [_concurrence_at(replace(p, T=t), impurity) > 0.0 for t in temps]
+    temps = _coarse_grid(lo, hi, points)
+    positive = _concurrence_positive(p, temps, impurity)
     brackets = [i for i in range(points - 1) if positive[i] != positive[i + 1]]
-    if not brackets:
-        return None
-    i = brackets[-1]
-    t_lo, t_hi = temps[i], temps[i + 1]
-    side = positive[i]
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        if (_concurrence_at(replace(p, T=mid), impurity) > 0.0) == side:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+    t_th = None
+    if brackets:
+        i = brackets[-1]
+        t_lo, t_hi = temps[i:i + 2].tolist()
+        side = positive[i]
+        while t_hi - t_lo > tol:
+            mid = 0.5 * (t_lo + t_hi)
+            if (_concurrence_at(replace(p, T=mid), impurity) > 0.0) == side:
+                t_lo = mid
+            else:
+                t_hi = mid
+        t_th = 0.5 * (t_lo + t_hi)
+    return (t_th, len(brackets)) if with_brackets else t_th
 
 
 def find_critical_field(p: ModelParams, b_range, target: str,
@@ -301,33 +352,42 @@ def find_critical_field(p: ModelParams, b_range, target: str,
     """Field value extremizing the chosen functional inside b_range.
 
     target: 'max_concurrence' (maximize C), 'qfi_min' (minimize F) or
-    'dqfi_peak' (maximize |dF/dB|).  Coarse scan, then golden-section
-    refinement of the best interior sample down to `tol` in B.  Raises
-    NotFound when the coarse scan is monotone (extremum at a boundary).
+    'dqfi_peak' (maximize |dF/dB|).  Coarse scan in one batched call, then
+    golden-section refinement of the best interior sample down to `tol` in
+    B, one point at a time.  Raises NotFound when the coarse scan is
+    monotone (extremum at a boundary).
     """
     lo, hi = b_range
     if not lo < hi:
         raise ValueError(f"bad field range {b_range}")
 
     if target == "max_concurrence":
+        def scan(b: np.ndarray) -> np.ndarray:
+            return -concurrence_batch(_states_along(p, "B", b, impurity))
+
         def objective(b: float) -> float:
             return -_concurrence_at(replace(p, B=b), impurity)
     elif target == "qfi_min":
+        def scan(b: np.ndarray) -> np.ndarray:
+            return qfi_batch(_states_along(p, "B", b, impurity))
+
         def objective(b: float) -> float:
             return qfi(impurity_density_matrix(replace(p, B=b), impurity=impurity))
     elif target == "dqfi_peak":
+        def scan(b: np.ndarray) -> np.ndarray:
+            return -np.abs(qfi_dB_batch(dict(vars(p), B=b), delta_b, impurity))
+
         def objective(b: float) -> float:
             return -abs(qfi_field_derivative(replace(p, B=b), delta_b=delta_b,
                                              impurity=impurity))
     else:
         raise ConfigError(f"unknown target {target!r}")
 
-    grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-    samples = [objective(b) for b in grid]
-    best = min(range(points), key=samples.__getitem__)
+    grid = _coarse_grid(lo, hi, points)
+    best = int(np.argmin(scan(grid)))
     if best in (0, points - 1):
         raise NotFound(f"{target} has no interior extremum in {b_range}")
-    return _golden_section(objective, grid[best - 1], grid[best + 1], tol)
+    return _golden_section(objective, float(grid[best - 1]), float(grid[best + 1]), tol)
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> float:
@@ -420,8 +480,12 @@ def _figure_fig10(outdir: str, ov: dict) -> list[SweepConfig]:
                          ("B", 0.0, 5.0, 601), ("favg",))
 
 
-def _figure_fig22(outdir: str, ov: dict, workers: int = 1) -> list[str]:
-    """Threshold temperature against anisotropy, one file per gamma value."""
+def _figure_fig22(outdir: str, ov: dict) -> list[str]:
+    """Threshold temperature against anisotropy, one file per gamma value.
+
+    Runs in one process; each row's bracket count comes from the threshold
+    finder's own coarse scan.
+    """
     base = _preset_params(ov, Delta=0.0, J0=0.7, B=0.5, T=0.05)
     t_range = (0.01, 1.2)
     written = []
@@ -434,8 +498,7 @@ def _figure_fig22(outdir: str, ov: dict, workers: int = 1) -> list[str]:
             for i in range(81):
                 delta = 2.0 * i / 80.0
                 point = replace(base, Delta=delta, gamma=gamma)
-                t_th = find_threshold_temperature(point, t_range)
-                n = concurrence_sign_brackets(point, t_range)
+                t_th, n = find_threshold_temperature(point, t_range, with_brackets=True)
                 writer.writerow([
                     _format(delta),
                     "" if t_th is None else _format(t_th),
@@ -457,11 +520,15 @@ FIGURE_PRESETS = {
 
 
 def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> list[str]:
-    """Write every data file of one figure preset; returns the paths."""
+    """Write every data file of one figure preset; returns the paths.
+
+    `workers` is the process count of each sweep preset; fig22-threshold
+    runs in one process.
+    """
     if name not in FIGURE_PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(FIGURE_PRESETS)}")
     if name == "fig22-threshold":
-        return _figure_fig22(outdir, overrides, workers)
+        return _figure_fig22(outdir, overrides)
     jobs = FIGURE_PRESETS[name](outdir, overrides)
     return [run_sweep(cfg, workers=workers) for cfg in jobs]
 
@@ -469,7 +536,8 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_FLOAT_KEYS = ("J", "Delta", "J0", "g1", "g2", "g3", "gamma", "B", "T", "delta_b")
+_CONFIG_KEYS = PARAM_COLUMNS + ("delta_b", "axis", "axis1", "axis2", "quantities", "out",
+                                "impurity")
 _TRUE_WORDS = ("1", "true", "on", "yes")
 _FALSE_WORDS = ("0", "false", "off", "no")
 
@@ -514,9 +582,20 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
         raise ConfigError(f"bad axis {text!r}: {exc}") from exc
 
 
+def _parse_delta_b(mapping: dict[str, str]) -> float:
+    text = mapping.get("delta_b", "1e-3")
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"delta_b: not a number: {text!r}") from exc
+    if not value > 0.0:
+        raise ConfigError(f"delta_b must be positive, got {text!r}")
+    return value
+
+
 def build_params(mapping: dict[str, str]) -> ModelParams:
     kwargs = {}
-    for key in _FLOAT_KEYS[:-1]:
+    for key in PARAM_COLUMNS:
         if key in mapping:
             try:
                 kwargs[key] = float(mapping[key])
@@ -539,10 +618,7 @@ def build_sweep_config(mapping: dict[str, str], alt_correlators: bool = False) -
     quantities = tuple(
         q.strip() for q in mapping.get("quantities", "concurrence").split(",") if q.strip()
     )
-    try:
-        delta_b = float(mapping.get("delta_b", "1e-3"))
-    except ValueError as exc:
-        raise ConfigError(f"delta_b: {exc}") from exc
+    delta_b = _parse_delta_b(mapping)
     return SweepConfig(
         params=params,
         axes=tuple(axes),
@@ -561,6 +637,10 @@ def _collect_mapping(args) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
+    unknown = [key for key in mapping if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown configuration key {unknown[0]!r}; "
+                          f"valid: {', '.join(_CONFIG_KEYS)}")
     return mapping
 
 
@@ -609,7 +689,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("preset", choices=sorted(FIGURE_PRESETS))
     sp.add_argument("--out", default="figures", help="output directory")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes per sweep; fig22-threshold runs in one process")
 
     return parser
 
@@ -622,7 +703,7 @@ def _cmd_point(args) -> int:
         if q.strip()
     )
     impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
-    delta_b = float(mapping.get("delta_b", "1e-3"))
+    delta_b = _parse_delta_b(mapping)
     record = run_point(params, quantities, impurity=impurity, delta_b=delta_b,
                        alt_correlators=args.debug_paper_correlators)
     columns = list(PARAM_COLUMNS) + list(record.values)
@@ -653,6 +734,8 @@ def _cmd_threshold(args) -> int:
     mapping = _collect_mapping(args)
     params = build_params(mapping)
     impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
+    if not 0.0 < args.t_min < args.t_max:
+        raise ConfigError(f"need 0 < --t-min < --t-max, got {args.t_min} and {args.t_max}")
     t_th = find_threshold_temperature(params, (args.t_min, args.t_max), impurity=impurity)
     if t_th is None:
         print("none")
@@ -666,6 +749,8 @@ def _cmd_critical(args) -> int:
     params = build_params(mapping)
     impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
     target = args.target.replace("-", "_")
+    if not args.b_min < args.b_max:
+        raise ConfigError(f"need --b-min < --b-max, got {args.b_min} and {args.b_max}")
     b_star = find_critical_field(params, (args.b_min, args.b_max), target,
                                  impurity=impurity, tol=args.tol)
     print(_format(b_star))
@@ -676,7 +761,7 @@ def _cmd_figure(args) -> int:
     mapping = _collect_mapping(args)
     overrides = {}
     for key, value in mapping.items():
-        if key in _FLOAT_KEYS[:-1]:
+        if key in PARAM_COLUMNS:
             try:
                 overrides[key] = float(value)
             except ValueError as exc:
@@ -702,7 +787,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteError, FloatingPointError) as exc:
+    except (NonFiniteError, FloatingPointError, OverflowRisk, DegenerateGap, NotAState,
+            InvalidN) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except NotFound as exc:

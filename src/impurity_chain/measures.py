@@ -1,24 +1,33 @@
-"""Quantum-information measures of a two-qubit X state.
+"""Quantum-information measures of two-qubit X states.
 
-Concurrence and l1 coherence use the X-state closed forms; the spin-spin
-correlators are explicit traces against S^a x S^a; the quantum Fisher
+Every measure is an array function of the five X-state elements: it takes a
+(5, n) array whose rows are r11, r22, r33, r44 and r23 (as returned by
+`xfer.limit_states`) and returns one value per column.  Concurrence, l1
+coherence and the correlators are closed forms; the quantum Fisher
 information is the bipartite sum over the local orthonormal observable set
-sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits.
+sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, evaluated in each
+state's eigenbasis.  The functions taking one XState are the same
+computations on a batch of one, with the same bits.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams
-from .xfer import XState, impurity_density_matrix
+from .xfer import XState, limit_states
 
 __all__ = [
     "MeasureBundle",
     "measure_bundle",
+    "concurrence_batch",
+    "coherence_batch",
+    "correlators_batch",
+    "correlators_shortcut_batch",
+    "qfi_batch",
+    "qfi_dB_batch",
     "concurrence_x",
     "l1_coherence",
     "spin_correlators",
@@ -27,21 +36,6 @@ __all__ = [
     "qfi_field_derivative",
     "central_difference",
 ]
-
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
-_SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-
-_SXSX = np.kron(_SX, _SX).real
-_SZSZ = np.kron(_SZ, _SZ).real
-
-# sqrt(2) * (a x I + I x a) for a in {I, Sx, Sy, Sz}; the identity term
-# provably contributes nothing but is kept so the observable set is complete
-_QFI_OBSERVABLES = tuple(
-    math.sqrt(2.0) * (np.kron(a, _I2) + np.kron(_I2, a))
-    for a in (_I2, _SX, _SY, _SZ)
-)
 
 # eigenvalue pairs with tau_i + tau_j below this fraction of the largest
 # eigenvalue lie outside the state's support and are skipped
@@ -60,91 +54,153 @@ class MeasureBundle:
     qfi_dB: float | None = None
 
 
-def concurrence_x(st: XState) -> float:
-    """Wootters concurrence of an X state: 2*max(|r23| - sqrt(r11*r44), 0)."""
-    value = 2.0 * (abs(st.r23) - math.sqrt(max(st.r11 * st.r44, 0.0)))
-    return min(max(value, 0.0), 1.0)
+# ---------------------------------------------------------------------------
+# array functions of (5, n) state batches
+
+def concurrence_batch(states: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of X states: 2*max(|r23| - sqrt(r11*r44), 0)."""
+    r11, _, _, r44, r23 = states
+    value = 2.0 * (np.abs(r23) - np.sqrt(np.maximum(r11 * r44, 0.0)))
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
-def l1_coherence(st: XState) -> float:
-    """Sum of absolute off-diagonal elements; for an X state just 2*|r23|."""
-    return 2.0 * abs(st.r23)
+def coherence_batch(states: np.ndarray) -> np.ndarray:
+    """l1 norm of coherence: the off-diagonal magnitudes, 2*|r23| for X states."""
+    return 2.0 * np.abs(states[4])
 
 
-def spin_correlators(st: XState) -> tuple[float, float]:
-    """(<Sx Sx>, <Sz Sz>) by explicit trace against the product operators."""
-    rho = st.to_matrix()
-    return float(np.trace(rho @ _SXSX)), float(np.trace(rho @ _SZSZ))
+def correlators_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<Sx Sx>, <Sz Sz>) = (r23/2, (r11 - r22 - r33 + r44)/4)."""
+    r11, r22, r33, r44, r23 = states
+    return r23 / 2.0, (r11 - r22 - r33 + r44) / 4.0
 
 
-def spin_correlators_shortcut(st: XState) -> tuple[float, float]:
+def correlators_shortcut_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alternate shortcut convention (r22/2, 1/4 - r23), kept for comparison.
 
-    Disagrees with the explicit traces except on special states; emitted only
+    Disagrees with the correlators except on special states; emitted only
     under the CLI debug flag so the two conventions can be compared.
     """
-    return st.r22 / 2.0, 0.25 - st.r23
+    return states[1] / 2.0, 0.25 - states[4]
 
 
-def qfi(st: XState) -> float:
-    """Bipartite quantum Fisher information of an X state.
+def qfi_batch(states: np.ndarray) -> np.ndarray:
+    """Bipartite quantum Fisher information of X states.
 
     F = sum_eta F(rho, A_eta x I + I x A_eta) over the local observable set
     sqrt(2)*{I, Sx, Sy, Sz}, each term being
     2 * sum_{ij} (tau_i - tau_j)^2 / (tau_i + tau_j) |<chi_i|G|chi_j>|^2
-    in the state's eigenbasis.  Pairs outside the support (tau_i + tau_j
-    below 1e-12 of the largest eigenvalue) are skipped, which keeps the
-    value continuous through eigenvalue crossings.
+    in the state's eigenbasis (a batched eigh).  Pairs outside the support
+    (tau_i + tau_j below 1e-12 of the largest eigenvalue) are skipped, which
+    keeps the value continuous through eigenvalue crossings.
+
+    For real eigenvectors v the observables' squared matrix elements sum to
+    X_ij^2 + X_ji^2 + 2 Z_ij^2 with X_ij = v0i (v1j + v2j) + (v1i + v2i) v3j
+    and Z_ij = v0i v0j - v3i v3j (the identity term vanishes).
     """
-    tau, vecs = np.linalg.eigh(st.to_matrix())
-    tau = np.clip(tau, 0.0, None)
-    cutoff = _SUPPORT_TOL * float(tau.max()) if tau.max() > 0.0 else math.inf
-    total = 0.0
-    for g in _QFI_OBSERVABLES:
-        mat = vecs.conj().T @ g @ vecs
-        for i in range(4):
-            for j in range(4):
-                pair = tau[i] + tau[j]
-                if pair <= cutoff:
-                    continue
-                diff = tau[i] - tau[j]
-                if diff == 0.0:
-                    continue
-                total += 2.0 * diff * diff / pair * abs(mat[i, j]) ** 2
-    return float(total)
+    r11, r22, r33, r44, r23 = states
+    rho = np.zeros((r11.shape[0], 4, 4))
+    rho[:, 0, 0] = r11
+    rho[:, 1, 1] = r22
+    rho[:, 2, 2] = r33
+    rho[:, 3, 3] = r44
+    rho[:, 1, 2] = r23
+    rho[:, 2, 1] = r23
+    tau, vecs = np.linalg.eigh(rho)
+    tau = np.maximum(tau, 0.0)
+    top = tau[:, 3]
+    cutoff = np.where(top > 0.0, _SUPPORT_TOL * top, np.inf)[:, None, None]
+    pair = tau[:, :, None] + tau[:, None, :]
+    diff = tau[:, :, None] - tau[:, None, :]
+    keep = (pair > cutoff) & (diff != 0.0)
+    weight = np.where(keep, 2.0 * diff * diff / np.where(keep, pair, 1.0), 0.0)
+
+    v0, v1, v2, v3 = vecs[:, 0], vecs[:, 1], vecs[:, 2], vecs[:, 3]
+    central = v1 + v2
+    x = v0[:, :, None] * central[:, None, :] + central[:, :, None] * v3[:, None, :]
+    z = v0[:, :, None] * v0[:, None, :] - v3[:, :, None] * v3[:, None, :]
+    terms = weight * (x * x + np.swapaxes(x, 1, 2) ** 2 + 2.0 * z * z)
+    rows = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2] + terms[:, :, 3]
+    return rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
 
 
-def central_difference(f, x: float, step: float) -> float:
+def central_difference(f, x, step: float):
     """Symmetric difference quotient (f(x+h) - f(x-h)) / 2h, O(h^2) accurate."""
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
+def qfi_dB_batch(params: dict, delta_b: float = 1e-3, impurity: bool = True) -> np.ndarray:
+    """dF/dB by central difference over the full pipeline, at every point.
+
+    `params` holds the keyword arguments of `limit_states`, with B an
+    array; the states are rebuilt at B +- delta_b in one batched call each.
+    The default step resolves the field scales on which F varies in this
+    model (~0.05).
+    """
+    def f_of_b(b):
+        return qfi_batch(limit_states(**dict(params, B=b), impurity=impurity))
+
+    return central_difference(f_of_b, np.asarray(params["B"], dtype=float), delta_b)
+
+
+# ---------------------------------------------------------------------------
+# one state or one parameter point: batches of one
+
+def concurrence_x(st: XState) -> float:
+    """Wootters concurrence of an X state: 2*max(|r23| - sqrt(r11*r44), 0)."""
+    return float(concurrence_batch(st.column())[0])
+
+
+def l1_coherence(st: XState) -> float:
+    """Sum of absolute off-diagonal elements; for an X state just 2*|r23|."""
+    return float(coherence_batch(st.column())[0])
+
+
+def spin_correlators(st: XState) -> tuple[float, float]:
+    """(<Sx Sx>, <Sz Sz>) of one state."""
+    xx, zz = correlators_batch(st.column())
+    return float(xx[0]), float(zz[0])
+
+
+def spin_correlators_shortcut(st: XState) -> tuple[float, float]:
+    """The shortcut convention (r22/2, 1/4 - r23) of one state."""
+    xx, zz = correlators_shortcut_batch(st.column())
+    return float(xx[0]), float(zz[0])
+
+
+def qfi(st: XState) -> float:
+    """Bipartite quantum Fisher information of one X state (see qfi_batch)."""
+    return float(qfi_batch(st.column())[0])
+
+
 def qfi_field_derivative(p: ModelParams, delta_b: float = 1e-3,
                          impurity: bool = True) -> float:
-    """dF/dB by central difference over the full pipeline.
-
-    The thermal state is rebuilt from scratch at B +- delta_b.  The default
-    step resolves the field scales on which F varies in this model (~0.05).
-    """
-    def f_of_b(b: float) -> float:
-        return qfi(impurity_density_matrix(replace(p, B=b), impurity=impurity))
-
-    return central_difference(f_of_b, p.B, delta_b)
+    """dF/dB at one parameter point (see qfi_dB_batch)."""
+    return float(qfi_dB_batch(dict(vars(p), B=np.array([p.B])), delta_b, impurity)[0])
 
 
 def measure_bundle(p: ModelParams, impurity: bool = True,
                    with_derivative: bool = False,
                    delta_b: float = 1e-3) -> MeasureBundle:
-    """Every measure of the thermal dimer state at one parameter point."""
-    st = impurity_density_matrix(p, impurity=impurity)
-    xx, zz = spin_correlators(st)
+    """Every measure of the thermal dimer state at one parameter point.
+
+    With the derivative, the states at B - delta_b, B and B + delta_b are
+    one batch of three.
+    """
+    if with_derivative and not delta_b > 0.0:
+        raise ValueError(f"step must be positive, got {delta_b}")
+    fields = [p.B - delta_b, p.B, p.B + delta_b] if with_derivative else [p.B]
+    states = limit_states(**dict(vars(p), B=np.array(fields)), impurity=impurity)
+    fisher = qfi_batch(states)
+    at = len(fields) // 2
+    xx, zz = correlators_batch(states)
     return MeasureBundle(
-        concurrence=concurrence_x(st),
-        coherence_l1=l1_coherence(st),
-        sxsx=xx,
-        szsz=zz,
-        qfi=qfi(st),
-        qfi_dB=(qfi_field_derivative(p, delta_b, impurity) if with_derivative else None),
+        concurrence=float(concurrence_batch(states)[at]),
+        coherence_l1=float(coherence_batch(states)[at]),
+        sxsx=float(xx[at]),
+        szsz=float(zz[at]),
+        qfi=float(fisher[at]),
+        qfi_dB=(float((fisher[2] - fisher[0]) / (2.0 * delta_b)) if with_derivative else None),
     )

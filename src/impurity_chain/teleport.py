@@ -26,8 +26,10 @@ __all__ = [
     "bell_probabilities",
     "teleport_output",
     "output_concurrence",
+    "output_concurrence_batch",
     "fidelity",
     "average_fidelity",
+    "average_fidelity_batch",
     "beats_classical_bound",
 ]
 
@@ -151,12 +153,16 @@ def _kraus_output(ch: XState, inp: InputState) -> np.ndarray:
     return out
 
 
+def output_concurrence_batch(states: np.ndarray, input_concurrence: float) -> np.ndarray:
+    """Output concurrence for (5, n) channel states: 2*max(2 r23^2 C_in - |q1 q2|, 0)."""
+    r11, r22, r33, r44, r23 = states
+    value = 2.0 * r23 ** 2 * input_concurrence - np.abs(r22 + r33) * np.abs(r11 + r44)
+    return 2.0 * np.maximum(value, 0.0)
+
+
 def output_concurrence(ch: XState, inp: InputState) -> float:
     """Concurrence of the output state: 2*max(2 r23^2 C_in - |q1 q2|, 0)."""
-    q_central = ch.r22 + ch.r33
-    q_outer = ch.r11 + ch.r44
-    value = 2.0 * ch.r23 ** 2 * inp.input_concurrence - abs(q_central) * abs(q_outer)
-    return 2.0 * max(value, 0.0)
+    return float(output_concurrence_batch(ch.column(), inp.input_concurrence)[0])
 
 
 def fidelity(ch: XState, inp: InputState) -> float:
@@ -170,16 +176,23 @@ def fidelity(ch: XState, inp: InputState) -> float:
     return 0.5 * math.sin(inp.theta) ** 2 * bracket + q_central ** 2
 
 
-def average_fidelity(ch: XState) -> float:
+def average_fidelity_batch(states: np.ndarray) -> np.ndarray:
     """Fidelity averaged over the input family with the sphere measure.
 
+    For (5, n) channel states,
     F_A = [(r11+r44)^2 + 4 r23^2 - (r22+r33)^2]/3 + (r22+r33)^2; beating the
     classical bound requires F_A > 2/3.
     """
-    q_central = ch.r22 + ch.r33
-    q_outer = ch.r11 + ch.r44
-    bracket = q_outer ** 2 + 4.0 * ch.r23 ** 2 - q_central ** 2
+    r11, r22, r33, r44, r23 = states
+    q_central = r22 + r33
+    q_outer = r11 + r44
+    bracket = q_outer ** 2 + 4.0 * r23 ** 2 - q_central ** 2
     return bracket / 3.0 + q_central ** 2
+
+
+def average_fidelity(ch: XState) -> float:
+    """Average fidelity of one channel (see average_fidelity_batch)."""
+    return float(average_fidelity_batch(ch.column())[0])
 
 
 def beats_classical_bound(ch: XState) -> bool:

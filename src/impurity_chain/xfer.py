@@ -15,11 +15,12 @@ exact in the energy-shift choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import (
+    _MAX_EXPONENT,
     ModelParams,
     OverflowRisk,
     SECTOR_VALUES,
@@ -41,6 +42,7 @@ __all__ = [
     "partition_function",
     "cell_density_elements",
     "assemble_limit_state",
+    "limit_states",
     "impurity_density_matrix",
     "finite_n_density_matrix",
 ]
@@ -98,6 +100,10 @@ class XState:
     @property
     def trace(self) -> float:
         return self.r11 + self.r22 + self.r33 + self.r44
+
+    def column(self) -> np.ndarray:
+        """The five elements as a (5, 1) batch of one, for the array measures."""
+        return np.array([[self.r11], [self.r22], [self.r33], [self.r44], [self.r23]])
 
     def to_matrix(self) -> np.ndarray:
         return np.array([
@@ -218,52 +224,160 @@ def assemble_limit_state(w: dict[int, float], cells: dict[int, np.ndarray]) -> X
     return _xstate_from_parts(num, den)
 
 
+_PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
+# the sector axis of the kernel: nodal sums s = +1, 0, -1
+_SECTORS = np.array(SECTOR_VALUES, dtype=float)[:, None]
+# the family axis: host cells keep their fields, the second family is the
+# defect (fields scaled by 1 + gamma) or, without the impurity, the host again
+_DEFECT_FAMILY = np.array([0.0, 1.0])[:, None, None]
+_HOST_FAMILY = np.array([0.0, 0.0])[:, None, None]
+# below the smallest normal float, 1/T overflows
+_MIN_TEMPERATURE = float(np.finfo(float).tiny)
+
+
+def _point_text(args, index: int) -> str:
+    """The parameter point at `index` of broadcast kernel arguments."""
+    columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+    return ", ".join(f"{name}={float(col[index])!r}"
+                     for name, col in zip(_PARAM_NAMES, columns))
+
+
+def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
+    """Raise `error` naming the first point flagged in `bad` (points on the last axis)."""
+    i = int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
+    raise error(f"{message} at {_point_text(args, i)}")
+
+
+def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T, impurity: bool = True) -> np.ndarray:
+    """Thermodynamic-limit defect-dimer states over broadcast parameter arrays.
+
+    The arguments are the ModelParams fields as scalars or arrays that
+    broadcast to one dimension of length n.  Returns a (5, n) array whose
+    rows are the X-state elements r11, r22, r33, r44 and r23 of each point.
+    With impurity=False the defect cell is a host cell (the homogeneous
+    chain, identical to gamma = 0).
+
+    Per point: the closed-form spectra of the host and defect dimer blocks
+    in all three nodal sectors; host sector weights referenced to the host
+    family's own minimum; the cancellation-free sector coefficients
+    (Q + D, 4 w0, Q - D); and the defect's cell matrices, each referenced to
+    its own sector minimum and mixed in log domain, so that neither family
+    overflows or collapses to 0/0 when host and defect prefer different
+    nodal alignments.  Every point is computed by elementwise operations
+    alone, so its bits do not depend on the batch it is evaluated in.
+
+    Raises OverflowRisk (a Boltzmann exponent past 700, or 1/T overflowing),
+    DegenerateGap (vanishing host weights, a degenerate or non-finite sector
+    mixture, or a trace that disagrees with the weight sum) naming the first
+    failing point, and ValueError for a non-positive temperature.
+    """
+    args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
+    J, Delta, J0, g1, g2, g3, gamma, B = (np.asarray(a, dtype=float) for a in args[:-1])
+    T = np.atleast_1d(np.asarray(T, dtype=float))
+    if not T.min() > 0.0:
+        _raise_at(ValueError, "temperature must be positive", ~(T > 0.0), args)
+    if T.min() < _MIN_TEMPERATURE:
+        _raise_at(OverflowRisk, "1/T overflows", T < _MIN_TEMPERATURE, args)
+    beta = 1.0 / T
+
+    # dimer blocks, shape (family, sector, point)
+    zz = J * Delta / 4.0
+    c = J / 2.0
+    nodal = J0 * _SECTORS / 2.0
+    f1 = g1 * B * _SECTORS / 2.0
+    scale = 1.0 + (_DEFECT_FAMILY if impurity else _HOST_FAMILY) * gamma
+    b2 = g2 * B * scale
+    b3 = g3 * B * scale
+    outer = (b2 + b3) / 2.0
+    inner = (b2 - b3) / 2.0
+    e00 = zz + nodal - f1 - outer
+    a = -zz + nodal - f1 - inner
+    b = -zz - nodal - f1 + inner
+    mean = 0.5 * (a + b)
+    half_gap = 0.5 * np.hypot(a - b, 2.0 * c)
+    levels = np.empty((4,) + e00.shape)
+    levels[0] = e00
+    levels[1] = mean + half_gap
+    levels[2] = mean - half_gap
+    levels[3] = zz - nodal - f1 + outer
+    sector_min = np.minimum(np.minimum(levels[0], levels[2]), levels[3])
+    cell_min = sector_min[1]
+
+    # Boltzmann factors: host levels against the host family's minimum,
+    # defect cells against their own sector minimum
+    shift = sector_min.copy()
+    shift[0] = np.minimum(np.minimum(shift[0, 0], shift[0, 1]), shift[0, 2])
+    exponents = -beta * (levels - shift)
+    if exponents.max() > _MAX_EXPONENT:
+        _raise_at(OverflowRisk, f"Boltzmann exponent above {_MAX_EXPONENT:g}",
+                  exponents > _MAX_EXPONENT, args)
+    factors = np.exp(exponents)
+    # each sector's Boltzmann sum, outer and central pairs apart, so that
+    # mirror sectors (s = +-1 at B = 0) get bit-identical sums
+    sums = (factors[0] + factors[3]) + (factors[1] + factors[2])
+    w1, w0, wm = sums[0]
+
+    # host sector coefficients (Q + D, 4 w0, Q - D); the smaller of Q -+ D
+    # is 4 w0^2 / (Q +- D), never a difference of close numbers
+    d = w1 - wm
+    q = np.hypot(d, 2.0 * w0)
+    if not q.min() > 0.0:
+        _raise_at(DegenerateGap, "all host sector weights vanished", ~(q > 0.0), args)
+    big = q + np.abs(d)
+    small = 4.0 * w0 * w0 / big
+    up = d >= 0.0
+    coef = np.empty((3,) + q.shape)
+    coef[0] = np.where(up, big, small)
+    coef[1] = 4.0 * w0
+    coef[2] = np.where(up, small, big)
+
+    # log-domain sector mixing: coefficient times exp(-beta * sector offset)
+    ref = np.minimum(np.minimum(cell_min[0], cell_min[1]), cell_min[2])
+    logs = np.log(coef, out=np.full(coef.shape, -np.inf), where=coef > 0.0)
+    logs -= beta * (cell_min - ref)
+    top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
+    if top.min() == -np.inf:
+        _raise_at(DegenerateGap, "every sector weight vanished in log domain",
+                  top == -np.inf, args)
+    gains = np.exp(logs - top)
+
+    # defect cell matrices sum_j e^{-beta(e_j - min)} |phi_j><phi_j|, whose
+    # central eigenvectors are (cos, sin) and (-sin, cos) of half the mixing angle
+    angle = 0.5 * np.arctan2(2.0 * c, a[1] - b[1])
+    co = np.cos(angle)
+    si = np.sin(angle)
+    f00, f_up, f_down, f33 = factors[:, 1]
+    cells = np.empty((5,) + f00.shape)
+    cells[0] = f00
+    cells[1] = co * f_up * co + si * f_down * si
+    cells[2] = si * f_up * si + co * f_down * co
+    cells[3] = f33
+    cells[4] = co * f_up * si - si * f_down * co
+    cells *= gains
+    num = cells[:, 0] + cells[:, 1] + cells[:, 2]
+    weighted = gains * sums[1]
+    den = weighted[0] + weighted[1] + weighted[2]
+    # the dominant sector contributes gain 1 and trace >= 1
+    tr_num = num[0] + num[1] + num[2] + num[3]
+    if not (tr_num.min() > 0.0 and tr_num.max() < np.inf):
+        _raise_at(DegenerateGap, "degenerate or non-finite sector mixture",
+                  ~(np.isfinite(tr_num) & (tr_num > 0.0)), args)
+    mismatch = np.abs(tr_num - den) > 1e-12 * den
+    if mismatch.any():
+        _raise_at(DegenerateGap, "normalization mismatch: trace vs weight sum", mismatch, args)
+    return num / tr_num
+
+
 def impurity_density_matrix(p: ModelParams, impurity: bool = True) -> XState:
     """Exact thermodynamic-limit reduced density matrix of the defect dimer.
 
     With impurity=False the defect cell is replaced by a host cell, which
     gives the homogeneous chain's dimer state (identical to gamma = 0).
-
-    Sector contributions are combined in log domain: each cell matrix is
-    referenced to its own sector minimum and re-weighted by
-    exp(log(coefficient) - beta * sector offset), so points deep in the
-    low-temperature regime neither overflow nor collapse to 0/0 even when
-    host chain and defect prefer different nodal alignments.
+    A batch of one of limit_states, with the same bits as that point in any
+    larger batch.
     """
-    beta = p.beta
-    w = boltzmann_weights(p, family_energy_minimum(p, False))[0]
-    coef = _sector_coefficients(w)
-
-    mins, cells, traces = {}, {}, {}
-    for s in SECTOR_VALUES:
-        eig = dimer_spectrum(dimer_block(p, s, impurity=impurity))
-        m = float(eig.energies[0])
-        bw = np.exp(-beta * (eig.energies - m))
-        cells[s] = (eig.vectors * bw) @ eig.vectors.T
-        traces[s] = float(bw.sum())
-        mins[s] = m
-    mref = min(mins.values())
-
-    logs = {
-        s: (math.log(coef[s]) if coef[s] > 0.0 else -math.inf) - beta * (mins[s] - mref)
-        for s in SECTOR_VALUES
-    }
-    lmax = max(logs.values())
-    if lmax == -math.inf:
-        raise DegenerateGap("every sector weight vanished in log domain")
-    gains = {s: math.exp(logs[s] - lmax) for s in SECTOR_VALUES}
-
-    num = sum(gains[s] * cells[s] for s in SECTOR_VALUES)
-    den = sum(gains[s] * traces[s] for s in SECTOR_VALUES)
-    # the dominant sector contributes gain 1 and trace >= 1
-    tr_num = float(np.trace(num))
-    if not math.isfinite(tr_num) or tr_num <= 0.0:
-        raise DegenerateGap(f"non-finite sector mixture at {p!r}")
-    if abs(tr_num - den) > 1e-12 * den:
-        raise DegenerateGap(
-            f"normalization mismatch: trace {tr_num!r} vs weight sum {den!r}"
-        )
-    return _xstate_from_parts(num, tr_num)
+    column = np.array(list(vars(p).values()))[:, None]
+    return XState(*limit_states(*column, impurity=impurity)[:, 0].tolist())
 
 
 def partition_function(p: ModelParams, N: int) -> float:

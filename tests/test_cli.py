@@ -1,6 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
+
+import impurity_chain
 
 from impurity_chain import cli
 from impurity_chain.cli import (
@@ -81,6 +85,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SweepConfig(params=ModelParams(), axes=(("B", 0.0, 1.0, 3),),
                         quantities=("entropy",), out="x.csv")
+
+    def test_temperature_axis_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            SweepConfig(params=ModelParams(), axes=(("T", 0.0, 1.0, 3),),
+                        quantities=("concurrence",), out="x.csv")
 
 
 class TestRunPoint:
@@ -199,6 +208,13 @@ class TestThresholdFinder:
         p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
         assert concurrence_sign_brackets(p, (0.02, 2.0)) == 1
 
+    def test_brackets_from_the_finder_scan(self):
+        for gamma in (0.0, -0.8):
+            p = ModelParams(**STANDARD, Delta=0.6, J0=0.7, gamma=gamma, B=0.5, T=0.05)
+            t_th, n = find_threshold_temperature(p, (0.01, 1.2), with_brackets=True)
+            assert t_th == find_threshold_temperature(p, (0.01, 1.2))
+            assert n == concurrence_sign_brackets(p, (0.01, 1.2))
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             find_threshold_temperature(ModelParams(), (0.0, 1.0))
@@ -304,3 +320,30 @@ class TestMainEntry:
         assert code == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "sxsx_alt" in header and "szsz_alt" in header
+
+    def test_bad_delta_b_exit_code(self, capsys):
+        assert cli.main(["point", "--set", "delta_b=abc"]) == 2
+        assert "delta_b" in capsys.readouterr().err
+
+    def test_unknown_key_exit_code(self, capsys):
+        code = cli.main(["point", "--set", "gama=-0.8", "--set", "B=1", "--set", "T=0.1"])
+        assert code == 2
+        assert "'gama'" in capsys.readouterr().err
+
+    def test_library_exception_exit_code(self, capsys):
+        code = cli.main(["point", "--set", "T=1e-310", "--set", "B=1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "T=1e-310" in err and "B=1.0" in err
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(impurity_chain.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "impurity_chain.cli", "point",
+         "--set", "gamma=-0.8", "--set", "B=1.282", "--set", "T=0.01"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("J,Delta,J0")

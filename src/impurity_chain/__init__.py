@@ -76,6 +76,7 @@ _CLI_NAMES = (
     "find_threshold_temperature",
     "run_point",
     "run_sweep",
+    "threshold_temperatures",
 )
 
 
@@ -104,5 +105,5 @@ __all__ = [
     "output_concurrence_batch", "average_fidelity_batch",
     "beats_classical_bound",
     "ConfigError", "NotFound", "SweepConfig", "run_point", "run_sweep",
-    "find_threshold_temperature", "find_critical_field",
+    "threshold_temperatures", "find_threshold_temperature", "find_critical_field",
 ]

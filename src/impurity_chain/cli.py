@@ -11,9 +11,9 @@ Configuration is plain `key = value` text (# comments), overridable with
 repeated --set key=value flags.  CSV output is RFC-4180 style with 17
 significant digits, byte-identical across reruns and worker counts.
 
-Exit codes: 0 success, 2 configuration error (including unknown keys), 3
-numerical failure (a non-finite result or a solver exception, reported with
-its parameter point), 4 nothing found (finders).
+Exit codes: 0 success, 2 configuration error (including keys the subcommand
+does not use), 3 numerical failure (a non-finite result or a solver
+exception, reported with its parameter point), 4 nothing found (finders).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import itertools
 import math
 import os
 import sys
@@ -53,6 +52,7 @@ __all__ = [
     "SweepRecord",
     "run_point",
     "run_sweep",
+    "threshold_temperatures",
     "find_threshold_temperature",
     "concurrence_sign_brackets",
     "find_critical_field",
@@ -258,17 +258,21 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     else:
         values = _sweep_chunk((grid, *task))
 
-    # rows are formatted as they are written; fixed parameters once per sweep
+    # One %-format row template per sweep: fixed parameters are formatted
+    # once and embedded, every other column is a %.16e slot (_format's
+    # format).  Finite numbers never need CSV quoting, and _check_finite has
+    # run, so the bytes are those of csv.writer.
     axes = {name for name, *_ in cfg.axes}
-    cells = [map(_format, grid[c].tolist()) if c in axes
-             else itertools.repeat(_format(getattr(cfg.params, c)), rows) for c in PARAM_COLUMNS]
-    cells += [map(_format, values[c].tolist()) for c in cfg.columns()[len(PARAM_COLUMNS):]]
+    template = ",".join(
+        ["%.16e" if c in axes else _format(getattr(cfg.params, c)).replace("%", "%%")
+         for c in PARAM_COLUMNS] + ["%.16e"] * len(values)) + "\r\n"
+    columns = [grid[c].tolist() for c in PARAM_COLUMNS if c in axes]
+    columns += [values[c].tolist() for c in cfg.columns()[len(PARAM_COLUMNS):]]
     out_dir = os.path.dirname(os.path.abspath(cfg.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(cfg.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cfg.columns())
-        writer.writerows(zip(*cells))
+        fh.write(",".join(cfg.columns()) + "\r\n")
+        fh.writelines(template % row for row in zip(*columns))
     _write_manifest(cfg)
     return cfg.out
 
@@ -303,47 +307,85 @@ def _coarse_grid(lo: float, hi: float, points: int) -> np.ndarray:
     return lo + (hi - lo) * np.arange(points) / (points - 1)
 
 
-def _concurrence_positive(p: ModelParams, temps: np.ndarray, impurity: bool) -> list[bool]:
-    return (concurrence_batch(_states_along(p, "T", temps, impurity)) > 0.0).tolist()
+def _sign_flips(p: ModelParams, temps: np.ndarray, impurity: bool):
+    """C > 0 at each temperature, and the indices i where it differs from
+    i + 1; one batched call."""
+    positive = concurrence_batch(_states_along(p, "T", temps, impurity)) > 0.0
+    return positive, np.flatnonzero(positive[:-1] != positive[1:])
+
+
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
 
 
 def concurrence_sign_brackets(p: ModelParams, t_range, impurity: bool = True,
                               points: int = 64) -> int:
     """Number of (C > 0) sign changes of C(T) on a uniform coarse scan."""
-    positive = _concurrence_positive(p, _coarse_grid(*t_range, points), impurity)
-    return sum(1 for a, b in zip(positive, positive[1:]) if a != b)
+    return len(_sign_flips(p, _coarse_grid(*t_range, points), impurity)[1])
 
 
-def find_threshold_temperature(p: ModelParams, t_range, impurity: bool = True,
-                               points: int = 64, tol: float = 1e-6,
-                               with_brackets: bool = False):
-    """Largest temperature where the concurrence changes between zero and positive.
+def threshold_temperatures(points, t_range, impurity: bool = True,
+                           points_per_scan: int = 64, tol: float = 1e-6):
+    """Largest temperature where the concurrence changes between zero and
+    positive, for each parameter point (its own T is not used).
 
-    Coarse scan with `points` samples in one batched call, then bisection of
-    the last bracket down to `tol`, one point at a time.  Returns None when
-    C is identically zero or strictly positive over the whole range.  With
-    with_brackets=True, returns (threshold or None, number of sign-change
-    brackets on the coarse scan) instead.
+    Each point gets a coarse scan of `points_per_scan` temperatures in one
+    batched call.  Then the last bracket of every point that has one is
+    bisected in lockstep, one kernel call per step over the points still
+    active; a point stops when its bracket is no wider than `tol` or its
+    midpoint equals an end.  Returns (thresholds, bracket_counts): a
+    threshold is None where C is identically zero or strictly positive on
+    the scan, and a count is the number of sign changes on that scan.
+    Raises ValueError for a bad range and ConfigError (a ValueError) for a
+    tol that is not positive and finite.
     """
     lo, hi = t_range
     if not 0.0 < lo < hi:
         raise ValueError(f"bad temperature range {t_range}")
-    temps = _coarse_grid(lo, hi, points)
-    positive = _concurrence_positive(p, temps, impurity)
-    brackets = [i for i in range(points - 1) if positive[i] != positive[i + 1]]
-    t_th = None
-    if brackets:
-        i = brackets[-1]
-        t_lo, t_hi = temps[i:i + 2].tolist()
-        side = positive[i]
-        while t_hi - t_lo > tol:
-            mid = 0.5 * (t_lo + t_hi)
-            if (_concurrence_at(replace(p, T=mid), impurity) > 0.0) == side:
-                t_lo = mid
-            else:
-                t_hi = mid
-        t_th = 0.5 * (t_lo + t_hi)
-    return (t_th, len(brackets)) if with_brackets else t_th
+    _check_tol(tol)
+    points = list(points)
+    temps = _coarse_grid(lo, hi, points_per_scan)
+    counts, found, t_lo, t_hi, side = [], [], [], [], []
+    for k, p in enumerate(points):
+        positive, flips = _sign_flips(p, temps, impurity)
+        counts.append(len(flips))
+        if len(flips):
+            i = flips[-1]
+            found.append(k)
+            t_lo.append(temps[i])
+            t_hi.append(temps[i + 1])
+            side.append(positive[i])
+    params = {name: np.array([getattr(points[k], name) for k in found], dtype=float)
+              for name in PARAM_COLUMNS if name != "T"}
+    t_lo, t_hi = np.array(t_lo, dtype=float), np.array(t_hi, dtype=float)
+    side = np.array(side, dtype=bool)
+    while True:
+        mid = 0.5 * (t_lo + t_hi)
+        active = np.flatnonzero((t_hi - t_lo > tol) & (mid != t_lo) & (mid != t_hi))
+        if not active.size:
+            break
+        m = mid[active]
+        states = limit_states(**{k: v[active] for k, v in params.items()}, T=m,
+                              impurity=impurity)
+        keep = (concurrence_batch(states) > 0.0) == side[active]
+        t_lo[active] = np.where(keep, m, t_lo[active])
+        t_hi[active] = np.where(keep, t_hi[active], m)
+    thresholds = [None] * len(points)
+    for k, t_th in zip(found, (0.5 * (t_lo + t_hi)).tolist()):
+        thresholds[k] = t_th
+    return thresholds, counts
+
+
+def find_threshold_temperature(p: ModelParams, t_range, impurity: bool = True,
+                               points: int = 64, tol: float = 1e-6):
+    """Largest temperature where the concurrence changes between zero and positive.
+
+    A batch of one of threshold_temperatures: coarse scan with `points`
+    samples, then bisection of the last bracket down to `tol`.  Returns None
+    when C is identically zero or strictly positive over the whole range.
+    """
+    return threshold_temperatures([p], t_range, impurity, points, tol)[0][0]
 
 
 def find_critical_field(p: ModelParams, b_range, target: str,
@@ -355,11 +397,13 @@ def find_critical_field(p: ModelParams, b_range, target: str,
     'dqfi_peak' (maximize |dF/dB|).  Coarse scan in one batched call, then
     golden-section refinement of the best interior sample down to `tol` in
     B, one point at a time.  Raises NotFound when the coarse scan is
-    monotone (extremum at a boundary).
+    monotone (extremum at a boundary), and ConfigError (a ValueError) for a
+    tol that is not positive and finite.
     """
     lo, hi = b_range
     if not lo < hi:
         raise ValueError(f"bad field range {b_range}")
+    _check_tol(tol)
 
     if target == "max_concurrence":
         def scan(b: np.ndarray) -> np.ndarray:
@@ -483,27 +527,23 @@ def _figure_fig10(outdir: str, ov: dict) -> list[SweepConfig]:
 def _figure_fig22(outdir: str, ov: dict) -> list[str]:
     """Threshold temperature against anisotropy, one file per gamma value.
 
-    Runs in one process; each row's bracket count comes from the threshold
-    finder's own coarse scan.
+    Runs in one process: one threshold_temperatures call per file, whose
+    per-row coarse scans also give the bracket counts.
     """
     base = _preset_params(ov, Delta=0.0, J0=0.7, B=0.5, T=0.05)
     t_range = (0.01, 1.2)
     written = []
     os.makedirs(outdir, exist_ok=True)
     for gamma in (0.0, -0.8):
+        rows = [replace(base, Delta=2.0 * i / 80.0, gamma=gamma) for i in range(81)]
+        thresholds, counts = threshold_temperatures(rows, t_range)
         out = os.path.join(outdir, f"fig22_threshold_gamma{gamma:g}.csv")
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["Delta", "T_threshold", "n_brackets"])
-            for i in range(81):
-                delta = 2.0 * i / 80.0
-                point = replace(base, Delta=delta, gamma=gamma)
-                t_th, n = find_threshold_temperature(point, t_range, with_brackets=True)
-                writer.writerow([
-                    _format(delta),
-                    "" if t_th is None else _format(t_th),
-                    str(n),
-                ])
+            writer.writerows(
+                [_format(p.Delta), "" if t_th is None else _format(t_th), str(n)]
+                for p, t_th, n in zip(rows, thresholds, counts))
         written.append(out)
     return written
 
@@ -536,8 +576,16 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_CONFIG_KEYS = PARAM_COLUMNS + ("delta_b", "axis", "axis1", "axis2", "quantities", "out",
-                                "impurity")
+# the configuration keys each subcommand uses; any other key is an error.
+# threshold scans T and critical scans B, so neither takes that parameter.
+_POINT_KEYS = PARAM_COLUMNS + ("quantities", "impurity", "delta_b")
+_COMMAND_KEYS = {
+    "point": _POINT_KEYS,
+    "sweep": _POINT_KEYS + ("axis", "axis1", "axis2", "out"),
+    "threshold": tuple(k for k in PARAM_COLUMNS if k != "T") + ("impurity",),
+    "critical": tuple(k for k in PARAM_COLUMNS if k != "B") + ("impurity", "delta_b"),
+    "figure": PARAM_COLUMNS,
+}
 _TRUE_WORDS = ("1", "true", "on", "yes")
 _FALSE_WORDS = ("0", "false", "off", "no")
 
@@ -637,11 +685,18 @@ def _collect_mapping(args) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    unknown = [key for key in mapping if key not in _CONFIG_KEYS]
+    valid = _COMMAND_KEYS[args.command]
+    unknown = [key for key in mapping if key not in valid]
     if unknown:
-        raise ConfigError(f"unknown configuration key {unknown[0]!r}; "
-                          f"valid: {', '.join(_CONFIG_KEYS)}")
+        raise ConfigError(f"configuration key {unknown[0]!r} is not used by "
+                          f"{args.command!r}; valid: {', '.join(valid)}")
     return mapping
+
+
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +780,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         mapping["out"] = args.out
     cfg = build_sweep_config(mapping, alt_correlators=args.debug_paper_correlators)
-    path = run_sweep(cfg, workers=args.workers)
+    path = run_sweep(cfg, workers=_workers(args))
     print(path)
     return 0
 
@@ -748,11 +803,12 @@ def _cmd_critical(args) -> int:
     mapping = _collect_mapping(args)
     params = build_params(mapping)
     impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
+    delta_b = _parse_delta_b(mapping)
     target = args.target.replace("-", "_")
     if not args.b_min < args.b_max:
         raise ConfigError(f"need --b-min < --b-max, got {args.b_min} and {args.b_max}")
     b_star = find_critical_field(params, (args.b_min, args.b_max), target,
-                                 impurity=impurity, tol=args.tol)
+                                 impurity=impurity, tol=args.tol, delta_b=delta_b)
     print(_format(b_star))
     return 0
 
@@ -766,7 +822,7 @@ def _cmd_figure(args) -> int:
                 overrides[key] = float(value)
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-    for path in run_figure(args.preset, args.out, overrides, workers=args.workers):
+    for path in run_figure(args.preset, args.out, overrides, workers=_workers(args)):
         print(path)
     return 0
 

@@ -1,6 +1,10 @@
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -21,11 +25,14 @@ from impurity_chain.cli import (
     run_figure,
     run_point,
     run_sweep,
+    threshold_temperatures,
 )
 from impurity_chain.model import ModelParams
 from impurity_chain.xfer import XState
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
+QUANTITY_ORDER = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB", "favg",
+                  "cout", "rho_elements")
 B_STAR = 1.0 / ((5.0 - 1.1) * 0.2)
 
 
@@ -178,6 +185,31 @@ class TestRunSweep:
         run_sweep(cfg_off)
         assert open(cfg_on.out, "rb").read() == open(cfg_off.out, "rb").read()
 
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # the row-template writer against csv.writer over run_point's values
+        quantities = list(QUANTITY_ORDER)
+        out = str(tmp_path / "all.csv")
+        code = cli.main(["sweep", "--set", "J=-1.3", "--set", "gamma=-0.6",
+                         "--set", "Delta=0.4", "--set", "J0=-0.9",
+                         "--set", "axis=B 0 2 7", "--set", "axis2=T 0.05 1 4",
+                         "--set", "quantities=" + ",".join(quantities),
+                         "--debug-paper-correlators", "--out", out])
+        assert code == 0
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        rows = []
+        for i in range(7):
+            for j in range(4):
+                p = ModelParams(**STANDARD, J=-1.3, Delta=0.4, J0=-0.9, gamma=-0.6,
+                                B=0.0 + (2.0 - 0.0) * i / 6, T=0.05 + (1.0 - 0.05) * j / 3)
+                rec = run_point(p, quantities, alt_correlators=True)
+                if not rows:
+                    writer.writerow(list(cli.PARAM_COLUMNS) + list(rec.values))
+                rows.append([cli._format(getattr(p, c)) for c in cli.PARAM_COLUMNS]
+                            + [cli._format(v) for v in rec.values.values()])
+        writer.writerows(rows)
+        assert open(out, "rb").read() == expected.getvalue().encode()
+
     def test_manifest_written(self, tmp_path):
         cfg = self.make_config(tmp_path)
         run_sweep(cfg)
@@ -211,9 +243,77 @@ class TestThresholdFinder:
     def test_brackets_from_the_finder_scan(self):
         for gamma in (0.0, -0.8):
             p = ModelParams(**STANDARD, Delta=0.6, J0=0.7, gamma=gamma, B=0.5, T=0.05)
-            t_th, n = find_threshold_temperature(p, (0.01, 1.2), with_brackets=True)
+            (t_th,), (n,) = threshold_temperatures([p], (0.01, 1.2))
             assert t_th == find_threshold_temperature(p, (0.01, 1.2))
             assert n == concurrence_sign_brackets(p, (0.01, 1.2))
+
+    def test_lockstep_bisection_matches_scalar_bisection_on_fig22_rows(self):
+        # every fig22 row, batched, against a one-point-at-a-time bisection
+        # of the last coarse bracket through the one-point API
+        t_range = (0.01, 1.2)
+        temps = [0.01 + (1.2 - 0.01) * i / 63 for i in range(64)]
+
+        def scalar_threshold(p):
+            positive = [cli._concurrence_at(replace(p, T=t), True) > 0.0 for t in temps]
+            flips = [i for i in range(63) if positive[i] != positive[i + 1]]
+            if not flips:
+                return None
+            t_lo, t_hi = temps[flips[-1]], temps[flips[-1] + 1]
+            side = positive[flips[-1]]
+            while t_hi - t_lo > 1e-6:
+                mid = 0.5 * (t_lo + t_hi)
+                if (cli._concurrence_at(replace(p, T=mid), True) > 0.0) == side:
+                    t_lo = mid
+                else:
+                    t_hi = mid
+            return 0.5 * (t_lo + t_hi)
+
+        for gamma in (0.0, -0.8):
+            rows = [ModelParams(**STANDARD, Delta=2.0 * i / 80.0, J0=0.7, gamma=gamma,
+                                B=0.5, T=0.05) for i in range(81)]
+            thresholds, counts = threshold_temperatures(rows, t_range)
+            assert thresholds == [scalar_threshold(p) for p in rows]
+            assert counts == [concurrence_sign_brackets(p, t_range) for p in rows]
+            assert any(t is not None for t in thresholds)
+
+    def test_batch_mixes_rows_with_and_without_brackets(self):
+        entangled = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
+        # C > 0 over the whole range: no bracket
+        unbracketed = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=0.0, B=5.0, T=0.5)
+        # C = 0 at the lowest temperatures and positive above: the last
+        # bracket goes from zero to positive, the other way round
+        revived = ModelParams(**STANDARD, J=-1.0, Delta=2.0, J0=1.0, gamma=0.5, B=3.9, T=0.1)
+        rows = [unbracketed, entangled, unbracketed, revived, unbracketed,
+                replace(entangled, Delta=1.5), unbracketed]
+        t_range = (0.01, 2.0)
+        thresholds, counts = threshold_temperatures(rows, t_range)
+        assert thresholds[0::2] == [None] * 4
+        assert counts[0::2] == [0] * 4
+        for i in (1, 3, 5):
+            assert counts[i] >= 1
+            assert thresholds[i] == find_threshold_temperature(rows[i], t_range)
+        assert cli._concurrence_at(replace(revived, T=0.01), True) == 0.0
+        assert cli._concurrence_at(replace(revived, T=thresholds[3] + 1e-4), True) > 0.0
+        assert cli._concurrence_at(replace(entangled, T=thresholds[1] + 1e-4), True) == 0.0
+        assert threshold_temperatures([], t_range) == ([], [])
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
+        with pytest.raises(ValueError, match="tol"):
+            threshold_temperatures([p], (0.02, 2.0), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            find_threshold_temperature(p, (0.02, 2.0), tol=tol)
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        # a tol below the spacing of floats ends when the midpoint is an end
+        p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
+        t_fine = find_threshold_temperature(p, (0.02, 2.0), tol=5e-324)
+        t_th = find_threshold_temperature(p, (0.02, 2.0))
+        assert abs(t_fine - t_th) < 1e-6
+        below, above = (cli._concurrence_at(replace(p, T=math.nextafter(t_fine, t)), True) > 0.0
+                        for t in (0.0, 3.0))
+        assert below != above
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -244,6 +344,12 @@ class TestCriticalFieldFinder:
     def test_unknown_target(self):
         with pytest.raises(ConfigError):
             find_critical_field(ModelParams(), (0.0, 1.0), "entropy_peak")
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
+        with pytest.raises(ValueError, match="tol"):
+            find_critical_field(p, (0.0, 3.0), "max_concurrence", tol=tol)
 
 
 class TestFigurePresets:
@@ -336,6 +442,52 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert "T=1e-310" in err and "B=1.0" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_critical_bad_tol_exit_code(self, tol, capsys):
+        code = cli.main(["critical", "--set", "gamma=-0.8", "--set", "T=0.01",
+                         "--b-min", "0", "--b-max", "3", "--tol", tol])
+        assert code == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_critical_passes_delta_b(self, capsys):
+        printed = []
+        for delta_b in ("1e-3", "0.2"):
+            code = cli.main(["critical", "--target", "dqfi-peak", "--set", "gamma=-0.8",
+                             "--set", "T=0.05", "--set", f"delta_b={delta_b}"])
+            assert code == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] != printed[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig3", "--set", "impurity=off"],
+        ["figure", "fig3", "--set", "quantities=qfi"],
+        ["figure", "fig3", "--set", "axis=T 0 1 3"],
+        ["threshold", "--set", "out=x.csv"],
+        ["threshold", "--set", "T=0.3"],
+        ["critical", "--set", "B=1.0"],
+        ["critical", "--set", "quantities=qfi"],
+        ["point", "--set", "out=x.csv"],
+        ["point", "--set", "axis=B 0 1 3"],
+    ])
+    def test_keys_a_subcommand_does_not_use_exit_code(self, argv, tmp_path, capsys):
+        if argv[0] == "figure":
+            argv = argv + ["--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        key = argv[argv.index("--set") + 1].split("=")[0]
+        assert f"{key!r}" in err and f"{argv[0]!r}" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "axis=B 0 1 3", "--workers", "0"],
+        ["sweep", "--set", "axis=B 0 1 3", "--workers", "-4"],
+        ["figure", "fig3", "--workers", "0"],
+    ])
+    def test_workers_below_one_exit_code(self, argv, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
 
 def test_module_entry_point_runs_without_warnings():

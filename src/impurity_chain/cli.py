@@ -325,41 +325,55 @@ def concurrence_sign_brackets(p: ModelParams, t_range, impurity: bool = True,
     return len(_sign_flips(p, _coarse_grid(*t_range, points), impurity)[1])
 
 
+# most kernel points per coarse-scan call of threshold_temperatures: the
+# size of a preset sweep, which keeps the kernel's temporaries small
+_SCAN_BLOCK = 601
+
+
 def threshold_temperatures(points, t_range, impurity: bool = True,
                            points_per_scan: int = 64, tol: float = 1e-6):
     """Largest temperature where the concurrence changes between zero and
     positive, for each parameter point (its own T is not used).
 
-    Each point gets a coarse scan of `points_per_scan` temperatures in one
-    batched call.  Then the last bracket of every point that has one is
-    bisected in lockstep, one kernel call per step over the points still
-    active; a point stops when its bracket is no wider than `tol` or its
-    midpoint equals an end.  Returns (thresholds, bracket_counts): a
-    threshold is None where C is identically zero or strictly positive on
-    the scan, and a count is the number of sign changes on that scan.
-    Raises ValueError for a bad range and ConfigError (a ValueError) for a
-    tol that is not positive and finite.
+    Every point gets a coarse scan of `points_per_scan` temperatures.  The
+    scans run whole points at a time in blocks of at most 601 kernel points
+    (9 points of 64 temperatures, the size of a preset sweep), which bounds
+    the kernel's working memory; every point's sign flips, their count and
+    its last bracket are then read from one (points, points_per_scan)
+    boolean array.  The last bracket of every point that has one is bisected
+    in lockstep, one kernel call per step over the points still active; a
+    point stops when its bracket is no wider than `tol` or its midpoint
+    equals an end.  Returns (thresholds, bracket_counts): a threshold is
+    None where C is identically zero or strictly positive on the scan, and
+    a count is the number of sign changes on that scan.  Raises ValueError
+    for a bad range and ConfigError (a ValueError) for a tol that is not
+    positive and finite or a scan of fewer than 2 temperatures.
     """
     lo, hi = t_range
     if not 0.0 < lo < hi:
         raise ValueError(f"bad temperature range {t_range}")
     _check_tol(tol)
+    if points_per_scan < 2:
+        raise ConfigError(f"points_per_scan must be at least 2, got {points_per_scan!r}")
     points = list(points)
     temps = _coarse_grid(lo, hi, points_per_scan)
-    counts, found, t_lo, t_hi, side = [], [], [], [], []
-    for k, p in enumerate(points):
-        positive, flips = _sign_flips(p, temps, impurity)
-        counts.append(len(flips))
-        if len(flips):
-            i = flips[-1]
-            found.append(k)
-            t_lo.append(temps[i])
-            t_hi.append(temps[i + 1])
-            side.append(positive[i])
-    params = {name: np.array([getattr(points[k], name) for k in found], dtype=float)
+    params = {name: np.array([getattr(p, name) for p in points], dtype=float)
               for name in PARAM_COLUMNS if name != "T"}
-    t_lo, t_hi = np.array(t_lo, dtype=float), np.array(t_hi, dtype=float)
-    side = np.array(side, dtype=bool)
+    positive = np.empty((len(points), points_per_scan), dtype=bool)
+    block = max(1, _SCAN_BLOCK // points_per_scan)
+    for start in range(0, len(points), block):
+        rows = slice(start, start + block)
+        block_params = {k: np.repeat(v[rows], points_per_scan) for k, v in params.items()}
+        states = limit_states(**block_params, T=np.tile(temps, len(positive[rows])),
+                              impurity=impurity)
+        positive[rows] = (concurrence_batch(states) > 0.0).reshape(-1, points_per_scan)
+    flips = positive[:, :-1] != positive[:, 1:]
+    counts = flips.sum(axis=1)
+    found = np.flatnonzero(counts)
+    last = points_per_scan - 2 - np.argmax(flips[found, ::-1], axis=1)
+    params = {k: v[found] for k, v in params.items()}
+    t_lo, t_hi = temps[last], temps[last + 1]
+    side = positive[found, last]
     while True:
         mid = 0.5 * (t_lo + t_hi)
         active = np.flatnonzero((t_hi - t_lo > tol) & (mid != t_lo) & (mid != t_hi))
@@ -372,9 +386,9 @@ def threshold_temperatures(points, t_range, impurity: bool = True,
         t_lo[active] = np.where(keep, m, t_lo[active])
         t_hi[active] = np.where(keep, t_hi[active], m)
     thresholds = [None] * len(points)
-    for k, t_th in zip(found, (0.5 * (t_lo + t_hi)).tolist()):
+    for k, t_th in zip(found.tolist(), (0.5 * (t_lo + t_hi)).tolist()):
         thresholds[k] = t_th
-    return thresholds, counts
+    return thresholds, counts.tolist()
 
 
 def find_threshold_temperature(p: ModelParams, t_range, impurity: bool = True,
@@ -527,23 +541,25 @@ def _figure_fig10(outdir: str, ov: dict) -> list[SweepConfig]:
 def _figure_fig22(outdir: str, ov: dict) -> list[str]:
     """Threshold temperature against anisotropy, one file per gamma value.
 
-    Runs in one process: one threshold_temperatures call per file, whose
-    per-row coarse scans also give the bracket counts.
+    Runs in one process: one threshold_temperatures call for the rows of
+    both files, whose coarse scans also give the bracket counts.
     """
     base = _preset_params(ov, Delta=0.0, J0=0.7, B=0.5, T=0.05)
-    t_range = (0.01, 1.2)
+    gammas = (0.0, -0.8)
+    rows = [replace(base, Delta=2.0 * i / 80.0, gamma=gamma)
+            for gamma in gammas for i in range(81)]
+    thresholds, counts = threshold_temperatures(rows, (0.01, 1.2))
     written = []
     os.makedirs(outdir, exist_ok=True)
-    for gamma in (0.0, -0.8):
-        rows = [replace(base, Delta=2.0 * i / 80.0, gamma=gamma) for i in range(81)]
-        thresholds, counts = threshold_temperatures(rows, t_range)
+    for k, gamma in enumerate(gammas):
+        part = slice(81 * k, 81 * (k + 1))
         out = os.path.join(outdir, f"fig22_threshold_gamma{gamma:g}.csv")
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["Delta", "T_threshold", "n_brackets"])
             writer.writerows(
                 [_format(p.Delta), "" if t_th is None else _format(t_th), str(n)]
-                for p, t_th, n in zip(rows, thresholds, counts))
+                for p, t_th, n in zip(rows[part], thresholds[part], counts[part]))
         written.append(out)
     return written
 
@@ -558,15 +574,32 @@ FIGURE_PRESETS = {
     "fig22-threshold": _figure_fig22,
 }
 
+# the parameters each preset sets per curve, row, axis or scan; overriding
+# one of them is an error, since the preset would silently replace it
+_PRESET_OWNED = {
+    "fig3": ("gamma", "T", "B"),
+    "fig5": ("gamma", "B", "T"),
+    "fig-qfi": ("Delta", "B"),
+    "fig-dbqfi": ("Delta", "B"),
+    "fig8": ("gamma", "B", "T"),
+    "fig10": ("gamma", "T", "B"),
+    "fig22-threshold": ("Delta", "gamma", "T"),
+}
+
 
 def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> list[str]:
     """Write every data file of one figure preset; returns the paths.
 
-    `workers` is the process count of each sweep preset; fig22-threshold
-    runs in one process.
+    `overrides` may set any parameter the preset holds fixed; one it sets
+    per curve, row, axis or scan raises ConfigError.  `workers` is the
+    process count of each sweep preset; fig22-threshold runs in one process.
     """
     if name not in FIGURE_PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(FIGURE_PRESETS)}")
+    owned = [key for key in overrides if key in _PRESET_OWNED[name]]
+    if owned:
+        raise ConfigError(f"preset {name!r} sets {owned[0]!r} per curve, row, axis or scan, "
+                          f"so it cannot be overridden")
     if name == "fig22-threshold":
         return _figure_fig22(outdir, overrides)
     jobs = FIGURE_PRESETS[name](outdir, overrides)

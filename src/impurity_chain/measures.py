@@ -5,9 +5,11 @@ Every measure is an array function of the five X-state elements: it takes a
 `xfer.limit_states`) and returns one value per column.  Concurrence, l1
 coherence and the correlators are closed forms; the quantum Fisher
 information is the bipartite sum over the local orthonormal observable set
-sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, evaluated in each
-state's eigenbasis.  The functions taking one XState are the same
-computations on a batch of one, with the same bits.
+sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, written in the X
+state's eigenbasis, whose eigenvalues and overlaps are closed forms of the
+five elements too: no matrix is built and no eigensolver runs.  The
+functions taking one XState are the same computations on a batch of one,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "central_difference",
 ]
 
-# eigenvalue pairs with tau_i + tau_j below this fraction of the largest
+# eigenvalue pairs with a + lambda below this fraction of the largest
 # eigenvalue lie outside the state's support and are skipped
 _SUPPORT_TOL = 1e-12
 
@@ -85,43 +87,40 @@ def correlators_shortcut_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def qfi_batch(states: np.ndarray) -> np.ndarray:
-    """Bipartite quantum Fisher information of X states.
+    """Bipartite quantum Fisher information of X states, in closed form.
 
     F = sum_eta F(rho, A_eta x I + I x A_eta) over the local observable set
     sqrt(2)*{I, Sx, Sy, Sz}, each term being
     2 * sum_{ij} (tau_i - tau_j)^2 / (tau_i + tau_j) |<chi_i|G|chi_j>|^2
-    in the state's eigenbasis (a batched eigh).  Pairs outside the support
-    (tau_i + tau_j below 1e-12 of the largest eigenvalue) are skipped, which
-    keeps the value continuous through eigenvalue crossings.
+    in the state's eigenbasis.  For an X state that basis is |00> and |11>
+    (eigenvalues r11, r44) and the two eigenvectors of the central block,
+    lambda+- = (r22 + r33)/2 +- h with h = hypot((r22 - r33)/2, r23).  Only
+    the outer-central pairs have non-zero matrix elements, with summed
+    squares 1 +- r23/h, so (Paris, Int. J. Quantum Inf. 7 (2009) 125)
 
-    For real eigenvectors v the observables' squared matrix elements sum to
-    X_ij^2 + X_ji^2 + 2 Z_ij^2 with X_ij = v0i (v1j + v2j) + (v1i + v2i) v3j
-    and Z_ij = v0i v0j - v3i v3j (the identity term vanishes).
+        F = 4 sum_{a in r11, r44} sum_+- (a - lambda+-)^2 / (a + lambda+-) (1 +- r23/h).
+
+    Eigenvalues are clamped at 0.  Pairs outside the support (a + lambda
+    below 1e-12 of the largest eigenvalue) are skipped, which keeps the
+    value continuous through eigenvalue crossings.  At h = 0 (r22 = r33 and
+    r23 = 0) the central eigenvalues coincide and r23/h is taken as 0.
     """
     r11, r22, r33, r44, r23 = states
-    rho = np.zeros((r11.shape[0], 4, 4))
-    rho[:, 0, 0] = r11
-    rho[:, 1, 1] = r22
-    rho[:, 2, 2] = r33
-    rho[:, 3, 3] = r44
-    rho[:, 1, 2] = r23
-    rho[:, 2, 1] = r23
-    tau, vecs = np.linalg.eigh(rho)
-    tau = np.maximum(tau, 0.0)
-    top = tau[:, 3]
-    cutoff = np.where(top > 0.0, _SUPPORT_TOL * top, np.inf)[:, None, None]
-    pair = tau[:, :, None] + tau[:, None, :]
-    diff = tau[:, :, None] - tau[:, None, :]
-    keep = (pair > cutoff) & (diff != 0.0)
-    weight = np.where(keep, 2.0 * diff * diff / np.where(keep, pair, 1.0), 0.0)
-
-    v0, v1, v2, v3 = vecs[:, 0], vecs[:, 1], vecs[:, 2], vecs[:, 3]
-    central = v1 + v2
-    x = v0[:, :, None] * central[:, None, :] + central[:, :, None] * v3[:, None, :]
-    z = v0[:, :, None] * v0[:, None, :] - v3[:, :, None] * v3[:, None, :]
-    terms = weight * (x * x + np.swapaxes(x, 1, 2) ** 2 + 2.0 * z * z)
-    rows = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2] + terms[:, :, 3]
-    return rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+    h = np.hypot(0.5 * (r22 - r33), r23)
+    ratio = np.where(h > 0.0, r23 / np.where(h > 0.0, h, 1.0), 0.0)
+    mean = 0.5 * (r22 + r33)
+    upper = np.maximum(mean + h, 0.0)
+    lower = np.maximum(mean - h, 0.0)
+    outer = (np.maximum(r11, 0.0), np.maximum(r44, 0.0))
+    cutoff = _SUPPORT_TOL * np.maximum(np.maximum(outer[0], outer[1]), upper)
+    total = 0.0
+    for a in outer:
+        for central, overlap in ((upper, 1.0 + ratio), (lower, 1.0 - ratio)):
+            pair = a + central
+            keep = pair > cutoff
+            diff = a - central
+            total = total + np.where(keep, diff * diff / np.where(keep, pair, 1.0), 0.0) * overlap
+    return 4.0 * total
 
 
 def central_difference(f, x, step: float):

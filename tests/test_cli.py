@@ -28,7 +28,7 @@ from impurity_chain.cli import (
     threshold_temperatures,
 )
 from impurity_chain.model import ModelParams
-from impurity_chain.xfer import XState
+from impurity_chain.xfer import XState, limit_states
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 QUANTITY_ORDER = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB", "favg",
@@ -305,6 +305,14 @@ class TestThresholdFinder:
         with pytest.raises(ValueError, match="tol"):
             find_threshold_temperature(p, (0.02, 2.0), tol=tol)
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_scan_needs_two_temperatures(self, points):
+        p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
+        with pytest.raises(ConfigError, match="points_per_scan"):
+            threshold_temperatures([p], (0.02, 2.0), points_per_scan=points)
+        with pytest.raises(ConfigError, match="points_per_scan"):
+            find_threshold_temperature(p, (0.02, 2.0), points=points)
+
     def test_bisection_stops_at_adjacent_floats(self):
         # a tol below the spacing of floats ends when the midpoint is an end
         p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
@@ -369,6 +377,33 @@ class TestFigurePresets:
         paths = run_figure("fig3", str(tmp_path), {"Delta": 2.0})
         manifest = open(paths[0] + ".manifest.txt").read()
         assert "Delta = 2.0" in manifest
+
+    def test_owned_keys_are_what_each_sweep_preset_varies(self, tmp_path):
+        # the parameters a sweep preset sets per curve or axis, read from its jobs
+        for name, preset in cli.FIGURE_PRESETS.items():
+            if name == "fig22-threshold":
+                continue
+            jobs = preset(str(tmp_path), {})
+            varied = {key for key in cli.PARAM_COLUMNS
+                      if len({getattr(job.params, key) for job in jobs}) > 1}
+            varied |= {axis[0] for job in jobs for axis in job.axes}
+            assert varied == set(cli._PRESET_OWNED[name]), name
+        assert not os.listdir(tmp_path)
+
+    def test_fig22_kernel_calls_stay_within_a_sweep_size(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def recording(**kwargs):
+            sizes.append(len(kwargs["T"]))
+            return limit_states(**kwargs)
+
+        monkeypatch.setattr(cli, "limit_states", recording)
+        run_figure("fig22-threshold", str(tmp_path), {})
+        # 162 rows of 64 temperatures in blocks of 9 rows, then 15 lockstep
+        # bisection steps from a bracket of 1.19/63 down to 1e-6
+        assert sizes[:18] == [576] * 18
+        assert len(sizes) == 33
+        assert max(sizes) <= 601
 
 
 class TestMainEntry:
@@ -477,6 +512,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         key = argv[argv.index("--set") + 1].split("=")[0]
         assert f"{key!r}" in err and f"{argv[0]!r}" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("preset,key", [
+        (preset, key) for preset, keys in cli._PRESET_OWNED.items() for key in keys])
+    def test_figure_rejects_overrides_the_preset_sets(self, preset, key, tmp_path, capsys):
+        argv = ["figure", preset, "--set", f"{key}=0.3", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r}" in err and f"{preset!r}" in err
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("argv", [

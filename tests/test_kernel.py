@@ -34,21 +34,9 @@ from impurity_chain.teleport import (
     output_concurrence_batch,
 )
 from impurity_chain.xfer import XState, impurity_density_matrix, limit_states
+from conftest import random_grid, whole_range_scan
 
 NAMES = ("J", "Delta", "J0", "g1", "g2", "g3", "gamma", "B", "T")
-
-
-def random_grid(rng, n=121):
-    """Parameter columns over the whole physical range, standard g-factors."""
-    return dict(
-        J=rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n),
-        Delta=rng.uniform(0.0, 3.0, n),
-        J0=rng.uniform(-2.0, 2.0, n),
-        g1=np.full(n, 1.2), g2=np.full(n, 5.0), g3=np.full(n, 1.1),
-        gamma=rng.uniform(-2.0, 2.0, n),
-        B=rng.uniform(0.0, 5.0, n),
-        T=np.exp(rng.uniform(np.log(0.005), np.log(3.0), n)),
-    )
 
 
 def chunked(grid, sizes):
@@ -139,15 +127,9 @@ class TestGuards:
 
 
 def test_whole_range_limit_state_scan():
-    """J = +-1, J0 = +-2, Delta in {0, 1, 3}, 11 gammas in [-2, 2], 6 fields in
-    [0, 5] and T in {0.005, 0.01, 0.05, 0.5}: 3,168 points, every one a valid
+    """Every one of the 3,168 points of `whole_range_scan` gives a valid
     state, one point at a time and as one batch."""
-    points = [
-        ModelParams(J=j, Delta=delta, J0=j0, gamma=float(gamma), B=float(b), T=t)
-        for j in (1.0, -1.0) for j0 in (2.0, -2.0) for delta in (0.0, 1.0, 3.0)
-        for gamma in np.linspace(-2.0, 2.0, 11) for b in np.linspace(0.0, 5.0, 6)
-        for t in (0.005, 0.01, 0.05, 0.5)
-    ]
+    points = whole_range_scan()
     assert len(points) == 3168
     failures, worst_trace, lowest = [], 0.0, 0.0
     states = []

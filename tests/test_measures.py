@@ -9,13 +9,14 @@ from impurity_chain.measures import (
     l1_coherence,
     measure_bundle,
     qfi,
+    qfi_batch,
     qfi_field_derivative,
     spin_correlators,
     spin_correlators_shortcut,
 )
 from impurity_chain.model import ModelParams
-from impurity_chain.xfer import XState, impurity_density_matrix
-from conftest import draw_xstate
+from impurity_chain.xfer import XState, impurity_density_matrix, limit_states
+from conftest import draw_xstate, random_grid, whole_range_scan
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 
@@ -34,15 +35,16 @@ OBSERVABLES = tuple(math.sqrt(2.0) * (np.kron(a, _I2) + np.kron(_I2, a)) for a i
 
 
 def qfi_direct(rho, observable):
-    """Independent evaluation of the full 16-term double sum for one observable."""
+    """Independent evaluation of the full 16-term double sum for one observable,
+    skipping pairs below 1e-12 of the largest eigenvalue."""
     tau, vecs = np.linalg.eigh(rho)
+    elements = vecs.conj().T @ observable @ vecs
     total = 0.0
     for i in range(4):
         for j in range(4):
-            if tau[i] + tau[j] <= 1e-12:
+            if tau[i] + tau[j] <= 1e-12 * tau[-1]:
                 continue
-            element = vecs[:, i].conj() @ observable @ vecs[:, j]
-            total += 2.0 * (tau[i] - tau[j]) ** 2 / (tau[i] + tau[j]) * abs(element) ** 2
+            total += 2.0 * (tau[i] - tau[j]) ** 2 / (tau[i] + tau[j]) * abs(elements[i, j]) ** 2
     return total
 
 
@@ -154,6 +156,30 @@ class TestQfi:
         degenerate = XState(0.3, 0.2, 0.2, 0.3, 0.1)
         nudged = XState(0.3, 0.2 + 1e-9, 0.2 - 1e-9, 0.3 - 1e-16, 0.1)
         assert qfi(nudged) == pytest.approx(qfi(degenerate), abs=1e-6)
+
+    def test_closed_form_against_double_sum_on_kernel_states(self, rng):
+        # the closed form against the eigenbasis double sum over the whole
+        # physical range, plus hand-made states at its edge cases
+        scan = whole_range_scan()
+        columns = {k: np.concatenate([v, [getattr(p, k) for p in scan]])
+                   for k, v in random_grid(rng, 400).items()}
+        c, s = 0.6, 0.8
+        pure = 1.0 - 3e-13 - 3e-12
+        edge_cases = np.array([
+            (0.3, 0.2, 0.2, 0.3, 0.0),    # h = 0
+            (0.1, 0.4, 0.4, 0.1, 0.0),    # h = 0
+            (0.0, 0.5, 0.5, 0.0, 0.0),    # h = 0 and r11 = r44 = 0
+            (0.0, 0.5, 0.5, 0.0, 0.5),    # r11 = r44 = 0, lambda- = 0
+            (0.0, 0.7, 0.3, 0.0, -0.2),   # r11 = r44 = 0
+            # lambda- ~ 0: r11 + lambda- falls below the cutoff, r44 + lambda- not
+            (3e-13, pure * c * c, pure * s * s, 3e-12, pure * c * s),
+        ]).T
+        states = np.concatenate([limit_states(**columns), edge_cases], axis=1)
+        fisher = qfi_batch(states)
+        for i in range(states.shape[1]):
+            rho = XState(*states[:, i].tolist()).to_matrix()
+            expected = sum(qfi_direct(rho, g) for g in OBSERVABLES)
+            assert abs(fisher[i] - expected) <= 1e-12 * max(1.0, expected), i
 
     def test_nonnegative(self, rng):
         for _ in range(100):

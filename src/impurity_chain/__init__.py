@@ -14,28 +14,20 @@ __version__ = "0.1.0"
 from .model import (
     DimerEigensystem,
     ModelParams,
-    NodalSector,
     OverflowRisk,
-    SECTORS,
     boltzmann_weights,
     dimer_block,
     dimer_spectrum,
-    zeeman_fields,
 )
 from .xfer import (
     DegenerateGap,
     InvalidN,
     NotAState,
-    ScaledTransferMatrix,
-    TmEigen,
     XState,
-    cell_density_elements,
     finite_n_density_matrix,
     impurity_density_matrix,
     limit_states,
     partition_function,
-    tm_eigen,
-    transfer_matrices,
 )
 from .oracle import TooLarge, brute_force_density_matrix, wootters_concurrence
 from .measures import (
@@ -89,12 +81,10 @@ def __getattr__(name: str):
 
 __all__ = [
     "__version__",
-    "ModelParams", "NodalSector", "SECTORS", "DimerEigensystem", "OverflowRisk",
-    "zeeman_fields", "dimer_block", "dimer_spectrum", "boltzmann_weights",
-    "ScaledTransferMatrix", "TmEigen", "XState", "InvalidN", "DegenerateGap",
-    "NotAState", "transfer_matrices", "tm_eigen", "partition_function",
-    "cell_density_elements", "limit_states", "impurity_density_matrix",
-    "finite_n_density_matrix",
+    "ModelParams", "DimerEigensystem", "OverflowRisk",
+    "dimer_block", "dimer_spectrum", "boltzmann_weights",
+    "XState", "InvalidN", "DegenerateGap", "NotAState", "partition_function",
+    "limit_states", "impurity_density_matrix", "finite_n_density_matrix",
     "TooLarge", "brute_force_density_matrix", "wootters_concurrence",
     "MeasureBundle", "measure_bundle", "concurrence_x", "l1_coherence",
     "spin_correlators", "qfi", "qfi_field_derivative",

@@ -412,12 +412,15 @@ def find_critical_field(p: ModelParams, b_range, target: str,
     golden-section refinement of the best interior sample down to `tol` in
     B, one point at a time.  Raises NotFound when the coarse scan is
     monotone (extremum at a boundary), and ConfigError (a ValueError) for a
-    tol that is not positive and finite.
+    tol that is not positive and finite or a scan of fewer than 3 fields
+    (an interior sample needs at least 3).
     """
     lo, hi = b_range
     if not lo < hi:
         raise ValueError(f"bad field range {b_range}")
     _check_tol(tol)
+    if points < 3:
+        raise ConfigError(f"points must be at least 3, got {points!r}")
 
     if target == "max_concurrence":
         def scan(b: np.ndarray) -> np.ndarray:

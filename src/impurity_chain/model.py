@@ -24,23 +24,14 @@ import numpy as np
 __all__ = [
     "OverflowRisk",
     "ModelParams",
-    "NodalSector",
-    "SECTORS",
     "SECTOR_VALUES",
     "DimerEigensystem",
-    "zeeman_fields",
     "dimer_block",
     "dimer_spectrum",
-    "sector_eigensystems",
-    "family_energy_minimum",
-    "global_energy_minimum",
     "boltzmann_weights",
 ]
 
 SECTOR_VALUES = (1, 0, -1)
-
-# exp() overflows just above exp(709); stay clear of it
-_MAX_EXPONENT = 700.0
 
 
 class OverflowRisk(ValueError):
@@ -81,56 +72,29 @@ class ModelParams:
         return 1.0 / self.T
 
 
-@dataclass(frozen=True)
-class NodalSector:
-    """Joint state of the two nodal spins around one dimer, reduced to their sum.
-
-    s = +1 and -1 are realized by one (mu_i, mu_{i+1}) pair each, s = 0 by two;
-    cell energies cannot tell (+1/2, -1/2) from (-1/2, +1/2).
-    """
-
-    s: int
-    multiplicity: int
-
-
-SECTORS = (NodalSector(1, 1), NodalSector(0, 2), NodalSector(-1, 1))
-
-
 def _sector_value(sector) -> int:
-    s = sector.s if isinstance(sector, NodalSector) else int(sector)
+    s = int(sector)
     if s not in SECTOR_VALUES:
         raise ValueError(f"nodal sector sum must be -1, 0 or +1, got {s}")
     return s
-
-
-def zeeman_fields(p: ModelParams) -> tuple[float, float, float, float, float]:
-    """Zeeman energies (B1, B2, B3, h2, h3).
-
-    B_k = g_k * B for the nodal spin (k=1) and the two dimer spins (k=2,3);
-    h_k = g_k * B * (1 + gamma) are the distorted dimer fields of the defect
-    cell.  The nodal field is never distorted.
-    """
-    b1 = p.g1 * p.B
-    b2 = p.g2 * p.B
-    b3 = p.g3 * p.B
-    scale = 1.0 + p.gamma
-    return b1, b2, b3, b2 * scale, b3 * scale
 
 
 def dimer_block(p: ModelParams, sector, impurity: bool = False) -> np.ndarray:
     """4x4 cell Hamiltonian in the basis {|00>, |01>, |10>, |11>}, |0> = S^z +1/2.
 
     Diagonal: z-z exchange J*Delta/4 signs, the nodal coupling J0*s/2 acting on
-    the first dimer spin, the dimer Zeeman terms and the shared nodal Zeeman
-    -B1*s/2.  The only off-diagonal element is the J/2 flip-flop between |01>
-    and |10>.  Exactly symmetric by construction.
+    the first dimer spin, the dimer Zeeman terms with fields g2*B and g3*B
+    (times 1 + gamma in the defect cell) and the shared, never distorted,
+    nodal Zeeman term -g1*B*s/2.  The only off-diagonal element is the J/2
+    flip-flop between |01> and |10>.  Exactly symmetric by construction.
     """
     s = _sector_value(sector)
-    b1, b2h, b3h, h2, h3 = zeeman_fields(p)
-    b2, b3 = (h2, h3) if impurity else (b2h, b3h)
+    scale = 1.0 + p.gamma if impurity else 1.0
+    b2 = p.g2 * p.B * scale
+    b3 = p.g3 * p.B * scale
     zz = p.J * p.Delta / 4.0
     nodal = p.J0 * s / 2.0
-    f1 = b1 * s / 2.0
+    f1 = p.g1 * p.B * s / 2.0
     h = np.zeros((4, 4))
     h[0, 0] = zz + nodal - f1 - (b2 + b3) / 2.0
     h[1, 1] = -zz + nodal - f1 - (b2 - b3) / 2.0
@@ -180,40 +144,14 @@ def dimer_spectrum(H: np.ndarray) -> DimerEigensystem:
     return DimerEigensystem(energies[order], vectors[:, order])
 
 
-def sector_eigensystems(p: ModelParams, impurity: bool = False) -> dict[int, DimerEigensystem]:
-    """Eigensystems of all three nodal sectors for one cell family."""
-    return {s: dimer_spectrum(dimer_block(p, s, impurity=impurity)) for s in SECTOR_VALUES}
+def boltzmann_weights(p: ModelParams, impurity: bool = False) -> dict[int, float]:
+    """Sector Boltzmann factors w(s) = sum_j exp(-beta*(e_j(s) - e_min)) of one family.
 
-
-def family_energy_minimum(p: ModelParams, impurity: bool = False) -> float:
-    """Lowest cell energy over the three sectors of one family (host or defect)."""
-    return min(float(eig.energies[0]) for eig in sector_eigensystems(p, impurity).values())
-
-
-def global_energy_minimum(p: ModelParams) -> float:
-    """Lowest cell energy over all six sector spectra (both families)."""
-    return min(family_energy_minimum(p, False), family_energy_minimum(p, True))
-
-
-def boltzmann_weights(p: ModelParams, shift: float) -> tuple[dict[int, float], dict[int, float]]:
-    """Sector Boltzmann factors w(s) = sum_j exp(-beta*(e_j(s) - shift)).
-
-    Returns (host, defect) dicts keyed by the sector sum s.  The shift is a
-    caller-chosen energy reference; choosing the relevant family minimum makes
-    every exponent <= 0.  Raises OverflowRisk if any exponent would exceed
-    700, which signals a badly chosen shift rather than bad physics.
+    Keyed by the sector sum s.  e_min is the family's (host or defect) lowest
+    level over the three sectors, so every exponent is <= 0 and the largest
+    weight is at least 1.  The scalar path of the enumeration oracle; the
+    solver evaluates the same weights in its batched kernel.
     """
-    beta = p.beta
-    out = []
-    for impurity in (False, True):
-        weights = {}
-        for s, eig in sector_eigensystems(p, impurity).items():
-            exponents = -beta * (eig.energies - shift)
-            if np.any(exponents > _MAX_EXPONENT):
-                raise OverflowRisk(
-                    f"exponent {exponents.max():.3g} > {_MAX_EXPONENT:g} for sector "
-                    f"s={s} (impurity={impurity}); lower the energy shift"
-                )
-            weights[s] = float(np.exp(exponents).sum())
-        out.append(weights)
-    return out[0], out[1]
+    energies = {s: dimer_spectrum(dimer_block(p, s, impurity)).energies for s in SECTOR_VALUES}
+    shift = min(float(e[0]) for e in energies.values())
+    return {s: float(np.exp(-p.beta * (e - shift)).sum()) for s, e in energies.items()}

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, boltzmann_weights, family_energy_minimum
-from .xfer import InvalidN, NotAState, XState, cell_density_elements
+from .model import SECTOR_VALUES, ModelParams, boltzmann_weights, dimer_block, dimer_spectrum
+from .xfer import InvalidN, NotAState, XState
 
 __all__ = [
     "TooLarge",
@@ -66,14 +66,24 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+def _cell_matrices(p: ModelParams, impurity: bool) -> dict[int, np.ndarray]:
+    """Unnormalized thermal cell matrices sum_j e^{-beta(e_j - e_min)} |phi_j><phi_j|
+    of each nodal sector, e_min the family's lowest level over the sectors."""
+    spectra = {s: dimer_spectrum(dimer_block(p, s, impurity)) for s in SECTOR_VALUES}
+    shift = min(float(eig.energies[0]) for eig in spectra.values())
+    return {s: (eig.vectors * np.exp(-p.beta * (eig.energies - shift))) @ eig.vectors.T
+            for s, eig in spectra.items()}
+
+
 def brute_force_density_matrix(p: ModelParams, N: int, impurity: bool = True,
                                impurity_bond: int = 0) -> XState:
     """Defect dimer state of an N-cell ring by explicit configuration sum.
 
     Sums the product of host Boltzmann factors over all 2^N nodal
     configurations, with the defect cell's unnormalized thermal matrix at one
-    chosen bond; the result is independent of that choice.  Cost 2^N, so N is
-    capped at 14.
+    chosen bond; the result is independent of that choice.  Each family's
+    weights are taken against its own lowest level, whose common factors
+    cancel in the ratio.  Cost 2^N, so N is capped at 14.
     """
     if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 2:
         raise InvalidN(f"chain length must be an integer >= 2, got {N!r}")
@@ -82,9 +92,8 @@ def brute_force_density_matrix(p: ModelParams, N: int, impurity: bool = True,
     if not 0 <= impurity_bond < N:
         raise ValueError(f"impurity bond {impurity_bond} outside 0..{N - 1}")
 
-    shift_h = family_energy_minimum(p, False)
-    w = boltzmann_weights(p, shift_h)[0]
-    cells = {s: cell_density_elements(p, s, impurity=impurity) for s in (1, 0, -1)}
+    w = boltzmann_weights(p)
+    cells = _cell_matrices(p, impurity)
 
     # all configurations as bit arrays; mu = +1/2 for bit 0, -1/2 for bit 1
     bits = np.arange(2 ** N, dtype=np.int64)[:, None] >> np.arange(N)[None, :] & 1

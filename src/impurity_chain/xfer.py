@@ -1,15 +1,22 @@
-"""Transfer matrices, partition functions and the defect dimer's reduced state.
+"""The defect dimer's reduced state in the finite ring and the infinite chain, and log Z.
 
-The classical trace over nodal spins is a product of 2x2 transfer matrices,
-one per cell, with entries given by the sector Boltzmann factors.  The chain
-carries one defect cell; its reduced density matrix follows from sandwiching
-the defect's unnormalized thermal cell matrices between powers of the host
-transfer matrix.
+The classical trace over nodal spins is a product of 2x2 transfer matrices
+W = [[w(+1), w(0)], [w(0), w(-1)]], one per cell, whose entries are the
+cell's Boltzmann sums in the three nodal sectors.  The chain carries one
+defect cell, so the defect dimer's unnormalized state is sum_s c(s) P(s):
+the defect's thermal cell matrices P(s), weighted by host coefficients c(s)
+that the rest of the chain supplies.  In the N-cell ring they are
+(M++, 2 M+-, M--) of M = W_h^(N-1); in the thermodynamic limit they are the
+host's dominant projector, (Q + D, 4 w0, Q - D).
 
-Everything that can underflow or overflow at T = 0.01 is kept in
-(mantissa, log-scale) or per-sector log-offset form.  Ratios of thermal
-weights are always formed from quantities sharing one scale, so results are
-exact in the energy-shift choices.
+One batched kernel computes both, and log Z_N with the ring: closed-form
+spectra, per-family energy shifts, host coefficients free of cancellation
+(binary powering over nonnegative entries for the ring, the smaller of
+Q -+ D as 4 w0^2 / (Q +- D) for the limit), log-domain mixing of the
+sectors and a trace-against-weight-sum check.  Nothing is divided by w0;
+the ring's coefficients involve no subtraction and the limit's only
+D = w(+1) - w(-1), so no state loses digits when host and defect favour
+different nodal sectors at low T.
 """
 
 from __future__ import annotations
@@ -19,29 +26,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import (
-    _MAX_EXPONENT,
-    ModelParams,
-    OverflowRisk,
-    SECTOR_VALUES,
-    boltzmann_weights,
-    dimer_block,
-    dimer_spectrum,
-    family_energy_minimum,
-)
+from .model import ModelParams, OverflowRisk, SECTOR_VALUES
 
 __all__ = [
     "InvalidN",
     "DegenerateGap",
     "NotAState",
-    "ScaledTransferMatrix",
-    "TmEigen",
     "XState",
-    "transfer_matrices",
-    "tm_eigen",
     "partition_function",
-    "cell_density_elements",
-    "assemble_limit_state",
     "limit_states",
     "impurity_density_matrix",
     "finite_n_density_matrix",
@@ -53,34 +45,11 @@ class InvalidN(ValueError):
 
 
 class DegenerateGap(ArithmeticError):
-    """Transfer-matrix spectrum collapsed; cannot happen for positive weights."""
+    """Sector weights vanished or disagree; cannot happen for positive weights."""
 
 
 class NotAState(ValueError):
     """Matrix fails Hermiticity, trace or positivity checks beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class ScaledTransferMatrix:
-    """2x2 nonnegative symmetric matrix stored as mantissa * exp(log_scale).
-
-    The mantissa is normalized so its largest entry is 1; log_scale restores
-    the absolute magnitude (including the energy-shift factor), so products
-    and eigenvalues can be taken without ever exponentiating the scale.
-    """
-
-    m: np.ndarray
-    log_scale: float
-
-
-@dataclass(frozen=True)
-class TmEigen:
-    """Transfer-matrix eigenvalues (mantissa form, shared log_scale) and gap Q."""
-
-    lambda_plus: float
-    lambda_minus: float
-    q: float
-    log_scale: float
 
 
 @dataclass(frozen=True)
@@ -127,103 +96,6 @@ class XState:
         return self
 
 
-def _weights_matrix(w: dict[int, float]) -> np.ndarray:
-    # sector map: (++) -> +1, (+-) = (-+) -> 0, (--) -> -1
-    return np.array([[w[1], w[0]], [w[0], w[-1]]])
-
-
-def transfer_matrices(p: ModelParams) -> tuple[ScaledTransferMatrix, ScaledTransferMatrix]:
-    """Host and defect transfer matrices in normalized (mantissa, log-scale) form.
-
-    Each family is referenced to its own sector minimum before normalization;
-    the log scales carry the exact relative magnitude of the two matrices, so
-    no ratio between them is ever lost to underflow.
-    """
-    beta = p.beta
-    shifts = (family_energy_minimum(p, False), family_energy_minimum(p, True))
-    host = boltzmann_weights(p, shifts[0])[0]
-    defect = boltzmann_weights(p, shifts[1])[1]
-    out = []
-    for w, shift in ((host, shifts[0]), (defect, shifts[1])):
-        m = _weights_matrix(w)
-        top = float(m.max())
-        out.append(ScaledTransferMatrix(m / top, math.log(top) - beta * shift))
-    return out[0], out[1]
-
-
-def tm_eigen(W: ScaledTransferMatrix) -> TmEigen:
-    """Eigenvalues (w11 + w22 +- Q)/2 with Q = hypot(w11 - w22, 2*w12)."""
-    w11, w22, w12 = W.m[0, 0], W.m[1, 1], W.m[0, 1]
-    q = math.hypot(w11 - w22, 2.0 * w12)
-    trace = w11 + w22
-    return TmEigen(0.5 * (trace + q), 0.5 * (trace - q), q, W.log_scale)
-
-
-def _sector_coefficients(w: dict[int, float]) -> dict[int, float]:
-    """Infinite-chain weight of each nodal sector around one cell.
-
-    Equal to (Q + D, 4*w0, Q - D) for s = (+1, 0, -1) with D = w(+1) - w(-1);
-    this is the dominant-eigenvector projection of the host transfer matrix,
-    written so that no term is a difference of close numbers: the smaller of
-    Q -+ D is evaluated as 4*w0^2 / (Q +- D).
-    """
-    d = w[1] - w[-1]
-    q = math.hypot(d, 2.0 * w[0])
-    if q == 0.0:
-        raise DegenerateGap("all host sector weights vanished")
-    if d >= 0.0:
-        qpd = q + d
-        qmd = 4.0 * w[0] * w[0] / qpd
-    else:
-        qmd = q - d
-        qpd = 4.0 * w[0] * w[0] / qmd
-    return {1: qpd, 0: 4.0 * w[0], -1: qmd}
-
-
-def _xstate_from_parts(num: np.ndarray, den: float) -> XState:
-    return XState(
-        r11=float(num[0, 0] / den),
-        r22=float(num[1, 1] / den),
-        r33=float(num[2, 2] / den),
-        r44=float(num[3, 3] / den),
-        r23=float(num[1, 2] / den),
-    )
-
-
-def cell_density_elements(p: ModelParams, sector, impurity: bool = True,
-                          shift: float | None = None) -> np.ndarray:
-    """Unnormalized thermal cell matrix sum_j e^{-beta(e_j - shift)} |phi_j><phi_j|.
-
-    Its trace equals the sector Boltzmann factor at the same shift, and only
-    X-pattern entries are nonzero (the eigenvectors never mix the outer and
-    central subspaces).  Default shift: the family's sector minimum.
-    """
-    if shift is None:
-        shift = family_energy_minimum(p, impurity)
-    eig = dimer_spectrum(dimer_block(p, sector, impurity=impurity))
-    exponents = -p.beta * (eig.energies - shift)
-    if np.any(exponents > 700.0):
-        raise OverflowRisk(f"cell exponent {exponents.max():.3g} too large; bad shift")
-    bw = np.exp(exponents)
-    return (eig.vectors * bw) @ eig.vectors.T
-
-
-def assemble_limit_state(w: dict[int, float], cells: dict[int, np.ndarray]) -> XState:
-    """Thermodynamic-limit dimer state from host weights and one cell's matrices.
-
-    Any common rescaling of the host weights, and any common rescaling of the
-    cell matrices, cancels between numerator and denominator.  The denominator
-    is the trace of the numerator, so the result has unit trace by
-    construction.
-    """
-    coef = _sector_coefficients(w)
-    num = sum(coef[s] * cells[s] for s in SECTOR_VALUES)
-    den = float(np.trace(num))
-    if den <= 0.0 or not math.isfinite(den):
-        raise DegenerateGap(f"degenerate sector mixture, normalization {den!r}")
-    return _xstate_from_parts(num, den)
-
-
 _PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 # the sector axis of the kernel: nodal sums s = +1, 0, -1
 _SECTORS = np.array(SECTOR_VALUES, dtype=float)[:, None]
@@ -233,6 +105,8 @@ _DEFECT_FAMILY = np.array([0.0, 1.0])[:, None, None]
 _HOST_FAMILY = np.array([0.0, 0.0])[:, None, None]
 # below the smallest normal float, 1/T overflows
 _MIN_TEMPERATURE = float(np.finfo(float).tiny)
+# exp() overflows just above exp(709); stay clear of it
+_MAX_EXPONENT = 700.0
 
 
 def _point_text(args, index: int) -> str:
@@ -248,32 +122,50 @@ def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
     raise error(f"{message} at {_point_text(args, i)}")
 
 
-def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T, impurity: bool = True) -> np.ndarray:
-    """Thermodynamic-limit defect-dimer states over broadcast parameter arrays.
 
-    The arguments are the ModelParams fields as scalars or arrays that
-    broadcast to one dimension of length n.  Returns a (5, n) array whose
-    rows are the X-state elements r11, r22, r33, r44 and r23 of each point.
-    With impurity=False the defect cell is a host cell (the homogeneous
-    chain, identical to gamma = 0).
 
-    Per point: the closed-form spectra of the host and defect dimer blocks
-    in all three nodal sectors; host sector weights referenced to the host
-    family's own minimum; the cancellation-free sector coefficients
-    (Q + D, 4 w0, Q - D); and the defect's cell matrices, each referenced to
-    its own sector minimum and mixed in log domain, so that neither family
-    overflows or collapses to 0/0 when host and defect prefer different
-    nodal alignments.  Every point is computed by elementwise operations
-    alone, so its bits do not depend on the batch it is evaluated in.
+def _host_power(w1, w0, wm, k: int):
+    """Entries (M++, M+-, M--) of M = W^k, W = [[w1, w0], [w0, wm]], scaled to
+    a largest entry of 1, and the log of that scale.
 
-    Raises OverflowRisk (a Boltzmann exponent past 700, or 1/T overflowing),
-    DegenerateGap (vanishing host weights, a degenerate or non-finite sector
-    mixture, or a trace that disagrees with the weight sum) naming the first
-    failing point, and ValueError for a non-positive temperature.
+    Binary powering: every product is a sum of products of nonnegative
+    numbers, renormalised by its largest entry, so nothing cancels or
+    overflows.  Powers of one symmetric matrix commute, so each product is
+    symmetric and three entries carry it.
     """
-    args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
+    def scaled(a, b, c):
+        top = np.maximum(np.maximum(a, b), c)
+        return (a / top, b / top, c / top), np.log(top)
+
+    base, base_log = scaled(w1, w0, wm)
+    power = None
+    while True:
+        if k & 1:
+            if power is None:
+                power, log_scale = base, base_log
+            else:
+                (a, b, c), (d, e, f) = power, base
+                power, step = scaled(a * d + b * e, a * e + b * f, b * e + c * f)
+                log_scale = log_scale + base_log + step
+        k >>= 1
+        if not k:
+            return power, log_scale
+        a, b, c = base
+        base, step = scaled(a * a + b * b, b * (a + c), b * b + c * c)
+        base_log = 2.0 * base_log + step
+
+
+def _kernel(args, impurity: bool, ring: int | None = None):
+    """States (5, n) of the defect dimer, and log Z of the ring.
+
+    `args` are the ModelParams fields as scalars or arrays broadcasting to
+    one dimension.  With ring=None the host coefficients are the infinite
+    chain's dominant projector and log Z is None; with ring=N they are
+    those of W_h^(N-1) in the N-cell ring, and log Z_N is returned as an
+    (n,) array.  See limit_states for the guards.
+    """
     J, Delta, J0, g1, g2, g3, gamma, B = (np.asarray(a, dtype=float) for a in args[:-1])
-    T = np.atleast_1d(np.asarray(T, dtype=float))
+    T = np.atleast_1d(np.asarray(args[-1], dtype=float))
     if not T.min() > 0.0:
         _raise_at(ValueError, "temperature must be positive", ~(T > 0.0), args)
     if T.min() < _MIN_TEMPERATURE:
@@ -317,19 +209,23 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T, impurity: bool = True) -
     sums = (factors[0] + factors[3]) + (factors[1] + factors[2])
     w1, w0, wm = sums[0]
 
-    # host sector coefficients (Q + D, 4 w0, Q - D); the smaller of Q -+ D
-    # is 4 w0^2 / (Q +- D), never a difference of close numbers
-    d = w1 - wm
-    q = np.hypot(d, 2.0 * w0)
-    if not q.min() > 0.0:
-        _raise_at(DegenerateGap, "all host sector weights vanished", ~(q > 0.0), args)
-    big = q + np.abs(d)
-    small = 4.0 * w0 * w0 / big
-    up = d >= 0.0
-    coef = np.empty((3,) + q.shape)
-    coef[0] = np.where(up, big, small)
-    coef[1] = 4.0 * w0
-    coef[2] = np.where(up, small, big)
+    coef = np.empty((3,) + w0.shape)
+    if ring is None:
+        # dominant projector (Q + D, 4 w0, Q - D); the smaller of Q -+ D is
+        # 4 w0^2 / (Q +- D), never a difference of close numbers
+        d = w1 - wm
+        q = np.hypot(d, 2.0 * w0)
+        if not q.min() > 0.0:
+            _raise_at(DegenerateGap, "all host sector weights vanished", ~(q > 0.0), args)
+        big = q + np.abs(d)
+        small = 4.0 * w0 * w0 / big
+        up = d >= 0.0
+        coef[0] = np.where(up, big, small)
+        coef[1] = 4.0 * w0
+        coef[2] = np.where(up, small, big)
+    else:
+        (coef[0], m0, coef[2]), log_scale = _host_power(w1, w0, wm, ring - 1)
+        coef[1] = 2.0 * m0
 
     # log-domain sector mixing: coefficient times exp(-beta * sector offset)
     ref = np.minimum(np.minimum(cell_min[0], cell_min[1]), cell_min[2])
@@ -365,7 +261,44 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T, impurity: bool = True) -
     mismatch = np.abs(tr_num - den) > 1e-12 * den
     if mismatch.any():
         _raise_at(DegenerateGap, "normalization mismatch: trace vs weight sum", mismatch, args)
-    return num / tr_num
+    if ring is None:
+        return num / tr_num, None
+    # den * e^(top - beta ref) is the sum over sectors of the coefficients
+    # times the defect's true sector weights; the host's shift enters once per
+    # host cell
+    log_z = np.log(den) + top - beta * ref + log_scale - beta * (ring - 1) * shift[0, 0]
+    return num / tr_num, log_z
+
+
+def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T, impurity: bool = True) -> np.ndarray:
+    """Thermodynamic-limit defect-dimer states over broadcast parameter arrays.
+
+    The arguments are the ModelParams fields as scalars or arrays that
+    broadcast to one dimension of length n.  Returns a (5, n) array whose
+    rows are the X-state elements r11, r22, r33, r44 and r23 of each point.
+    With impurity=False the defect cell is a host cell (the homogeneous
+    chain, identical to gamma = 0).
+
+    Per point: the closed-form spectra of the host and defect dimer blocks
+    in all three nodal sectors; host sector weights referenced to the host
+    family's own minimum; the cancellation-free sector coefficients
+    (Q + D, 4 w0, Q - D); and the defect's cell matrices, each referenced to
+    its own sector minimum and mixed in log domain, so that neither family
+    overflows or collapses to 0/0 when host and defect prefer different
+    nodal alignments.  Every point is computed by elementwise operations
+    alone, so its bits do not depend on the batch it is evaluated in.
+
+    Raises OverflowRisk (a Boltzmann exponent past 700, or 1/T overflowing),
+    DegenerateGap (vanishing host weights, a degenerate or non-finite sector
+    mixture, or a trace that disagrees with the weight sum) naming the first
+    failing point, and ValueError for a non-positive temperature.
+    """
+    return _kernel((J, Delta, J0, g1, g2, g3, gamma, B, T), impurity)[0]
+
+
+def _column(p: ModelParams) -> np.ndarray:
+    """The parameter point as kernel arguments of one point each."""
+    return np.array(list(vars(p).values()))[:, None]
 
 
 def impurity_density_matrix(p: ModelParams, impurity: bool = True) -> XState:
@@ -376,93 +309,36 @@ def impurity_density_matrix(p: ModelParams, impurity: bool = True) -> XState:
     A batch of one of limit_states, with the same bits as that point in any
     larger batch.
     """
-    column = np.array(list(vars(p).values()))[:, None]
-    return XState(*limit_states(*column, impurity=impurity)[:, 0].tolist())
+    return XState(*limit_states(*_column(p), impurity=impurity)[:, 0].tolist())
 
 
 def partition_function(p: ModelParams, N: int) -> float:
     """log Z_N of the N-cell periodic chain containing the defect cell.
 
-    Z_N = a * L+^{N-1} + d * L-^{N-1} where L+- are the host transfer-matrix
-    eigenvalues and (a, d) project the defect matrix on the host eigenbasis.
-    Evaluated in log domain; the energy-shift factors are restored exactly.
+    Z_N = tr(W_d W_h^(N-1)) with the host and defect transfer matrices.  A
+    batch of one of the shared kernel: W_h^(N-1) by renormalised binary
+    powering, the defect's sector weights mixed in log domain, and the
+    energy shifts and scales restored in log domain.  Raises InvalidN for N
+    that is not an integer >= 2.
     """
     _check_length(N)
-    beta = p.beta
-    shift_h = family_energy_minimum(p, False)
-    shift_i = family_energy_minimum(p, True)
-    w = boltzmann_weights(p, shift_h)[0]
-    wt = boltzmann_weights(p, shift_i)[1]
-
-    coef = _sector_coefficients(w)
-    d_ = w[1] - w[-1]
-    q = math.hypot(d_, 2.0 * w[0])
-    if q == 0.0:
-        raise DegenerateGap("host transfer matrix vanished")
-    lam_p = 0.5 * (w[1] + w[-1] + q)
-    lam_m = 0.5 * (w[1] + w[-1] - q)
-    # a = u+ . Wt u+ and d = u- . Wt u- with orthonormal host eigenvectors
-    a = (coef[1] * wt[1] + coef[-1] * wt[-1] + 4.0 * w[0] * wt[0]) / (2.0 * q)
-    dd = (coef[-1] * wt[1] + coef[1] * wt[-1] - 4.0 * w[0] * wt[0]) / (2.0 * q)
-    ratio = lam_m / lam_p
-    tail = a + dd * ratio ** (N - 1)
-    if tail <= 0.0:
-        raise DegenerateGap(f"nonpositive partition sum {tail!r}")
-    return (
-        math.log(tail)
-        + (N - 1) * (math.log(lam_p) - beta * shift_h)
-        - beta * shift_i
-    )
+    return float(_kernel(_column(p), True, N)[1][0])
 
 
 def finite_n_density_matrix(p: ModelParams, N: int, impurity: bool = True) -> XState:
     """Exact N-cell periodic-chain reduced density matrix of the defect dimer.
 
-    Implements the similarity-transform route: the host transfer matrix is
-    diagonalized by U, and every element is tr(U^-1 P U diag(L+, L-)^{N-1})
-    normalized by the same expression with the defect transfer matrix.  The
-    defect's position in the ring drops out by cyclic invariance of the trace.
-
-    This is the validation path (exact for any N >= 2 at moderate
-    temperatures); the thermodynamic limit has its own hardened routine.
+    Every element is tr(P W_h^(N-1)) / tr(W_d W_h^(N-1)), with P the 2x2
+    sector matrix of that element of the defect's cell matrices; the
+    defect's position in the ring drops out by cyclic invariance of the
+    trace.  A batch of one of the shared kernel, which differs from the
+    thermodynamic limit only in the host coefficients: (M++, 2 M+-, M--) of
+    M = W_h^(N-1) by renormalised binary powering, with no subtraction.
+    With impurity=False the defect cell is a host cell.  Raises InvalidN for
+    N that is not an integer >= 2.
     """
     _check_length(N)
-    shift_h = family_energy_minimum(p, False)
-    shift_c = family_energy_minimum(p, impurity)
-    w = boltzmann_weights(p, shift_h)[0]
-    wt = boltzmann_weights(p, shift_c)[1 if impurity else 0]
-    cells = {s: cell_density_elements(p, s, impurity=impurity, shift=shift_c)
-             for s in SECTOR_VALUES}
-
-    d_ = w[1] - w[-1]
-    q = math.hypot(d_, 2.0 * w[0])
-    if q == 0.0 or w[0] == 0.0:
-        raise DegenerateGap("host transfer matrix not diagonalizable by U")
-    lam_p = 0.5 * (w[1] + w[-1] + q)
-    lam_m = 0.5 * (w[1] + w[-1] - q)
-    u = np.array([[lam_p - w[-1], lam_m - w[-1]], [w[0], w[0]]])
-    u_inv = np.array([
-        [1.0 / q, -(lam_m - w[-1]) / (q * w[0])],
-        [-1.0 / q, (lam_p - w[-1]) / (q * w[0])],
-    ])
-    ratio_pow = (lam_m / lam_p) ** (N - 1)
-
-    def traced(block: np.ndarray) -> float:
-        sandwich = u_inv @ block @ u
-        return float(sandwich[0, 0] + sandwich[1, 1] * ratio_pow)
-
-    den = traced(_weights_matrix(wt))
-    if den <= 0.0 or not math.isfinite(den):
-        raise DegenerateGap(f"partition sum degenerate for N={N}")
-
-    num = np.zeros((4, 4))
-    for k, l in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2)):
-        block = np.array([
-            [cells[1][k, l], cells[0][k, l]],
-            [cells[0][k, l], cells[-1][k, l]],
-        ])
-        num[k, l] = traced(block)
-    return _xstate_from_parts(num, den)
+    return XState(*_kernel(_column(p), impurity, N)[0][:, 0].tolist())
 
 
 def _check_length(N) -> None:

@@ -359,6 +359,12 @@ class TestCriticalFieldFinder:
         with pytest.raises(ValueError, match="tol"):
             find_critical_field(p, (0.0, 3.0), "max_concurrence", tol=tol)
 
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_scan_needs_an_interior_field(self, points):
+        p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
+        with pytest.raises(ConfigError, match="points"):
+            find_critical_field(p, (0.0, 3.0), "max_concurrence", points=points)
+
 
 class TestFigurePresets:
     def test_qfi_preset_files(self, tmp_path):

@@ -5,18 +5,13 @@ import pytest
 
 from impurity_chain.model import (
     ModelParams,
-    NodalSector,
     OverflowRisk,
-    SECTORS,
     SECTOR_VALUES,
     boltzmann_weights,
     dimer_block,
     dimer_spectrum,
-    family_energy_minimum,
-    global_energy_minimum,
-    sector_eigensystems,
-    zeeman_fields,
 )
+from impurity_chain.xfer import partition_function
 from conftest import draw_params
 
 STANDARD_G = dict(g1=1.2, g2=5.0, g3=1.1)
@@ -37,20 +32,35 @@ class TestParams:
 
 
 class TestZeemanFields:
+    """The field terms of the dimer blocks: g_k * B, times 1 + gamma in the
+    defect's two dimer spins, never in the nodal spin."""
+
+    @staticmethod
+    def fields(p, s, impurity):
+        """(nodal, spin-2, spin-3) Zeeman fields read back from the block."""
+        h = dimer_block(p, s, impurity=impurity)
+        zz = p.J * p.Delta / 4.0
+        nodal = p.J0 * s / 2.0
+        b2_plus_b3 = h[3, 3] - h[0, 0] - 2.0 * (-nodal)
+        b2_minus_b3 = h[2, 2] - h[1, 1] + 2.0 * nodal
+        b1 = -(h[0, 0] + h[3, 3] - 2.0 * zz) / s if s else None
+        return b1, 0.5 * (b2_plus_b3 + b2_minus_b3), 0.5 * (b2_plus_b3 - b2_minus_b3)
+
     def test_no_impurity(self):
         p = ModelParams(**STANDARD_G, B=1.0, gamma=0.0)
-        assert zeeman_fields(p) == (1.2, 5.0, 1.1, 5.0, 1.1)
+        for impurity in (False, True):
+            assert self.fields(p, 1, impurity) == pytest.approx((1.2, 5.0, 1.1), abs=1e-12)
 
     def test_with_impurity(self):
         p = ModelParams(**STANDARD_G, B=1.0, gamma=-0.8)
-        b1, b2, b3, h2, h3 = zeeman_fields(p)
-        assert (b1, b2, b3) == (1.2, 5.0, 1.1)
-        assert h2 == pytest.approx(1.0, abs=1e-12)
-        assert h3 == pytest.approx(0.22, abs=1e-12)
+        assert self.fields(p, 1, False) == pytest.approx((1.2, 5.0, 1.1), abs=1e-12)
+        assert self.fields(p, 1, True) == pytest.approx((1.2, 1.0, 0.22), abs=1e-12)
 
     def test_zero_field(self):
         p = ModelParams(g1=0.9, g2=3.0, g3=2.0, B=0.0, gamma=0.3)
-        assert zeeman_fields(p) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        for s in SECTOR_VALUES:
+            assert np.array_equal(dimer_block(p, s, impurity=True), dimer_block(p, s))
+        assert self.fields(p, -1, True) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
 
 class TestDimerBlock:
@@ -86,12 +96,21 @@ class TestDimerBlock:
             assert np.all(off == 0.0)
 
     def test_accepts_sector_objects(self):
+        # any integer type names a sector
         p = ModelParams(B=0.4)
-        for sec in SECTORS:
-            assert np.array_equal(dimer_block(p, sec), dimer_block(p, sec.s))
+        for s in SECTOR_VALUES:
+            assert np.array_equal(dimer_block(p, np.int64(s)), dimer_block(p, s))
 
     def test_sector_multiplicities(self):
-        assert [(sec.s, sec.multiplicity) for sec in SECTORS] == [(1, 1), (0, 2), (-1, 1)]
+        # s = 0 is realized by two nodal pairs, s = +-1 by one each: the
+        # two-cell ring sums w_h(s) w_d(s) with multiplicities (1, 2, 1)
+        pairs = [round(a + b) for a in (0.5, -0.5) for b in (0.5, -0.5)]
+        assert [pairs.count(s) for s in SECTOR_VALUES] == [1, 2, 1]
+        p = ModelParams(B=0.4, gamma=-0.3, T=0.7)
+        true_w = [{s: np.exp(-p.beta * dimer_spectrum(dimer_block(p, s, imp)).energies).sum()
+                   for s in SECTOR_VALUES} for imp in (False, True)]
+        z2 = sum(m * true_w[0][s] * true_w[1][s] for m, s in zip((1, 2, 1), SECTOR_VALUES))
+        assert partition_function(p, 2) == pytest.approx(math.log(z2), abs=1e-12)
 
     def test_rejects_bad_sector(self):
         with pytest.raises(ValueError):
@@ -146,7 +165,7 @@ class TestDimerSpectrum:
         for _ in range(50):
             p = draw_params(rng)
             s = int(rng.choice(SECTOR_VALUES))
-            b1, b2, b3, _, _ = zeeman_fields(p)
+            b1, b2, b3 = p.g1 * p.B, p.g2 * p.B, p.g3 * p.B
             omega = p.J0 * s - (b2 - b3)
             eig = dimer_spectrum(dimer_block(p, s))
             mean = -p.J * p.Delta / 4.0 - b1 * s / 2.0
@@ -165,7 +184,7 @@ class TestDimerSpectrum:
         for _ in range(50):
             p = draw_params(rng)
             s = int(rng.choice(SECTOR_VALUES))
-            b1, b2, b3, _, _ = zeeman_fields(p)
+            b1, b2, b3 = p.g1 * p.B, p.g2 * p.B, p.g3 * p.B
             eig = dimer_spectrum(dimer_block(p, s))
             zz = p.J * p.Delta / 4.0
             e_up = zz + p.J0 * s / 2.0 - b1 * s / 2.0 - (b2 + b3) / 2.0
@@ -179,7 +198,7 @@ class TestDimerSpectrum:
         for _ in range(50):
             p = draw_params(rng, J=float(rng.uniform(0.5, 2.0)))
             s = int(rng.choice(SECTOR_VALUES))
-            _, _, _, h2, h3 = zeeman_fields(p)
+            h2, h3 = p.g2 * p.B * (1.0 + p.gamma), p.g3 * p.B * (1.0 + p.gamma)
             kappa = p.J0 * s - (h2 - h3)
             r = math.hypot(kappa, p.J)
             eig = dimer_spectrum(dimer_block(p, s, impurity=True))
@@ -209,59 +228,63 @@ class TestDimerSpectrum:
 class TestBoltzmannWeights:
     def test_infinite_temperature_limit(self):
         p = ModelParams(B=0.7, gamma=-0.5, T=1e12)
-        host, defect = boltzmann_weights(p, shift=0.0)
-        for s in SECTOR_VALUES:
-            assert host[s] == pytest.approx(4.0, abs=1e-10)
-            assert defect[s] == pytest.approx(4.0, abs=1e-10)
+        for impurity in (False, True):
+            weights = boltzmann_weights(p, impurity)
+            for s in SECTOR_VALUES:
+                assert weights[s] == pytest.approx(4.0, abs=1e-10)
 
     def test_gamma_zero_families_identical(self, rng):
         for _ in range(20):
             p = draw_params(rng, gamma=0.0)
-            host, defect = boltzmann_weights(p, global_energy_minimum(p))
-            assert host == defect
+            assert boltzmann_weights(p) == boltzmann_weights(p, impurity=True)
 
     def test_isotropic_zero_field_value(self):
-        p = ModelParams(J=1.0, Delta=1.0, B=0.0, T=1.0)
-        host, _ = boltzmann_weights(p, shift=-0.75)
+        # without nodal coupling every sector has the levels -3/4, 1/4 (x3)
+        p = ModelParams(J=1.0, Delta=1.0, J0=0.0, B=0.0, T=1.0)
+        host = boltzmann_weights(p)
         assert host[0] == pytest.approx(1.0 + 3.0 * math.exp(-1.0), abs=1e-14)
 
     def test_sector_field_symmetry_at_zero_field(self, rng):
         # with B = 0 the s -> -s spectra coincide level by level
         for _ in range(20):
             p = draw_params(rng, B=0.0)
-            eig = sector_eigensystems(p, impurity=True)
-            assert np.allclose(eig[1].energies, eig[-1].energies, atol=1e-14)
-            host, defect = boltzmann_weights(p, global_energy_minimum(p))
+            up = dimer_spectrum(dimer_block(p, 1, impurity=True))
+            down = dimer_spectrum(dimer_block(p, -1, impurity=True))
+            assert np.allclose(up.energies, down.energies, atol=1e-14)
+            host, defect = boltzmann_weights(p), boltzmann_weights(p, impurity=True)
             assert host[1] == host[-1]
             assert defect[1] == defect[-1]
 
     def test_overflow_guard(self):
-        p = ModelParams(T=1.0)
-        with pytest.raises(OverflowRisk):
-            boltzmann_weights(p, shift=global_energy_minimum(p) + 800.0)
+        # each family is weighted against its own minimum, so no exponent is
+        # positive; what is left to guard is 1/T itself
+        with pytest.raises(OverflowRisk, match="1/T overflows"):
+            partition_function(ModelParams(T=1e-310), 4)
 
     def test_family_minimum_shift_keeps_exponents_nonpositive(self, rng):
         for _ in range(20):
             p = draw_params(rng, T=0.01)
-            shift = family_energy_minimum(p, impurity=True)
-            _, defect = boltzmann_weights(p, shift)
-            assert all(0.0 < defect[s] <= 4.0 + 1e-12 for s in SECTOR_VALUES)
+            for impurity in (False, True):
+                weights = boltzmann_weights(p, impurity)
+                assert all(0.0 < weights[s] <= 4.0 + 1e-12 for s in SECTOR_VALUES)
+                assert max(weights.values()) >= 1.0
 
 
 class TestGammaContinuity:
     def test_weights_converge_as_gamma_vanishes(self):
         base = ModelParams(**STANDARD_G, Delta=0.8, J0=1.3, B=1.1, T=0.4)
-        host, _ = boltzmann_weights(base, global_energy_minimum(base))
+        host = boltzmann_weights(base)
         for gamma in (1e-8, -1e-8):
             p = ModelParams(**STANDARD_G, Delta=0.8, J0=1.3, B=1.1, T=0.4, gamma=gamma)
-            _, defect = boltzmann_weights(p, global_energy_minimum(base))
+            defect = boltzmann_weights(p, impurity=True)
             for s in SECTOR_VALUES:
                 assert defect[s] == pytest.approx(host[s], rel=1e-6)
 
     def test_spectra_converge_as_gamma_vanishes(self):
         base = ModelParams(**STANDARD_G, Delta=1.4, J0=0.9, B=0.7)
-        reference = sector_eigensystems(base, impurity=False)
         for gamma in (1e-8, -1e-8):
             p = ModelParams(**STANDARD_G, Delta=1.4, J0=0.9, B=0.7, gamma=gamma)
-            for s, eig in sector_eigensystems(p, impurity=True).items():
-                assert np.allclose(eig.energies, reference[s].energies, atol=1e-6)
+            for s in SECTOR_VALUES:
+                reference = dimer_spectrum(dimer_block(base, s)).energies
+                eig = dimer_spectrum(dimer_block(p, s, impurity=True))
+                assert np.allclose(eig.energies, reference, atol=1e-6)

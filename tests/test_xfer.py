@@ -9,108 +9,146 @@ from impurity_chain.model import (
     boltzmann_weights,
     dimer_block,
     dimer_spectrum,
-    family_energy_minimum,
-    global_energy_minimum,
 )
+from impurity_chain.oracle import _cell_matrices, brute_force_density_matrix
 from impurity_chain.xfer import (
     DegenerateGap,
     InvalidN,
     NotAState,
-    ScaledTransferMatrix,
     XState,
-    assemble_limit_state,
-    cell_density_elements,
+    _host_power,
     finite_n_density_matrix,
     impurity_density_matrix,
     partition_function,
-    tm_eigen,
-    transfer_matrices,
 )
-from conftest import draw_params
+from conftest import draw_params, whole_range_scan
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 B_STAR = 1.0 / ((5.0 - 1.1) * 0.2)  # J0 / ((g2 - g3)(1 + gamma)) at J0=1, gamma=-0.8
-
-
-def sector_weights(p, impurity):
-    shift = family_energy_minimum(p, impurity)
-    return boltzmann_weights(p, shift)[1 if impurity else 0]
 
 
 def xstate_array(st):
     return np.array([st.r11, st.r22, st.r33, st.r44, st.r23])
 
 
+def family_minimum(p, impurity=False):
+    """Lowest level of one cell family over the three sectors."""
+    return min(float(dimer_spectrum(dimer_block(p, s, impurity)).energies[0])
+               for s in SECTOR_VALUES)
+
+
+def host_log_lambda(p):
+    """log of the host transfer matrix's largest eigenvalue, from a dense solver."""
+    w = boltzmann_weights(p)
+    W = np.array([[w[1], w[0]], [w[0], w[-1]]])
+    return math.log(np.linalg.eigvalsh(W)[-1]) - p.beta * family_minimum(p)
+
+
+def host_power(w1, w0, wm, k):
+    """W^k of W = [[w1, w0], [w0, wm]] by the kernel's binary powering: the
+    entries scaled to a largest entry of 1, and the log of that scale."""
+    (a, b, c), log_scale = _host_power(*(np.array([x], dtype=float) for x in (w1, w0, wm)), k)
+    return np.array([[a[0], b[0]], [b[0], c[0]]]), float(log_scale[0])
+
+
+def host_matrix(p, impurity=False):
+    """(w(+1), w(0), w(-1)) of one family against its own minimum."""
+    w = boltzmann_weights(p, impurity)
+    return w[1], w[0], w[-1]
+
+
 class TestTransferMatrices:
+    """The host transfer matrix [[w(+1), w(0)], [w(0), w(-1)]] as the kernel
+    powers it, from the scalar weights of each family."""
+
     def test_infinite_temperature_all_entries_equal(self):
-        W, Wt = transfer_matrices(ModelParams(B=0.9, gamma=-0.3, T=1e12))
-        assert np.allclose(W.m, 1.0, atol=1e-10)
-        assert np.allclose(Wt.m, 1.0, atol=1e-10)
+        p = ModelParams(B=0.9, gamma=-0.3, T=1e12)
+        for impurity in (False, True):
+            m, _ = host_power(*host_matrix(p, impurity), 1)
+            assert np.allclose(m, 1.0, atol=1e-10)
 
     def test_gamma_zero_matrices_identical(self, rng):
         for _ in range(10):
             p = draw_params(rng, gamma=0.0)
-            W, Wt = transfer_matrices(p)
-            assert np.array_equal(W.m, Wt.m)
-            assert W.log_scale == Wt.log_scale
+            assert host_matrix(p) == host_matrix(p, impurity=True)
 
     def test_zero_field_diagonal_symmetry(self, rng):
         for _ in range(10):
             p = draw_params(rng, B=0.0)
-            W, _ = transfer_matrices(p)
-            assert W.m[0, 0] == W.m[1, 1]
+            w1, w0, wm = host_matrix(p)
+            assert w1 == wm
+            for k in (1, 4, 11):
+                m, _ = host_power(w1, w0, wm, k)
+                assert m[0, 0] == m[1, 1]
 
     def test_mantissa_normalized_and_symmetric(self, rng):
         for _ in range(20):
-            W, Wt = transfer_matrices(draw_params(rng))
-            for t in (W, Wt):
-                assert t.m.max() == 1.0
-                assert 0.5 <= t.m.max() <= 2.0
-                assert t.m[0, 1] == t.m[1, 0]
-                assert np.all(t.m >= 0.0) and np.all(np.isfinite(t.m))
+            p = draw_params(rng)
+            for k in (1, int(rng.integers(2, 200))):
+                m, _ = host_power(*host_matrix(p), k)
+                assert m.max() == 1.0
+                assert np.all(m >= 0.0) and np.all(np.isfinite(m))
 
     def test_log_scale_restores_true_weights(self, rng):
         # true w(s) = sum_j exp(-beta e_j(s)), reachable directly at mild T
         p = draw_params(rng, T=2.0, B=0.5)
-        W, _ = transfer_matrices(p)
+        m, log_scale = host_power(*host_matrix(p), 1)
         eig = dimer_spectrum(dimer_block(p, 1))
         true_w = np.exp(-p.beta * eig.energies).sum()
-        assert math.log(W.m[0, 0]) + W.log_scale == pytest.approx(math.log(true_w), abs=1e-12)
+        assert (math.log(m[0, 0]) + log_scale - p.beta * family_minimum(p)
+                == pytest.approx(math.log(true_w), abs=1e-12))
 
 
 class TestTmEigen:
+    """Powers of a transfer matrix by binary powering against its
+    eigen-decomposition: the ring's host coefficients."""
+
     def test_symmetric_entries(self):
-        W = ScaledTransferMatrix(np.array([[0.8, 0.3], [0.3, 0.8]]), 0.0)
-        eig = tm_eigen(W)
-        assert eig.q == pytest.approx(0.6, abs=1e-15)
-        assert eig.lambda_plus == pytest.approx(1.1, abs=1e-15)
-        assert eig.lambda_minus == pytest.approx(0.5, abs=1e-15)
+        # eigenvalues 1.1 and 0.5 with eigenvectors (1, +-1)/sqrt(2)
+        for k in (1, 2, 7, 30):
+            m, log_scale = host_power(0.8, 0.3, 0.8, k)
+            full = m * math.exp(log_scale)
+            assert full[0, 0] == pytest.approx((1.1 ** k + 0.5 ** k) / 2, rel=1e-13)
+            assert full[0, 1] == pytest.approx((1.1 ** k - 0.5 ** k) / 2, rel=1e-13)
+            assert full[1, 1] == full[0, 0]
 
     def test_diagonal_matrix(self):
-        W = ScaledTransferMatrix(np.array([[1.0, 0.0], [0.0, 0.4]]), 0.0)
-        eig = tm_eigen(W)
-        assert eig.lambda_plus == pytest.approx(1.0, abs=1e-15)
-        assert eig.lambda_minus == pytest.approx(0.4, abs=1e-15)
+        for k in (1, 3, 12):
+            m, log_scale = host_power(1.0, 0.0, 0.4, k)
+            assert log_scale == 0.0
+            assert m[0, 0] == 1.0 and m[0, 1] == 0.0
+            assert m[1, 1] == pytest.approx(0.4 ** k, rel=1e-14)
 
     def test_against_dense_eigensolver(self, rng):
         for _ in range(100):
-            m = rng.uniform(0.01, 1.0, size=(2, 2))
-            m[1, 0] = m[0, 1]
-            W = ScaledTransferMatrix(m / m.max(), float(rng.normal()))
-            eig = tm_eigen(W)
-            lo, hi = np.linalg.eigvalsh(W.m)
-            assert eig.lambda_plus == pytest.approx(hi, rel=1e-12)
-            assert eig.lambda_minus == pytest.approx(lo, rel=1e-12, abs=1e-12)
-            assert eig.lambda_plus + eig.lambda_minus == pytest.approx(np.trace(W.m), rel=1e-12)
-            assert eig.lambda_plus * eig.lambda_minus == pytest.approx(
-                np.linalg.det(W.m), rel=1e-10, abs=1e-12)
+            w1, w0, wm = rng.uniform(0.01, 4.0, size=3)
+            k = int(rng.integers(1, 40))
+            lam, vec = np.linalg.eigh(np.array([[w1, w0], [w0, wm]]))
+            dense = (vec * lam ** k) @ vec.T
+            m, log_scale = host_power(w1, w0, wm, k)
+            assert np.allclose(m * math.exp(log_scale), dense, rtol=1e-12, atol=0.0)
 
     def test_perron_frobenius(self, rng):
+        # W^k -> lambda+^k u u^T: the log scale grows as k log lambda+ plus the
+        # log of the largest entry of u u^T, and every entry stays positive
         for _ in range(20):
-            eig = tm_eigen(transfer_matrices(draw_params(rng))[0])
-            assert eig.lambda_plus > 0.0
-            assert eig.lambda_plus >= eig.lambda_minus
-            assert eig.lambda_plus - eig.lambda_minus == pytest.approx(eig.q, rel=1e-12)
+            w1, w0, wm = host_matrix(draw_params(rng))
+            lam, vec = np.linalg.eigh(np.array([[w1, w0], [w0, wm]]))
+            m, log_scale = host_power(w1, w0, wm, 4000)
+            assert m.min() > 0.0
+            expected = 4000 * math.log(lam[-1]) + math.log((vec[:, -1] ** 2).max())
+            assert log_scale == pytest.approx(expected, rel=1e-12)
+
+    def test_no_cancellation_at_tiny_coupling(self):
+        # W^2 and W^3 of [[1, e], [e, 1/2]] to full relative precision, e = 1e-200
+        e = 1e-200
+        m, log_scale = host_power(1.0, e, 0.5, 2)
+        assert log_scale == 0.0
+        assert m[0, 1] == pytest.approx(1.5 * e, rel=1e-15)
+        assert m[1, 1] == pytest.approx(0.25, rel=1e-15)
+        m, _ = host_power(1.0, e, 0.5, 3)
+        assert m[0, 1] == pytest.approx(1.75 * e, rel=1e-15)
+        assert m[1, 1] == pytest.approx(0.125, rel=1e-15)
 
 
 class TestPartitionFunction:
@@ -132,12 +170,9 @@ class TestPartitionFunction:
         # without the defect, Z_N = L+^N + L-^N
         for _ in range(10):
             p = draw_params(rng, gamma=0.0, T=float(rng.uniform(0.5, 2.0)))
-            w = sector_weights(p, False)
-            shift = family_energy_minimum(p, False)
-            d = w[1] - w[-1]
-            q = math.hypot(d, 2.0 * w[0])
-            lp = 0.5 * (w[1] + w[-1] + q)
-            lm = 0.5 * (w[1] + w[-1] - q)
+            w = boltzmann_weights(p)
+            shift = family_minimum(p)
+            lm, lp = np.linalg.eigvalsh(np.array([[w[1], w[0]], [w[0], w[-1]]]))
             for n in (2, 5, 9):
                 expected = (math.log(lp ** n + lm ** n) - n * p.beta * shift)
                 assert partition_function(p, n) == pytest.approx(expected, abs=1e-12)
@@ -158,41 +193,41 @@ class TestPartitionFunction:
         per_site_200 = partition_function(p, 200) / 200
         per_site_400 = partition_function(p, 400) / 400
         assert abs(per_site_400 - per_site_200) / abs(per_site_400) < 1e-8
-        w = sector_weights(p, False)
-        q = math.hypot(w[1] - w[-1], 2.0 * w[0])
-        log_lp = math.log(0.5 * (w[1] + w[-1] + q)) - p.beta * family_energy_minimum(p, False)
+        log_lp = host_log_lambda(p)
         assert per_site_400 == pytest.approx(log_lp, rel=1e-2)
 
     def test_defect_term_is_a_boundary_correction(self):
         # log Z_N - (N-1) log L+ converges to log a
         p = ModelParams(**STANDARD, Delta=0.7, J0=1.0, B=0.8, T=0.2, gamma=-0.8)
-        w = sector_weights(p, False)
-        q = math.hypot(w[1] - w[-1], 2.0 * w[0])
-        log_lp = math.log(0.5 * (w[1] + w[-1] + q)) - p.beta * family_energy_minimum(p, False)
+        log_lp = host_log_lambda(p)
         tail_200 = partition_function(p, 200) - 199 * log_lp
         tail_400 = partition_function(p, 400) - 399 * log_lp
         assert tail_200 == pytest.approx(tail_400, abs=1e-12)
 
 
 class TestCellDensityElements:
+    """The thermal cell matrices sum_j e^{-beta(e_j - e_min)} |phi_j><phi_j| in
+    their scalar form, which the enumeration oracle sums over; the kernel's
+    batched entries are checked against that enumeration below."""
+
     def test_trace_equals_sector_weight(self, rng):
         for _ in range(30):
             p = draw_params(rng)
-            weights = sector_weights(p, True)
+            weights = boltzmann_weights(p, impurity=True)
+            cells = _cell_matrices(p, impurity=True)
             for s in SECTOR_VALUES:
-                cell = cell_density_elements(p, s, impurity=True)
-                assert np.trace(cell) == pytest.approx(weights[s], rel=1e-12)
+                assert np.trace(cells[s]) == pytest.approx(weights[s], rel=1e-12)
 
     def test_infinite_temperature_identity(self):
         p = ModelParams(B=1.1, gamma=-0.8, T=1e12)
-        cell = cell_density_elements(p, 0, shift=0.0)
-        assert np.allclose(cell, np.eye(4), atol=1e-10)
+        for cell in _cell_matrices(p, impurity=True).values():
+            assert np.allclose(cell, np.eye(4), atol=1e-10)
 
     def test_low_temperature_ground_projector(self):
         p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, B=B_STAR, T=0.01)
         eig = dimer_spectrum(dimer_block(p, 1, impurity=True))
         ground = eig.vectors[:, 0]
-        cell = cell_density_elements(p, 1, impurity=True)
+        cell = _cell_matrices(p, impurity=True)[1]
         projector = cell / np.trace(cell)
         assert np.abs(projector - np.outer(ground, ground)).max() <= 1e-10
 
@@ -202,7 +237,7 @@ class TestCellDensityElements:
             mask[k, l] = True
         for _ in range(20):
             p = draw_params(rng)
-            cell = cell_density_elements(p, int(rng.choice(SECTOR_VALUES)))
+            cell = _cell_matrices(p, impurity=bool(rng.integers(2)))[int(rng.choice(SECTOR_VALUES))]
             assert np.all(cell[~mask] == 0.0)
 
 
@@ -241,28 +276,34 @@ class TestLimitState:
             assert st.r11 + st.r44 <= 1e-4
 
     def test_agrees_with_plain_assembly(self, rng):
+        # the dominant eigenvector u of the host matrix from a dense solver:
+        # sector coefficients (u+^2, 2 u+ u-, u-^2) on the defect's cell matrices
         for _ in range(30):
             p = draw_params(rng)
-            w = sector_weights(p, False)
-            cells = {s: cell_density_elements(p, s, impurity=True) for s in SECTOR_VALUES}
-            plain = xstate_array(assemble_limit_state(w, cells))
+            w = boltzmann_weights(p)
+            u = np.linalg.eigh(np.array([[w[1], w[0]], [w[0], w[-1]]]))[1][:, -1]
+            cells = _cell_matrices(p, impurity=True)
+            num = u[0] ** 2 * cells[1] + 2.0 * u[0] * u[1] * cells[0] + u[1] ** 2 * cells[-1]
+            mat = num / np.trace(num)
+            plain = mat[[0, 1, 2, 3, 1], [0, 1, 2, 3, 2]]
             hardened = xstate_array(impurity_density_matrix(p))
             assert np.abs(plain - hardened).max() <= 1e-13
 
     def test_shift_invariance(self, rng):
-        # moving both energy references leaves every element unchanged
+        # moving both energy references of that assembly leaves every element
+        # unchanged and equal to the kernel's state
         for _ in range(20):
             p = draw_params(rng)
-            ref_h = family_energy_minimum(p, False)
-            ref_i = family_energy_minimum(p, True)
-            states = []
+            w = boltzmann_weights(p)
+            cells = _cell_matrices(p, impurity=True)
+            kernel = xstate_array(impurity_density_matrix(p))
             for dh, di in ((0.0, 0.0), (1.7, 0.0), (0.0, -2.3), (0.9, 0.4)):
-                w = boltzmann_weights(p, ref_h + dh)[0]
-                cells = {s: cell_density_elements(p, s, impurity=True, shift=ref_i + di)
-                         for s in SECTOR_VALUES}
-                states.append(xstate_array(assemble_limit_state(w, cells)))
-            for other in states[1:]:
-                assert np.abs(states[0] - other).max() <= 1e-12
+                host = {s: w[s] * math.exp(p.beta * dh) for s in SECTOR_VALUES}
+                u = np.linalg.eigh(np.array([[host[1], host[0]], [host[0], host[-1]]]))[1][:, -1]
+                num = math.exp(p.beta * di) * (
+                    u[0] ** 2 * cells[1] + 2.0 * u[0] * u[1] * cells[0] + u[1] ** 2 * cells[-1])
+                mat = num / np.trace(num)
+                assert np.abs(mat[[0, 1, 2, 3, 1], [0, 1, 2, 3, 2]] - kernel).max() <= 1e-12
 
     def test_survives_conflicting_sector_preferences(self):
         # host chain orders opposite to the defect's preference at very low T
@@ -282,8 +323,8 @@ class TestFiniteChain:
     def test_two_cells_against_enumeration(self, rng):
         for _ in range(20):
             p = draw_params(rng)
-            w = sector_weights(p, False)
-            cells = {s: cell_density_elements(p, s, impurity=True) for s in SECTOR_VALUES}
+            w = boltzmann_weights(p)
+            cells = _cell_matrices(p, impurity=True)
             wt = {s: float(np.trace(cells[s])) for s in SECTOR_VALUES}
             num = np.zeros((4, 4))
             z = 0.0
@@ -303,8 +344,8 @@ class TestFiniteChain:
         for _ in range(10):
             p = draw_params(rng, T=float(rng.uniform(0.4, 1.5)))
             n = 7
-            w = sector_weights(p, False)
-            cells = {s: cell_density_elements(p, s, impurity=True) for s in SECTOR_VALUES}
+            w = boltzmann_weights(p)
+            cells = _cell_matrices(p, impurity=True)
             wt = {s: float(np.trace(cells[s])) for s in SECTOR_VALUES}
             W = np.array([[w[1], w[0]], [w[0], w[-1]]])
             Wt = np.array([[wt[1], wt[0]], [wt[0], wt[-1]]])
@@ -362,6 +403,78 @@ class TestXState:
             XState(0.25, 0.25, 0.25, 0.25, 0.4).validate()
 
     def test_degenerate_gap_guard(self):
-        with pytest.raises(DegenerateGap):
-            assemble_limit_state({1: 0.0, 0: 0.0, -1: 0.0},
-                                 {s: np.eye(4) for s in SECTOR_VALUES})
+        # B = 0 and w(0) = exp(-big) = 0: W_h = diag(1, 1) has no dominant
+        # eigenvector, so the limit raises; every finite ring is well defined
+        p = ModelParams(J=1.0, Delta=0.0, J0=2.0, B=0.0, T=1e-4)
+        assert boltzmann_weights(p)[0] == 0.0
+        with pytest.raises(DegenerateGap, match="T=0.0001"):
+            impurity_density_matrix(p)
+        for n in (2, 5):
+            ring = xstate_array(finite_n_density_matrix(p, n))
+            assert np.abs(ring - xstate_array(brute_force_density_matrix(p, n))).max() <= 1e-15
+
+
+# Ring points where host and defect favour different nodal sectors at low T,
+# so that the host's s = 0 weight is tiny: a similarity transform of the host
+# matrix loses digits there (the first two lines returned states off by up to
+# 3.4e-9 and 1.0) or divides by w0 (the third raised DegenerateGap).
+ILL_CONDITIONED_RINGS = [
+    *[(dict(STANDARD, J=1.907, Delta=0.4216, J0=1.826, gamma=-1.964, B=0.1186, T=0.02229), n)
+      for n in range(4, 13)],
+    (dict(STANDARD, J=-0.83, Delta=0.95, J0=1.38, gamma=-1.12, B=0.57, T=0.011), 3),
+    (dict(STANDARD, J=-0.96, Delta=0.31, J0=1.23, gamma=-1.11, B=0.48, T=0.013), 8),
+    (dict(STANDARD, J=1.0, Delta=0.5, J0=1.0, gamma=0.0, B=0.0, T=0.005), 6),
+]
+
+
+@pytest.mark.parametrize("params, n", ILL_CONDITIONED_RINGS)
+def test_ring_where_host_and_defect_disagree(params, n):
+    p = ModelParams(**params)
+    ring = xstate_array(finite_n_density_matrix(p, n))
+    assert np.abs(ring - xstate_array(brute_force_density_matrix(p, n))).max() <= 1e-12
+
+
+def test_log_z_against_high_precision_value():
+    # 40-digit mpmath value of log Z_2 at this point: 68.24232168905856
+    p = ModelParams(**STANDARD, J=0.9048495791334912, Delta=2.161202274214258,
+                    J0=1.862442882533644, gamma=-1.2658221109598649,
+                    B=0.6159509618778142, T=0.052366133497913275)
+    assert partition_function(p, 2) == pytest.approx(68.24232168905856, rel=1e-13, abs=0.0)
+
+
+def enumerated_log_z(p, n):
+    """log Z_N summed in log domain over all 2^N nodal configurations, the
+    defect at bond 0; each family's weights against its own lowest level."""
+    with np.errstate(divide="ignore"):  # a vanished weight is log 0 = -inf
+        logs = [np.log(np.array([w[1], w[0], w[-1]]))
+                for w in (boltzmann_weights(p), boltzmann_weights(p, impurity=True))]
+    bits = np.arange(2 ** n)[:, None] >> np.arange(n)[None, :] & 1
+    mu = 0.5 - bits
+    sector = np.rint(1 - (mu + np.roll(mu, -1, axis=1))).astype(int)
+    terms = logs[0][sector[:, 1:]].sum(axis=1) + logs[1][sector[:, 0]]
+    top = terms.max()
+    return (top + math.log(np.exp(terms - top).sum())
+            - p.beta * ((n - 1) * family_minimum(p) + family_minimum(p, impurity=True)))
+
+
+def test_whole_range_ring_and_log_z_scan():
+    """The ring and log Z at every one of the 3,168 points of `whole_range_scan`,
+    N cycling through 2..12: no exceptions, states within 1e-12 of 2^N
+    enumeration and log Z within 1e-12 relative of a log-domain enumeration."""
+    failures = []
+    for i, p in enumerate(whole_range_scan()):
+        n = 2 + i % 11
+        try:
+            ring = xstate_array(finite_n_density_matrix(p, n))
+            log_z = partition_function(p, n)
+        except Exception as exc:  # every failure is counted and reported
+            failures.append(f"{p}, N={n}: {exc!r}")
+            continue
+        brute = xstate_array(brute_force_density_matrix(p, n))
+        if not np.abs(ring - brute).max() <= 1e-12:
+            failures.append(f"{p}, N={n}: ring off by {np.abs(ring - brute).max():.3g}")
+        want = enumerated_log_z(p, n)
+        if not abs(log_z - want) <= 1e-12 * max(1.0, abs(want)):
+            failures.append(f"{p}, N={n}: log Z {log_z!r}, enumerated {want!r}")
+    assert not failures, f"{len(failures)} failures, first {failures[0]}"
+

@@ -45,7 +45,6 @@ from .measures import (
     spin_correlators,
 )
 from .teleport import (
-    FormulaMismatch,
     InputState,
     TeleportOutput,
     average_fidelity,
@@ -90,7 +89,7 @@ __all__ = [
     "spin_correlators", "qfi", "qfi_field_derivative",
     "concurrence_batch", "coherence_batch", "correlators_batch", "qfi_batch",
     "qfi_dB_batch",
-    "FormulaMismatch", "InputState", "TeleportOutput", "bell_probabilities",
+    "InputState", "TeleportOutput", "bell_probabilities",
     "teleport_output", "output_concurrence", "fidelity", "average_fidelity",
     "output_concurrence_batch", "average_fidelity_batch",
     "beats_classical_bound",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
+import contextlib
 import math
 import os
 import sys
@@ -32,17 +32,14 @@ from . import __version__
 from .measures import (
     coherence_batch,
     concurrence_batch,
-    concurrence_x,
     correlators_batch,
     correlators_shortcut_batch,
-    qfi,
     qfi_batch,
     qfi_dB_batch,
-    qfi_field_derivative,
 )
 from .model import ModelParams, OverflowRisk
 from .teleport import InputState, average_fidelity_batch, output_concurrence_batch
-from .xfer import DegenerateGap, InvalidN, NotAState, impurity_density_matrix, limit_states
+from .xfer import DegenerateGap, InvalidN, NotAState, limit_states
 
 __all__ = [
     "ConfigError",
@@ -151,18 +148,15 @@ def run_point(p: ModelParams, quantities, impurity: bool = True,
               delta_b: float = 1e-3, alt_correlators: bool = False) -> SweepRecord:
     """Evaluate the requested quantities at one parameter point.
 
-    Deterministic; raises NonFiniteError (with the point attached) if any
-    output fails to be finite.
+    A batch of one of the sweep path, with the same bits as that point in a
+    sweep; raises NonFiniteError (with the point attached) if any output
+    fails to be finite.
     """
     unknown = [q for q in quantities if q not in QUANTITY_COLUMNS]
     if unknown:
         raise ConfigError(f"unknown quantities {unknown}; valid: {sorted(QUANTITY_COLUMNS)}")
-    st = impurity_density_matrix(p, impurity=impurity)
-    qfi_db = None
-    if "qfi_dB" in quantities:
-        qfi_db = np.array([qfi_field_derivative(p, delta_b=delta_b, impurity=impurity)])
-    values = _quantity_values(st.column(), quantities, qfi_db, alt_correlators)
-    _check_finite(values, lambda i: p)
+    columns = {name: np.array([value]) for name, value in vars(p).items()}
+    values = _sweep_chunk((columns, quantities, impurity, delta_b, alt_correlators))
     return SweepRecord(params=p, values={k: float(v[0]) for k, v in values.items()})
 
 
@@ -193,8 +187,8 @@ class SweepConfig:
             seen.add(name)
             if count < 2:
                 raise ConfigError(f"axis {name!r} needs count >= 2, got {count}")
-            if not start < stop:
-                raise ConfigError(f"axis {name!r} needs start < stop")
+            if not -math.inf < start < stop < math.inf:
+                raise ConfigError(f"axis {name!r} needs finite start < stop")
             if name == "T" and not start > 0.0:
                 raise ConfigError(f"axis 'T' needs positive temperatures, got start {start!r}")
         if not self.quantities:
@@ -202,6 +196,7 @@ class SweepConfig:
         unknown = [q for q in self.quantities if q not in QUANTITY_COLUMNS]
         if unknown:
             raise ConfigError(f"unknown quantities {unknown}")
+        _check_positive("delta_b", self.delta_b)
 
     def columns(self) -> list[str]:
         cols = list(PARAM_COLUMNS)
@@ -214,8 +209,7 @@ class SweepConfig:
     def grid(self) -> dict[str, np.ndarray]:
         """Grid points in row order, last axis fastest like nested loops:
         one array per ModelParams field."""
-        values = [start + (stop - start) * np.arange(count) / (count - 1)
-                  for (_, start, stop, count) in self.axes]
+        values = [_axis_values(start, stop, count) for (_, start, stop, count) in self.axes]
         if len(values) == 2:
             values = [np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0]))]
         n = len(values[0])
@@ -235,8 +229,32 @@ def _sweep_chunk(task) -> dict:
     return values
 
 
+def _axis_values(start: float, stop: float, count: int) -> np.ndarray:
+    """`count` evenly spaced values from start to stop inclusive."""
+    return start + (stop - start) * np.arange(count) / (count - 1)
+
+
 def _format(v: float) -> str:
     return f"{v:.16e}"
+
+
+def _write_csv(path, header, template: str, rows) -> None:
+    """A header line, then `template % row` for each row, with \\r\\n endings.
+
+    Writes to `path`, making its directory, or to stdout when path is None.
+    Every field is a name, an empty string or a finite number formatted with
+    `%.16e` (_format's format) or `%d`; none needs quoting, so these are the
+    bytes csv.writer would write.
+    """
+    line = template + "\r\n"
+    if path is None:
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        target = open(path, "w", newline="")
+    with target as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
@@ -258,21 +276,14 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     else:
         values = _sweep_chunk((grid, *task))
 
-    # One %-format row template per sweep: fixed parameters are formatted
-    # once and embedded, every other column is a %.16e slot (_format's
-    # format).  Finite numbers never need CSV quoting, and _check_finite has
-    # run, so the bytes are those of csv.writer.
+    # fixed parameters are formatted once into the row template, every other
+    # column is a %.16e slot
     axes = {name for name, *_ in cfg.axes}
-    template = ",".join(
-        ["%.16e" if c in axes else _format(getattr(cfg.params, c)).replace("%", "%%")
-         for c in PARAM_COLUMNS] + ["%.16e"] * len(values)) + "\r\n"
+    template = ",".join(["%.16e" if c in axes else _format(getattr(cfg.params, c))
+                         for c in PARAM_COLUMNS] + ["%.16e"] * len(values))
     columns = [grid[c].tolist() for c in PARAM_COLUMNS if c in axes]
     columns += [values[c].tolist() for c in cfg.columns()[len(PARAM_COLUMNS):]]
-    out_dir = os.path.dirname(os.path.abspath(cfg.out))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(cfg.out, "w", newline="") as fh:
-        fh.write(",".join(cfg.columns()) + "\r\n")
-        fh.writelines(template % row for row in zip(*columns))
+    _write_csv(cfg.out, cfg.columns(), template, zip(*columns))
     _write_manifest(cfg)
     return cfg.out
 
@@ -294,17 +305,9 @@ def _write_manifest(cfg: SweepConfig) -> None:
 # ---------------------------------------------------------------------------
 # finders
 
-def _concurrence_at(p: ModelParams, impurity: bool) -> float:
-    return concurrence_x(impurity_density_matrix(p, impurity=impurity))
-
-
 def _states_along(p: ModelParams, name: str, values: np.ndarray, impurity: bool) -> np.ndarray:
     """States at p with one parameter replaced by an array, in one kernel call."""
     return limit_states(**dict(vars(p), **{name: values}), impurity=impurity)
-
-
-def _coarse_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    return lo + (hi - lo) * np.arange(points) / (points - 1)
 
 
 def _sign_flips(p: ModelParams, temps: np.ndarray, impurity: bool):
@@ -314,15 +317,22 @@ def _sign_flips(p: ModelParams, temps: np.ndarray, impurity: bool):
     return positive, np.flatnonzero(positive[:-1] != positive[1:])
 
 
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_range(name: str, bounds, floor: float = -math.inf) -> None:
+    """A finder's scan range must be finite and increasing (and above floor)."""
+    lo, hi = bounds
+    if not floor < lo < hi < math.inf:
+        raise ConfigError(f"bad {name} range {tuple(bounds)}: need {floor:g} < lo < hi < inf")
 
 
 def concurrence_sign_brackets(p: ModelParams, t_range, impurity: bool = True,
                               points: int = 64) -> int:
     """Number of (C > 0) sign changes of C(T) on a uniform coarse scan."""
-    return len(_sign_flips(p, _coarse_grid(*t_range, points), impurity)[1])
+    return len(_sign_flips(p, _axis_values(*t_range, points), impurity)[1])
 
 
 # most kernel points per coarse-scan call of threshold_temperatures: the
@@ -345,18 +355,16 @@ def threshold_temperatures(points, t_range, impurity: bool = True,
     point stops when its bracket is no wider than `tol` or its midpoint
     equals an end.  Returns (thresholds, bracket_counts): a threshold is
     None where C is identically zero or strictly positive on the scan, and
-    a count is the number of sign changes on that scan.  Raises ValueError
-    for a bad range and ConfigError (a ValueError) for a tol that is not
-    positive and finite or a scan of fewer than 2 temperatures.
+    a count is the number of sign changes on that scan.  Raises ConfigError
+    (a ValueError) for a range that is not finite with 0 < lo < hi, a tol
+    that is not positive and finite or a scan of fewer than 2 temperatures.
     """
-    lo, hi = t_range
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bad temperature range {t_range}")
-    _check_tol(tol)
+    _check_range("temperature", t_range, floor=0.0)
+    _check_positive("tol", tol)
     if points_per_scan < 2:
         raise ConfigError(f"points_per_scan must be at least 2, got {points_per_scan!r}")
     points = list(points)
-    temps = _coarse_grid(lo, hi, points_per_scan)
+    temps = _axis_values(*t_range, points_per_scan)
     params = {name: np.array([getattr(p, name) for p in points], dtype=float)
               for name in PARAM_COLUMNS if name != "T"}
     positive = np.empty((len(points), points_per_scan), dtype=bool)
@@ -410,45 +418,35 @@ def find_critical_field(p: ModelParams, b_range, target: str,
     target: 'max_concurrence' (maximize C), 'qfi_min' (minimize F) or
     'dqfi_peak' (maximize |dF/dB|).  Coarse scan in one batched call, then
     golden-section refinement of the best interior sample down to `tol` in
-    B, one point at a time.  Raises NotFound when the coarse scan is
-    monotone (extremum at a boundary), and ConfigError (a ValueError) for a
-    tol that is not positive and finite or a scan of fewer than 3 fields
-    (an interior sample needs at least 3).
+    B through the same scan on one field at a time.  Raises NotFound when
+    the coarse scan is monotone (extremum at a boundary), and ConfigError (a
+    ValueError) for a range that is not finite and increasing, a tol that is
+    not positive and finite or a scan of fewer than 3 fields (an interior
+    sample needs at least 3).
     """
-    lo, hi = b_range
-    if not lo < hi:
-        raise ValueError(f"bad field range {b_range}")
-    _check_tol(tol)
+    _check_range("field", b_range)
+    _check_positive("tol", tol)
     if points < 3:
         raise ConfigError(f"points must be at least 3, got {points!r}")
 
     if target == "max_concurrence":
         def scan(b: np.ndarray) -> np.ndarray:
             return -concurrence_batch(_states_along(p, "B", b, impurity))
-
-        def objective(b: float) -> float:
-            return -_concurrence_at(replace(p, B=b), impurity)
     elif target == "qfi_min":
         def scan(b: np.ndarray) -> np.ndarray:
             return qfi_batch(_states_along(p, "B", b, impurity))
-
-        def objective(b: float) -> float:
-            return qfi(impurity_density_matrix(replace(p, B=b), impurity=impurity))
     elif target == "dqfi_peak":
         def scan(b: np.ndarray) -> np.ndarray:
             return -np.abs(qfi_dB_batch(dict(vars(p), B=b), delta_b, impurity))
-
-        def objective(b: float) -> float:
-            return -abs(qfi_field_derivative(replace(p, B=b), delta_b=delta_b,
-                                             impurity=impurity))
     else:
         raise ConfigError(f"unknown target {target!r}")
 
-    grid = _coarse_grid(lo, hi, points)
+    grid = _axis_values(*b_range, points)
     best = int(np.argmin(scan(grid)))
     if best in (0, points - 1):
         raise NotFound(f"{target} has no interior extremum in {b_range}")
-    return _golden_section(objective, float(grid[best - 1]), float(grid[best + 1]), tol)
+    return _golden_section(lambda b: float(scan(np.array([b]))[0]),
+                           float(grid[best - 1]), float(grid[best + 1]), tol)
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> float:
@@ -472,141 +470,96 @@ def _golden_section(f, a: float, b: float, tol: float) -> float:
 # ---------------------------------------------------------------------------
 # figure presets
 
-def _preset_params(overrides: dict[str, float], **defaults) -> ModelParams:
-    merged = dict(defaults)
-    merged.update(overrides)
+# name -> (file stem, fixed parameters, curve sets, axis, output).  Each
+# combination of the curve sets' values is one curve, written to
+# <stem>_<tag>.csv (fig3_gamma-0.8_T0.05.csv).  A sweep preset's output is the
+# quantities it sweeps along the axis; an output ("T", lo, hi) names a scan
+# instead, and the CSV has the threshold temperature over it at each axis
+# value.  The fixed parameters may be overridden; the curve, axis and scan
+# parameters are the preset's own.
+FIGURE_PRESETS = {
+    "fig3": ("fig3", dict(Delta=0.5, J0=1.0),
+             [("gamma", (0.0, -0.8)), ("T", (0.01, 0.05, 0.2))],
+             ("B", 0.0, 3.0, 601), ("concurrence",)),
+    "fig5": ("fig5", dict(Delta=0.0, J0=1.0),
+             [("gamma", (0.0, -0.8)), ("B", (0.0, 0.5, 1.282, 2.0))],
+             ("T", 0.01, 2.0, 400), ("coherence",)),
+    "fig-qfi": ("fig_qfi", dict(gamma=-0.8, J0=1.0, T=0.05),
+                [("Delta", (0.0, 0.5, 1.0, 2.0))], ("B", 0.0, 3.0, 601), ("qfi",)),
+    "fig-dbqfi": ("fig_dbqfi", dict(gamma=-0.8, J0=1.0, T=0.05),
+                  [("Delta", (0.0, 0.5, 1.0, 2.0))], ("B", 0.0, 3.0, 601), ("qfi_dB",)),
+    "fig8": ("fig8", dict(Delta=0.5, J0=1.0),
+             [("gamma", (0.0, -0.8)), ("B", (0.0, 0.5, 1.282, 2.0))],
+             ("T", 0.01, 2.0, 400), ("favg",)),
+    "fig10": ("fig10", dict(J=4.0, Delta=0.5, J0=1.0),
+              [("gamma", (0.0, -0.8)), ("T", (0.1, 0.6, 1.0))],
+              ("B", 0.0, 5.0, 601), ("favg",)),
+    "fig22-threshold": ("fig22_threshold", dict(J0=0.7, B=0.5),
+                        [("gamma", (0.0, -0.8))], ("Delta", 0.0, 2.0, 81), ("T", 0.01, 1.2)),
+}
+
+
+def _owned_keys(name: str) -> set[str]:
+    """The parameters a preset sets per curve, axis value or scan point."""
+    _, _, curves, axis, output = FIGURE_PRESETS[name]
+    return {key for key, _ in curves} | {axis[0]} | ({output[0]} & set(PARAM_COLUMNS))
+
+
+def _preset_jobs(name: str, outdir: str, overrides: dict) -> list:
+    """(parameters, CSV path) of every curve of a preset, in file order."""
+    stem, defaults, curves, _, _ = FIGURE_PRESETS[name]
     try:
-        return ModelParams(**merged)
+        base = ModelParams(**dict(defaults, **overrides))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _curve_sweeps(outdir, stem, base, curve_sets, axis, quantities):
-    """One SweepConfig per combination in curve_sets (list of (field, values))."""
-    jobs = []
     combos = [{}]
-    for field_name, values in curve_sets:
-        combos = [dict(c, **{field_name: v}) for c in combos for v in values]
+    for key, values in curves:
+        combos = [dict(c, **{key: v}) for c in combos for v in values]
+    jobs = []
     for combo in combos:
         tag = "_".join(f"{k}{v:g}" for k, v in combo.items())
-        out = os.path.join(outdir, f"{stem}_{tag}.csv")
-        jobs.append(SweepConfig(
-            params=replace(base, **combo),
-            axes=(axis,),
-            quantities=quantities,
-            out=out,
-        ))
+        jobs.append((replace(base, **combo), os.path.join(outdir, f"{stem}_{tag}.csv")))
     return jobs
 
 
-def _figure_fig3(outdir: str, ov: dict) -> list[SweepConfig]:
-    base = _preset_params(ov, Delta=0.5, J0=1.0, T=0.01)
-    return _curve_sweeps(outdir, "fig3", base,
-                         [("gamma", (0.0, -0.8)), ("T", (0.01, 0.05, 0.2))],
-                         ("B", 0.0, 3.0, 601), ("concurrence",))
-
-
-def _figure_fig5(outdir: str, ov: dict) -> list[SweepConfig]:
-    base = _preset_params(ov, Delta=0.0, J0=1.0)
-    return _curve_sweeps(outdir, "fig5", base,
-                         [("gamma", (0.0, -0.8)), ("B", (0.0, 0.5, 1.282, 2.0))],
-                         ("T", 0.01, 2.0, 400), ("coherence",))
-
-
-def _figure_qfi(outdir: str, ov: dict) -> list[SweepConfig]:
-    base = _preset_params(ov, gamma=-0.8, J0=1.0, T=0.05)
-    return _curve_sweeps(outdir, "fig_qfi", base,
-                         [("Delta", (0.0, 0.5, 1.0, 2.0))],
-                         ("B", 0.0, 3.0, 601), ("qfi",))
-
-
-def _figure_dbqfi(outdir: str, ov: dict) -> list[SweepConfig]:
-    base = _preset_params(ov, gamma=-0.8, J0=1.0, T=0.05)
-    return _curve_sweeps(outdir, "fig_dbqfi", base,
-                         [("Delta", (0.0, 0.5, 1.0, 2.0))],
-                         ("B", 0.0, 3.0, 601), ("qfi_dB",))
-
-
-def _figure_fig8(outdir: str, ov: dict) -> list[SweepConfig]:
-    base = _preset_params(ov, Delta=0.5, J0=1.0)
-    return _curve_sweeps(outdir, "fig8", base,
-                         [("gamma", (0.0, -0.8)), ("B", (0.0, 0.5, 1.282, 2.0))],
-                         ("T", 0.01, 2.0, 400), ("favg",))
-
-
-def _figure_fig10(outdir: str, ov: dict) -> list[SweepConfig]:
-    base = _preset_params(ov, J=4.0, Delta=0.5, J0=1.0)
-    return _curve_sweeps(outdir, "fig10", base,
-                         [("gamma", (0.0, -0.8)), ("T", (0.1, 0.6, 1.0))],
-                         ("B", 0.0, 5.0, 601), ("favg",))
-
-
-def _figure_fig22(outdir: str, ov: dict) -> list[str]:
-    """Threshold temperature against anisotropy, one file per gamma value.
-
-    Runs in one process: one threshold_temperatures call for the rows of
-    both files, whose coarse scans also give the bracket counts.
-    """
-    base = _preset_params(ov, Delta=0.0, J0=0.7, B=0.5, T=0.05)
-    gammas = (0.0, -0.8)
-    rows = [replace(base, Delta=2.0 * i / 80.0, gamma=gamma)
-            for gamma in gammas for i in range(81)]
-    thresholds, counts = threshold_temperatures(rows, (0.01, 1.2))
-    written = []
-    os.makedirs(outdir, exist_ok=True)
-    for k, gamma in enumerate(gammas):
-        part = slice(81 * k, 81 * (k + 1))
-        out = os.path.join(outdir, f"fig22_threshold_gamma{gamma:g}.csv")
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["Delta", "T_threshold", "n_brackets"])
-            writer.writerows(
-                [_format(p.Delta), "" if t_th is None else _format(t_th), str(n)]
-                for p, t_th, n in zip(rows[part], thresholds[part], counts[part]))
-        written.append(out)
-    return written
-
-
-FIGURE_PRESETS = {
-    "fig3": _figure_fig3,
-    "fig5": _figure_fig5,
-    "fig-qfi": _figure_qfi,
-    "fig-dbqfi": _figure_dbqfi,
-    "fig8": _figure_fig8,
-    "fig10": _figure_fig10,
-    "fig22-threshold": _figure_fig22,
-}
-
-# the parameters each preset sets per curve, row, axis or scan; overriding
-# one of them is an error, since the preset would silently replace it
-_PRESET_OWNED = {
-    "fig3": ("gamma", "T", "B"),
-    "fig5": ("gamma", "B", "T"),
-    "fig-qfi": ("Delta", "B"),
-    "fig-dbqfi": ("Delta", "B"),
-    "fig8": ("gamma", "B", "T"),
-    "fig10": ("gamma", "T", "B"),
-    "fig22-threshold": ("Delta", "gamma", "T"),
-}
+def _write_thresholds(jobs, axis, scan) -> list[str]:
+    """One CSV per curve: the threshold temperature over the scan and its
+    bracket count at every axis value.  The rows of all curves are one
+    threshold_temperatures call, in one process."""
+    name, start, stop, count = axis
+    values = _axis_values(start, stop, count).tolist()
+    rows = [replace(params, **{name: v}) for params, _ in jobs for v in values]
+    thresholds, counts = threshold_temperatures(rows, scan[1:])
+    cells = ["" if t is None else _format(t) for t in thresholds]
+    for k, (_, out) in enumerate(jobs):
+        part = slice(count * k, count * (k + 1))
+        _write_csv(out, (name, "T_threshold", "n_brackets"), "%.16e,%s,%d",
+                   zip(values, cells[part], counts[part]))
+    return [out for _, out in jobs]
 
 
 def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> list[str]:
     """Write every data file of one figure preset; returns the paths.
 
     `overrides` may set any parameter the preset holds fixed; one it sets
-    per curve, row, axis or scan raises ConfigError.  `workers` is the
-    process count of each sweep preset; fig22-threshold runs in one process.
+    per curve, axis value or scan point raises ConfigError before any file
+    is written.  `workers` is the process count of each sweep preset; a
+    threshold preset runs in one process.
     """
     if name not in FIGURE_PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(FIGURE_PRESETS)}")
-    owned = [key for key in overrides if key in _PRESET_OWNED[name]]
-    if owned:
-        raise ConfigError(f"preset {name!r} sets {owned[0]!r} per curve, row, axis or scan, "
-                          f"so it cannot be overridden")
-    if name == "fig22-threshold":
-        return _figure_fig22(outdir, overrides)
-    jobs = FIGURE_PRESETS[name](outdir, overrides)
-    return [run_sweep(cfg, workers=workers) for cfg in jobs]
+    owned = _owned_keys(name)
+    for key in overrides:
+        if key in owned:
+            raise ConfigError(f"preset {name!r} sets {key!r} per curve, row, axis or scan, "
+                              f"so it cannot be overridden")
+    _, _, _, axis, output = FIGURE_PRESETS[name]
+    jobs = _preset_jobs(name, outdir, overrides)
+    if output[0] in PARAM_COLUMNS:
+        return _write_thresholds(jobs, axis, output)
+    return [run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out),
+                      workers=workers)
+            for params, out in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -672,21 +625,29 @@ def _parse_delta_b(mapping: dict[str, str]) -> float:
         value = float(text)
     except ValueError as exc:
         raise ConfigError(f"delta_b: not a number: {text!r}") from exc
-    if not value > 0.0:
-        raise ConfigError(f"delta_b must be positive, got {text!r}")
+    _check_positive("delta_b", value)
     return value
 
 
-def build_params(mapping: dict[str, str]) -> ModelParams:
-    kwargs = {}
-    for key in PARAM_COLUMNS:
-        if key in mapping:
+def _parse_params(mapping: dict[str, str]) -> dict[str, float]:
+    """The parameter keys of a mapping, in its order, as floats."""
+    values = {}
+    for key, text in mapping.items():
+        if key in PARAM_COLUMNS:
             try:
-                kwargs[key] = float(mapping[key])
+                values[key] = float(text)
             except ValueError as exc:
-                raise ConfigError(f"{key}: not a number: {mapping[key]!r}") from exc
+                raise ConfigError(f"{key}: not a number: {text!r}") from exc
+    return values
+
+
+def _parse_quantities(mapping: dict[str, str], default: str) -> tuple[str, ...]:
+    return tuple(q.strip() for q in mapping.get("quantities", default).split(",") if q.strip())
+
+
+def build_params(mapping: dict[str, str]) -> ModelParams:
     try:
-        return ModelParams(**kwargs)
+        return ModelParams(**_parse_params(mapping))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -699,16 +660,12 @@ def build_sweep_config(mapping: dict[str, str], alt_correlators: bool = False) -
             axes.append(_parse_axis(mapping[key]))
     if not axes:
         raise ConfigError("no sweep axis given (use 'axis = NAME START STOP COUNT')")
-    quantities = tuple(
-        q.strip() for q in mapping.get("quantities", "concurrence").split(",") if q.strip()
-    )
-    delta_b = _parse_delta_b(mapping)
     return SweepConfig(
         params=params,
         axes=tuple(axes),
-        quantities=quantities,
+        quantities=_parse_quantities(mapping, "concurrence"),
         out=mapping.get("out", "sweep.csv"),
-        delta_b=delta_b,
+        delta_b=_parse_delta_b(mapping),
         impurity=_parse_bool("impurity", mapping.get("impurity", "on")),
         alt_correlators=alt_correlators,
     )
@@ -789,25 +746,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_point(args) -> int:
     mapping = _collect_mapping(args)
     params = build_params(mapping)
-    quantities = tuple(
-        q.strip() for q in mapping.get("quantities", ",".join(QUANTITY_COLUMNS)).split(",")
-        if q.strip()
-    )
+    quantities = _parse_quantities(mapping, ",".join(QUANTITY_COLUMNS))
     impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
     delta_b = _parse_delta_b(mapping)
     record = run_point(params, quantities, impurity=impurity, delta_b=delta_b,
                        alt_correlators=args.debug_paper_correlators)
-    columns = list(PARAM_COLUMNS) + list(record.values)
-    row = [_format(getattr(params, c)) for c in PARAM_COLUMNS]
-    row += [_format(record.values[c]) for c in list(record.values)]
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(target)
-        writer.writerow(columns)
-        writer.writerow(row)
-    finally:
-        if args.out:
-            target.close()
+    row = tuple(vars(params).values()) + tuple(record.values.values())
+    _write_csv(args.out, PARAM_COLUMNS + tuple(record.values),
+               ",".join(["%.16e"] * len(row)), [row])
     return 0
 
 
@@ -825,8 +771,6 @@ def _cmd_threshold(args) -> int:
     mapping = _collect_mapping(args)
     params = build_params(mapping)
     impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
-    if not 0.0 < args.t_min < args.t_max:
-        raise ConfigError(f"need 0 < --t-min < --t-max, got {args.t_min} and {args.t_max}")
     t_th = find_threshold_temperature(params, (args.t_min, args.t_max), impurity=impurity)
     if t_th is None:
         print("none")
@@ -841,8 +785,6 @@ def _cmd_critical(args) -> int:
     impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
     delta_b = _parse_delta_b(mapping)
     target = args.target.replace("-", "_")
-    if not args.b_min < args.b_max:
-        raise ConfigError(f"need --b-min < --b-max, got {args.b_min} and {args.b_max}")
     b_star = find_critical_field(params, (args.b_min, args.b_max), target,
                                  impurity=impurity, tol=args.tol, delta_b=delta_b)
     print(_format(b_star))
@@ -850,14 +792,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    mapping = _collect_mapping(args)
-    overrides = {}
-    for key, value in mapping.items():
-        if key in PARAM_COLUMNS:
-            try:
-                overrides[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+    overrides = _parse_params(_collect_mapping(args))
     for path in run_figure(args.preset, args.out, overrides, workers=_workers(args)):
         print(path)
     return 0

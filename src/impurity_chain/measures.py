@@ -125,8 +125,8 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
 
 def central_difference(f, x, step: float):
     """Symmetric difference quotient (f(x+h) - f(x-h)) / 2h, O(h^2) accurate."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
@@ -188,8 +188,8 @@ def measure_bundle(p: ModelParams, impurity: bool = True,
     With the derivative, the states at B - delta_b, B and B + delta_b are
     one batch of three.
     """
-    if with_derivative and not delta_b > 0.0:
-        raise ValueError(f"step must be positive, got {delta_b}")
+    if with_derivative and not 0.0 < delta_b < np.inf:
+        raise ValueError(f"step must be positive and finite, got {delta_b}")
     fields = [p.B - delta_b, p.B, p.B + delta_b] if with_derivative else [p.B]
     states = limit_states(**dict(vars(p), B=np.array(fields)), impurity=impurity)
     fisher = qfi_batch(states)

@@ -62,6 +62,9 @@ class ModelParams:
     T: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.J == 0.0:
             raise ValueError("J = 0 degenerates the dimer eigenbasis; unsupported")
         if not self.T > 0.0:
@@ -150,8 +153,11 @@ def boltzmann_weights(p: ModelParams, impurity: bool = False) -> dict[int, float
     Keyed by the sector sum s.  e_min is the family's (host or defect) lowest
     level over the three sectors, so every exponent is <= 0 and the largest
     weight is at least 1.  The scalar path of the enumeration oracle; the
-    solver evaluates the same weights in its batched kernel.
+    solver evaluates the same weights in its batched kernel.  Raises
+    OverflowRisk where 1/T overflows, as the kernel does.
     """
+    if math.isinf(p.beta):
+        raise OverflowRisk(f"1/T overflows at {p}")
     energies = {s: dimer_spectrum(dimer_block(p, s, impurity)).energies for s in SECTOR_VALUES}
     shift = min(float(e[0]) for e in energies.values())
     return {s: float(np.exp(-p.beta * (e - shift)).sum()) for s, e in energies.items()}

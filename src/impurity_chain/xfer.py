@@ -103,8 +103,8 @@ _SECTORS = np.array(SECTOR_VALUES, dtype=float)[:, None]
 # defect (fields scaled by 1 + gamma) or, without the impurity, the host again
 _DEFECT_FAMILY = np.array([0.0, 1.0])[:, None, None]
 _HOST_FAMILY = np.array([0.0, 0.0])[:, None, None]
-# below the smallest normal float, 1/T overflows
-_MIN_TEMPERATURE = float(np.finfo(float).tiny)
+# the smallest normal float: below it 1/T overflows, and 4 w0^2 underflows
+_TINY = float(np.finfo(float).tiny)
 # exp() overflows just above exp(709); stay clear of it
 _MAX_EXPONENT = 700.0
 
@@ -168,8 +168,8 @@ def _kernel(args, impurity: bool, ring: int | None = None):
     T = np.atleast_1d(np.asarray(args[-1], dtype=float))
     if not T.min() > 0.0:
         _raise_at(ValueError, "temperature must be positive", ~(T > 0.0), args)
-    if T.min() < _MIN_TEMPERATURE:
-        _raise_at(OverflowRisk, "1/T overflows", T < _MIN_TEMPERATURE, args)
+    if T.min() < _TINY:
+        _raise_at(OverflowRisk, "1/T overflows", T < _TINY, args)
     beta = 1.0 / T
 
     # dimer blocks, shape (family, sector, point)
@@ -212,13 +212,15 @@ def _kernel(args, impurity: bool, ring: int | None = None):
     coef = np.empty((3,) + w0.shape)
     if ring is None:
         # dominant projector (Q + D, 4 w0, Q - D); the smaller of Q -+ D is
-        # 4 w0^2 / (Q +- D), never a difference of close numbers
+        # 4 w0^2 / (Q +- D), never a difference of close numbers, and
+        # (4 w0 / (Q +- D)) w0 where 4 w0^2 underflows
         d = w1 - wm
         q = np.hypot(d, 2.0 * w0)
         if not q.min() > 0.0:
             _raise_at(DegenerateGap, "all host sector weights vanished", ~(q > 0.0), args)
         big = q + np.abs(d)
-        small = 4.0 * w0 * w0 / big
+        square = 4.0 * w0 * w0
+        small = np.where(square < _TINY, 4.0 * w0 / big * w0, square / big)
         up = d >= 0.0
         coef[0] = np.where(up, big, small)
         coef[1] = 4.0 * w0

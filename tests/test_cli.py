@@ -27,13 +27,87 @@ from impurity_chain.cli import (
     run_sweep,
     threshold_temperatures,
 )
+from impurity_chain.measures import concurrence_x
 from impurity_chain.model import ModelParams
-from impurity_chain.xfer import XState, limit_states
+from impurity_chain.xfer import XState, impurity_density_matrix, limit_states
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 QUANTITY_ORDER = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB", "favg",
                   "cout", "rho_elements")
 B_STAR = 1.0 / ((5.0 - 1.1) * 0.2)
+
+# the parameters each figure preset sets per curve, axis value or scan point
+PRESET_OWNED = [
+    ("fig3", "gamma"), ("fig3", "T"), ("fig3", "B"),
+    ("fig5", "gamma"), ("fig5", "B"), ("fig5", "T"),
+    ("fig-qfi", "Delta"), ("fig-qfi", "B"),
+    ("fig-dbqfi", "Delta"), ("fig-dbqfi", "B"),
+    ("fig8", "gamma"), ("fig8", "B"), ("fig8", "T"),
+    ("fig10", "gamma"), ("fig10", "T"), ("fig10", "B"),
+    ("fig22-threshold", "Delta"), ("fig22-threshold", "gamma"), ("fig22-threshold", "T"),
+]
+
+# every preset's curves: the parameters it holds fixed, then (file, curve
+# parameters) in file order, its axis and its quantities or threshold scan
+PRESET_JOBS = {
+    "fig3": (dict(Delta=0.5, J0=1.0), [
+        ("fig3_gamma0_T0.01.csv", dict(gamma=0.0, T=0.01)),
+        ("fig3_gamma0_T0.05.csv", dict(gamma=0.0, T=0.05)),
+        ("fig3_gamma0_T0.2.csv", dict(gamma=0.0, T=0.2)),
+        ("fig3_gamma-0.8_T0.01.csv", dict(gamma=-0.8, T=0.01)),
+        ("fig3_gamma-0.8_T0.05.csv", dict(gamma=-0.8, T=0.05)),
+        ("fig3_gamma-0.8_T0.2.csv", dict(gamma=-0.8, T=0.2)),
+    ], ("B", 0.0, 3.0, 601), ("concurrence",)),
+    "fig5": (dict(Delta=0.0, J0=1.0), [
+        ("fig5_gamma0_B0.csv", dict(gamma=0.0, B=0.0)),
+        ("fig5_gamma0_B0.5.csv", dict(gamma=0.0, B=0.5)),
+        ("fig5_gamma0_B1.282.csv", dict(gamma=0.0, B=1.282)),
+        ("fig5_gamma0_B2.csv", dict(gamma=0.0, B=2.0)),
+        ("fig5_gamma-0.8_B0.csv", dict(gamma=-0.8, B=0.0)),
+        ("fig5_gamma-0.8_B0.5.csv", dict(gamma=-0.8, B=0.5)),
+        ("fig5_gamma-0.8_B1.282.csv", dict(gamma=-0.8, B=1.282)),
+        ("fig5_gamma-0.8_B2.csv", dict(gamma=-0.8, B=2.0)),
+    ], ("T", 0.01, 2.0, 400), ("coherence",)),
+    "fig-qfi": (dict(gamma=-0.8, J0=1.0, T=0.05), [
+        ("fig_qfi_Delta0.csv", dict(Delta=0.0)),
+        ("fig_qfi_Delta0.5.csv", dict(Delta=0.5)),
+        ("fig_qfi_Delta1.csv", dict(Delta=1.0)),
+        ("fig_qfi_Delta2.csv", dict(Delta=2.0)),
+    ], ("B", 0.0, 3.0, 601), ("qfi",)),
+    "fig-dbqfi": (dict(gamma=-0.8, J0=1.0, T=0.05), [
+        ("fig_dbqfi_Delta0.csv", dict(Delta=0.0)),
+        ("fig_dbqfi_Delta0.5.csv", dict(Delta=0.5)),
+        ("fig_dbqfi_Delta1.csv", dict(Delta=1.0)),
+        ("fig_dbqfi_Delta2.csv", dict(Delta=2.0)),
+    ], ("B", 0.0, 3.0, 601), ("qfi_dB",)),
+    "fig8": (dict(Delta=0.5, J0=1.0), [
+        ("fig8_gamma0_B0.csv", dict(gamma=0.0, B=0.0)),
+        ("fig8_gamma0_B0.5.csv", dict(gamma=0.0, B=0.5)),
+        ("fig8_gamma0_B1.282.csv", dict(gamma=0.0, B=1.282)),
+        ("fig8_gamma0_B2.csv", dict(gamma=0.0, B=2.0)),
+        ("fig8_gamma-0.8_B0.csv", dict(gamma=-0.8, B=0.0)),
+        ("fig8_gamma-0.8_B0.5.csv", dict(gamma=-0.8, B=0.5)),
+        ("fig8_gamma-0.8_B1.282.csv", dict(gamma=-0.8, B=1.282)),
+        ("fig8_gamma-0.8_B2.csv", dict(gamma=-0.8, B=2.0)),
+    ], ("T", 0.01, 2.0, 400), ("favg",)),
+    "fig10": (dict(J=4.0, Delta=0.5, J0=1.0), [
+        ("fig10_gamma0_T0.1.csv", dict(gamma=0.0, T=0.1)),
+        ("fig10_gamma0_T0.6.csv", dict(gamma=0.0, T=0.6)),
+        ("fig10_gamma0_T1.csv", dict(gamma=0.0, T=1.0)),
+        ("fig10_gamma-0.8_T0.1.csv", dict(gamma=-0.8, T=0.1)),
+        ("fig10_gamma-0.8_T0.6.csv", dict(gamma=-0.8, T=0.6)),
+        ("fig10_gamma-0.8_T1.csv", dict(gamma=-0.8, T=1.0)),
+    ], ("B", 0.0, 5.0, 601), ("favg",)),
+    "fig22-threshold": (dict(J0=0.7, B=0.5), [
+        ("fig22_threshold_gamma0.csv", dict(gamma=0.0)),
+        ("fig22_threshold_gamma-0.8.csv", dict(gamma=-0.8)),
+    ], ("Delta", 0.0, 2.0, 81), ("T", 0.01, 1.2)),
+}
+
+
+def concurrence_at(p):
+    """C of one point through the one-point API, the finders' scalar oracle."""
+    return concurrence_x(impurity_density_matrix(p))
 
 
 class TestConfigParsing:
@@ -133,7 +207,7 @@ class TestRunPoint:
 
     def test_non_finite_detection(self, monkeypatch):
         nan_state = XState(0.5, 0.25, 0.25, float("nan"), 0.0)
-        monkeypatch.setattr(cli, "impurity_density_matrix", lambda p, impurity: nan_state)
+        monkeypatch.setattr(cli, "limit_states", lambda **kw: nan_state.column())
         with pytest.raises(NonFiniteError):
             run_point(ModelParams(), ("rho_elements",))
 
@@ -227,8 +301,8 @@ class TestThresholdFinder:
         assert t_th is not None
 
         def c_at(t):
-            return cli._concurrence_at(ModelParams(**STANDARD, Delta=0.5, J0=1.0,
-                                                   gamma=-0.8, B=1.0, T=t), True)
+            return concurrence_at(ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8,
+                                              B=1.0, T=t))
         assert c_at(t_th - 1e-4) > 0.0
         assert c_at(t_th + 1e-4) == 0.0
 
@@ -254,7 +328,7 @@ class TestThresholdFinder:
         temps = [0.01 + (1.2 - 0.01) * i / 63 for i in range(64)]
 
         def scalar_threshold(p):
-            positive = [cli._concurrence_at(replace(p, T=t), True) > 0.0 for t in temps]
+            positive = [concurrence_at(replace(p, T=t)) > 0.0 for t in temps]
             flips = [i for i in range(63) if positive[i] != positive[i + 1]]
             if not flips:
                 return None
@@ -262,7 +336,7 @@ class TestThresholdFinder:
             side = positive[flips[-1]]
             while t_hi - t_lo > 1e-6:
                 mid = 0.5 * (t_lo + t_hi)
-                if (cli._concurrence_at(replace(p, T=mid), True) > 0.0) == side:
+                if (concurrence_at(replace(p, T=mid)) > 0.0) == side:
                     t_lo = mid
                 else:
                     t_hi = mid
@@ -292,9 +366,9 @@ class TestThresholdFinder:
         for i in (1, 3, 5):
             assert counts[i] >= 1
             assert thresholds[i] == find_threshold_temperature(rows[i], t_range)
-        assert cli._concurrence_at(replace(revived, T=0.01), True) == 0.0
-        assert cli._concurrence_at(replace(revived, T=thresholds[3] + 1e-4), True) > 0.0
-        assert cli._concurrence_at(replace(entangled, T=thresholds[1] + 1e-4), True) == 0.0
+        assert concurrence_at(replace(revived, T=0.01)) == 0.0
+        assert concurrence_at(replace(revived, T=thresholds[3] + 1e-4)) > 0.0
+        assert concurrence_at(replace(entangled, T=thresholds[1] + 1e-4)) == 0.0
         assert threshold_temperatures([], t_range) == ([], [])
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -319,13 +393,19 @@ class TestThresholdFinder:
         t_fine = find_threshold_temperature(p, (0.02, 2.0), tol=5e-324)
         t_th = find_threshold_temperature(p, (0.02, 2.0))
         assert abs(t_fine - t_th) < 1e-6
-        below, above = (cli._concurrence_at(replace(p, T=math.nextafter(t_fine, t)), True) > 0.0
+        below, above = (concurrence_at(replace(p, T=math.nextafter(t_fine, t))) > 0.0
                         for t in (0.0, 3.0))
         assert below != above
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
             find_threshold_temperature(ModelParams(), (0.0, 1.0))
+
+    @pytest.mark.parametrize("t_range", [(0.01, math.inf), (math.nan, 1.0), (1.0, 0.5),
+                                         (-1.0, 1.0)])
+    def test_range_must_be_finite_and_increasing(self, t_range):
+        with pytest.raises(ConfigError, match="temperature range"):
+            threshold_temperatures([ModelParams()], t_range)
 
 
 class TestCriticalFieldFinder:
@@ -352,6 +432,12 @@ class TestCriticalFieldFinder:
     def test_unknown_target(self):
         with pytest.raises(ConfigError):
             find_critical_field(ModelParams(), (0.0, 1.0), "entropy_peak")
+
+    @pytest.mark.parametrize("b_range", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                         (1.0, 1.0)])
+    def test_range_must_be_finite_and_increasing(self, b_range):
+        with pytest.raises(ConfigError, match="field range"):
+            find_critical_field(ModelParams(), b_range, "max_concurrence")
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tol_must_be_positive_and_finite(self, tol):
@@ -386,15 +472,36 @@ class TestFigurePresets:
 
     def test_owned_keys_are_what_each_sweep_preset_varies(self, tmp_path):
         # the parameters a sweep preset sets per curve or axis, read from its jobs
-        for name, preset in cli.FIGURE_PRESETS.items():
+        for name in cli.FIGURE_PRESETS:
+            owned = {key for preset, key in PRESET_OWNED if preset == name}
+            assert cli._owned_keys(name) == owned, name
             if name == "fig22-threshold":
                 continue
-            jobs = preset(str(tmp_path), {})
+            jobs = cli._preset_jobs(name, str(tmp_path), {})
             varied = {key for key in cli.PARAM_COLUMNS
-                      if len({getattr(job.params, key) for job in jobs}) > 1}
-            varied |= {axis[0] for job in jobs for axis in job.axes}
-            assert varied == set(cli._PRESET_OWNED[name]), name
+                      if len({getattr(params, key) for params, _ in jobs}) > 1}
+            varied.add(cli.FIGURE_PRESETS[name][3][0])
+            assert varied == owned, name
         assert not os.listdir(tmp_path)
+
+    def test_preset_jobs_are_pinned(self, tmp_path):
+        assert list(cli.FIGURE_PRESETS) == list(PRESET_JOBS)
+        for name, (fixed, curves, axis, output) in PRESET_JOBS.items():
+            jobs = cli._preset_jobs(name, str(tmp_path), {})
+            assert jobs == [(ModelParams(**fixed, **curve), str(tmp_path / file))
+                            for file, curve in curves], name
+            assert cli.FIGURE_PRESETS[name][3:] == (axis, output), name
+        assert not os.listdir(tmp_path)
+
+    def test_threshold_preset_writes_its_pinned_files(self, tmp_path):
+        written = run_figure("fig22-threshold", str(tmp_path), {})
+        curves = PRESET_JOBS["fig22-threshold"][1]
+        assert written == [str(tmp_path / file) for file, _ in curves]
+        for path in written:
+            with open(path, newline="") as fh:
+                lines = fh.readlines()
+            assert lines[0] == "Delta,T_threshold,n_brackets\r\n"
+            assert len(lines) == 82
 
     def test_fig22_kernel_calls_stay_within_a_sweep_size(self, tmp_path, monkeypatch):
         sizes = []
@@ -457,7 +564,7 @@ class TestMainEntry:
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         nan_state = XState(0.5, 0.25, 0.25, float("nan"), 0.0)
-        monkeypatch.setattr(cli, "impurity_density_matrix", lambda p, impurity: nan_state)
+        monkeypatch.setattr(cli, "limit_states", lambda **kw: nan_state.column())
         code = cli.main(["point", "--set", "quantities=rho_elements"])
         assert code == 3
 
@@ -520,13 +627,31 @@ class TestMainEntry:
         assert f"{key!r}" in err and f"{argv[0]!r}" in err
         assert not os.listdir(tmp_path)
 
-    @pytest.mark.parametrize("preset,key", [
-        (preset, key) for preset, keys in cli._PRESET_OWNED.items() for key in keys])
+    @pytest.mark.parametrize("preset,key", PRESET_OWNED)
     def test_figure_rejects_overrides_the_preset_sets(self, preset, key, tmp_path, capsys):
         argv = ["figure", preset, "--set", f"{key}=0.3", "--out", str(tmp_path)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"{key!r}" in err and f"{preset!r}" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--t-max", "inf"],
+        ["sweep", "--set", "axis=T,0.1,inf,3"],
+        ["critical", "--b-max", "inf"],
+        ["critical", "--set", "delta_b=inf"],
+        ["point", "--set", "B=inf"],
+        ["point", "--set", "J=nan"],
+        ["point", "--set", "gamma=inf"],
+        ["figure", "fig3", "--set", "Delta=inf"],
+    ])
+    def test_non_finite_input_exit_code(self, argv, tmp_path, capsys):
+        if argv[0] in ("sweep", "figure"):
+            argv = argv + ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert "Traceback" not in captured.err and not captured.out
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("argv", [

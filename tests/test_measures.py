@@ -196,6 +196,14 @@ class TestFieldDerivative:
         with pytest.raises(ValueError):
             central_difference(lambda x: x, 1.0, 0.0)
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_rejects_non_finite_step(self, step):
+        p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.05)
+        with pytest.raises(ValueError, match="finite"):
+            qfi_field_derivative(p, delta_b=step)
+        with pytest.raises(ValueError, match="finite"):
+            measure_bundle(p, with_derivative=True, delta_b=step)
+
     def test_flat_deep_saturation(self):
         p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=10.0, T=0.05)
         assert abs(qfi_field_derivative(p)) <= 1e-6

@@ -11,6 +11,7 @@ from impurity_chain.model import (
     dimer_block,
     dimer_spectrum,
 )
+from impurity_chain.oracle import brute_force_density_matrix
 from impurity_chain.xfer import partition_function
 from conftest import draw_params
 
@@ -26,6 +27,12 @@ class TestParams:
     def test_rejects_nonpositive_temperature(self, T):
         with pytest.raises(ValueError):
             ModelParams(T=T)
+
+    @pytest.mark.parametrize("field", ["J", "Delta", "J0", "g1", "g2", "g3", "gamma", "B", "T"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams(**{field: value})
 
     def test_beta(self):
         assert ModelParams(T=0.25).beta == 4.0
@@ -260,6 +267,15 @@ class TestBoltzmannWeights:
         # positive; what is left to guard is 1/T itself
         with pytest.raises(OverflowRisk, match="1/T overflows"):
             partition_function(ModelParams(T=1e-310), 4)
+
+    def test_overflowing_inverse_temperature_raises(self):
+        # 1/T is inf below the smallest normal float; the scalar path raises
+        # as the kernel does instead of returning NaN weights
+        p = ModelParams(T=1e-310)
+        with pytest.raises(OverflowRisk, match="T=1e-310"):
+            boltzmann_weights(p)
+        with pytest.raises(OverflowRisk, match="1/T overflows"):
+            brute_force_density_matrix(p, 4)
 
     def test_family_minimum_shift_keeps_exponents_nonpositive(self, rng):
         for _ in range(20):

@@ -141,6 +141,12 @@ class TestTeleportOutput:
             out = teleport_output(ch, inp)
             assert np.abs(out.matrix - kraus_reference(ch, inp)).max() <= 1e-12
 
+    @pytest.mark.parametrize("ch", [XState(0.5, 0.5, 0.5, 0.5, 0.0),
+                                    XState(0.25, 0.25, 0.25, 0.25, 0.5)])
+    def test_invalid_channel_rejected(self, ch):
+        with pytest.raises(NotAState):
+            teleport_output(ch, InputState(theta=1.0))
+
     def test_output_is_hermitian_unit_trace(self, rng):
         for _ in range(50):
             out = teleport_output(draw_xstate(rng), random_input(rng))

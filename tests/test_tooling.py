@@ -1,4 +1,6 @@
-"""The package names the benchmark's traced run patches must keep existing.
+"""The package names the benchmark relies on must keep existing.
+
+The `presets` workload runs every figure preset by name, from its own list.
 
 `perfbench/tracing.py` wraps every `(module, function)` of its TRACED table by
 name and replaces `cli.concurrent.futures.ProcessPoolExecutor`; a deleted or
@@ -7,6 +9,7 @@ renamed name breaks `perfbench/run.py --trace 1`.  The file is loaded by path
 stays unpatched for the other tests.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -33,3 +36,13 @@ def test_every_traced_name_resolves():
 def test_cli_reaches_the_process_pool_through_concurrent_futures():
     cli = importlib.import_module("impurity_chain.cli")
     assert callable(cli.concurrent.futures.ProcessPoolExecutor)
+
+
+def test_benchmark_runs_every_figure_preset():
+    # perfbench/workloads.py is read, not imported: it would import the package
+    tree = ast.parse((TRACING.parent / "workloads.py").read_text())
+    presets = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(target, "id", None) == "PRESETS" for target in node.targets)]
+    cli = importlib.import_module("impurity_chain.cli")
+    assert presets == [tuple(cli.FIGURE_PRESETS)]

@@ -318,6 +318,16 @@ class TestLimitState:
         st.validate()
         assert st.r11 == pytest.approx(1.0, abs=1e-12)
 
+    def test_mirror_symmetry_where_w0_squared_underflows(self):
+        # B = 0 with w(0) ~ e^-600: 4 w0^2 is below the smallest normal
+        # float, yet s -> -s symmetry still requires r22 = r33, r11 = r44
+        p = ModelParams(J=1.0, Delta=0.0, J0=2.0, B=0.0, T=0.001)
+        st = impurity_density_matrix(p)
+        assert st.r22 == st.r33
+        assert st.r11 == st.r44
+        ring = finite_n_density_matrix(p, 400)
+        assert st.r22 == pytest.approx(ring.r22, abs=1e-12)
+
 
 class TestFiniteChain:
     def test_two_cells_against_enumeration(self, rng):

@@ -11,8 +11,8 @@ Configuration is plain `key = value` text (# comments), overridable with
 repeated --set key=value flags.  CSV output is RFC-4180 style with 17
 significant digits, byte-identical across reruns and worker counts.
 
-Exit codes: 0 success, 2 configuration error (including keys the subcommand
-does not use), 3 numerical failure (a non-finite result or a solver
+Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
+unwritable output path), 3 numerical failure (a non-finite result or a solver
 exception, reported with its parameter point), 4 nothing found (finders).
 """
 
@@ -144,8 +144,8 @@ class SweepRecord:
     values: dict[str, float]
 
 
-def run_point(p: ModelParams, quantities, impurity: bool = True,
-              delta_b: float = 1e-3, alt_correlators: bool = False) -> SweepRecord:
+def run_point(p: ModelParams, quantities, delta_b: float = 1e-3,
+              alt_correlators: bool = False) -> SweepRecord:
     """Evaluate the requested quantities at one parameter point.
 
     A batch of one of the sweep path, with the same bits as that point in a
@@ -156,7 +156,7 @@ def run_point(p: ModelParams, quantities, impurity: bool = True,
     if unknown:
         raise ConfigError(f"unknown quantities {unknown}; valid: {sorted(QUANTITY_COLUMNS)}")
     columns = {name: np.array([value]) for name, value in vars(p).items()}
-    values = _sweep_chunk((columns, quantities, impurity, delta_b, alt_correlators))
+    values = _sweep_chunk((columns, quantities, delta_b, alt_correlators))
     return SweepRecord(params=p, values={k: float(v[0]) for k, v in values.items()})
 
 
@@ -221,9 +221,9 @@ class SweepConfig:
 
 def _sweep_chunk(task) -> dict:
     """Every column of a contiguous run of grid points, in one kernel call."""
-    columns, quantities, impurity, delta_b, alt = task
-    states = limit_states(**columns, impurity=impurity)
-    qfi_db = qfi_dB_batch(columns, delta_b, impurity) if "qfi_dB" in quantities else None
+    columns, quantities, delta_b, alt = task
+    states = limit_states(**columns)
+    qfi_db = qfi_dB_batch(columns, delta_b) if "qfi_dB" in quantities else None
     values = _quantity_values(states, quantities, qfi_db, alt)
     _check_finite(values, lambda i: ModelParams(**{k: float(v[i]) for k, v in columns.items()}))
     return values
@@ -241,20 +241,26 @@ def _format(v: float) -> str:
 def _write_csv(path, header, template: str, rows) -> None:
     """A header line, then `template % row` for each row, with \\r\\n endings.
 
-    Writes to `path`, making its directory, or to stdout when path is None.
+    Writes to `path` (see _create), or to stdout when path is None.
     Every field is a name, an empty string or a finite number formatted with
     `%.16e` (_format's format) or `%d`; none needs quoting, so these are the
     bytes csv.writer would write.
     """
     line = template + "\r\n"
-    if path is None:
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        target = open(path, "w", newline="")
+    target = contextlib.nullcontext(sys.stdout) if path is None else _create(path, newline="")
     with target as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(line % row for row in rows)
+
+
+def _create(path: str, **kwargs):
+    """open(path, "w") after making its directory; a path that cannot be
+    written raises ConfigError naming it."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
@@ -262,19 +268,21 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
 
     Output bytes depend only on the configuration, not on the worker count:
     every point is computed independently of the batch it sits in, and with
-    workers > 1 each worker takes one contiguous chunk of the grid.
+    workers > 1 each worker takes one contiguous chunk of the grid.  With the
+    impurity off the kernel sees gamma = 0 and the CSV the configured gamma.
     """
     grid = cfg.grid()
+    evaluated = _with_impurity(grid, cfg.impurity)
     rows = len(grid["B"])
-    task = (cfg.quantities, cfg.impurity, cfg.delta_b, cfg.alt_correlators)
+    task = (cfg.quantities, cfg.delta_b, cfg.alt_correlators)
     if workers > 1:
         size = -(-rows // workers)
-        chunks = [{k: v[i:i + size] for k, v in grid.items()} for i in range(0, rows, size)]
+        chunks = [{k: v[i:i + size] for k, v in evaluated.items()} for i in range(0, rows, size)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_chunk, [(c, *task) for c in chunks]))
         values = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
     else:
-        values = _sweep_chunk((grid, *task))
+        values = _sweep_chunk((evaluated, *task))
 
     # fixed parameters are formatted once into the row template, every other
     # column is a %.16e slot
@@ -298,24 +306,12 @@ def _write_manifest(cfg: SweepConfig) -> None:
     lines.append(f"impurity = {'on' if cfg.impurity else 'off'}")
     lines.append(f"delta_b = {cfg.delta_b!r}")
     lines.append(f"out = {cfg.out}")
-    with open(cfg.out + ".manifest.txt", "w") as fh:
+    with _create(cfg.out + ".manifest.txt") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # finders
-
-def _states_along(p: ModelParams, name: str, values: np.ndarray, impurity: bool) -> np.ndarray:
-    """States at p with one parameter replaced by an array, in one kernel call."""
-    return limit_states(**dict(vars(p), **{name: values}), impurity=impurity)
-
-
-def _sign_flips(p: ModelParams, temps: np.ndarray, impurity: bool):
-    """C > 0 at each temperature, and the indices i where it differs from
-    i + 1; one batched call."""
-    positive = concurrence_batch(_states_along(p, "T", temps, impurity)) > 0.0
-    return positive, np.flatnonzero(positive[:-1] != positive[1:])
-
 
 def _check_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
@@ -329,10 +325,9 @@ def _check_range(name: str, bounds, floor: float = -math.inf) -> None:
         raise ConfigError(f"bad {name} range {tuple(bounds)}: need {floor:g} < lo < hi < inf")
 
 
-def concurrence_sign_brackets(p: ModelParams, t_range, impurity: bool = True,
-                              points: int = 64) -> int:
-    """Number of (C > 0) sign changes of C(T) on a uniform coarse scan."""
-    return len(_sign_flips(p, _axis_values(*t_range, points), impurity)[1])
+def concurrence_sign_brackets(p: ModelParams, t_range, points: int = 64) -> int:
+    """(C > 0) sign changes of C(T) on threshold_temperatures' scan, same ConfigErrors."""
+    return int(_coarse_scan([p], t_range, points)[2].sum())
 
 
 # most kernel points per coarse-scan call of threshold_temperatures: the
@@ -340,8 +335,26 @@ def concurrence_sign_brackets(p: ModelParams, t_range, impurity: bool = True,
 _SCAN_BLOCK = 601
 
 
-def threshold_temperatures(points, t_range, impurity: bool = True,
-                           points_per_scan: int = 64, tol: float = 1e-6):
+def _coarse_scan(points: list, t_range, count: int):
+    """The scan temperatures, C > 0 at each per point, its flips between neighbours
+    and the points' other parameters; at most 601 kernel points a call."""
+    _check_range("temperature", t_range, floor=0.0)
+    if count < 2:
+        raise ConfigError(f"points_per_scan must be at least 2, got {count!r}")
+    temps = _axis_values(*t_range, count)
+    params = {name: np.array([getattr(p, name) for p in points], dtype=float)
+              for name in PARAM_COLUMNS if name != "T"}
+    positive = np.empty((len(points), len(temps)), dtype=bool)
+    block = max(1, _SCAN_BLOCK // len(temps))
+    for start in range(0, len(points), block):
+        rows = slice(start, start + block)
+        block_params = {k: np.repeat(v[rows], len(temps)) for k, v in params.items()}
+        states = limit_states(**block_params, T=np.tile(temps, len(positive[rows])))
+        positive[rows] = (concurrence_batch(states) > 0.0).reshape(-1, len(temps))
+    return temps, positive, positive[:, :-1] != positive[:, 1:], params
+
+
+def threshold_temperatures(points, t_range, points_per_scan: int = 64, tol: float = 1e-6):
     """Largest temperature where the concurrence changes between zero and
     positive, for each parameter point (its own T is not used).
 
@@ -359,23 +372,9 @@ def threshold_temperatures(points, t_range, impurity: bool = True,
     (a ValueError) for a range that is not finite with 0 < lo < hi, a tol
     that is not positive and finite or a scan of fewer than 2 temperatures.
     """
-    _check_range("temperature", t_range, floor=0.0)
     _check_positive("tol", tol)
-    if points_per_scan < 2:
-        raise ConfigError(f"points_per_scan must be at least 2, got {points_per_scan!r}")
     points = list(points)
-    temps = _axis_values(*t_range, points_per_scan)
-    params = {name: np.array([getattr(p, name) for p in points], dtype=float)
-              for name in PARAM_COLUMNS if name != "T"}
-    positive = np.empty((len(points), points_per_scan), dtype=bool)
-    block = max(1, _SCAN_BLOCK // points_per_scan)
-    for start in range(0, len(points), block):
-        rows = slice(start, start + block)
-        block_params = {k: np.repeat(v[rows], points_per_scan) for k, v in params.items()}
-        states = limit_states(**block_params, T=np.tile(temps, len(positive[rows])),
-                              impurity=impurity)
-        positive[rows] = (concurrence_batch(states) > 0.0).reshape(-1, points_per_scan)
-    flips = positive[:, :-1] != positive[:, 1:]
+    temps, positive, flips, params = _coarse_scan(points, t_range, points_per_scan)
     counts = flips.sum(axis=1)
     found = np.flatnonzero(counts)
     last = points_per_scan - 2 - np.argmax(flips[found, ::-1], axis=1)
@@ -388,8 +387,7 @@ def threshold_temperatures(points, t_range, impurity: bool = True,
         if not active.size:
             break
         m = mid[active]
-        states = limit_states(**{k: v[active] for k, v in params.items()}, T=m,
-                              impurity=impurity)
+        states = limit_states(**{k: v[active] for k, v in params.items()}, T=m)
         keep = (concurrence_batch(states) > 0.0) == side[active]
         t_lo[active] = np.where(keep, m, t_lo[active])
         t_hi[active] = np.where(keep, t_hi[active], m)
@@ -399,19 +397,17 @@ def threshold_temperatures(points, t_range, impurity: bool = True,
     return thresholds, counts.tolist()
 
 
-def find_threshold_temperature(p: ModelParams, t_range, impurity: bool = True,
-                               points: int = 64, tol: float = 1e-6):
+def find_threshold_temperature(p: ModelParams, t_range, points: int = 64, tol: float = 1e-6):
     """Largest temperature where the concurrence changes between zero and positive.
 
     A batch of one of threshold_temperatures: coarse scan with `points`
     samples, then bisection of the last bracket down to `tol`.  Returns None
     when C is identically zero or strictly positive over the whole range.
     """
-    return threshold_temperatures([p], t_range, impurity, points, tol)[0][0]
+    return threshold_temperatures([p], t_range, points, tol)[0][0]
 
 
-def find_critical_field(p: ModelParams, b_range, target: str,
-                        impurity: bool = True, points: int = 64,
+def find_critical_field(p: ModelParams, b_range, target: str, points: int = 64,
                         tol: float = 1e-4, delta_b: float = 1e-3) -> float:
     """Field value extremizing the chosen functional inside b_range.
 
@@ -431,13 +427,13 @@ def find_critical_field(p: ModelParams, b_range, target: str,
 
     if target == "max_concurrence":
         def scan(b: np.ndarray) -> np.ndarray:
-            return -concurrence_batch(_states_along(p, "B", b, impurity))
+            return -concurrence_batch(limit_states(**dict(vars(p), B=b)))
     elif target == "qfi_min":
         def scan(b: np.ndarray) -> np.ndarray:
-            return qfi_batch(_states_along(p, "B", b, impurity))
+            return qfi_batch(limit_states(**dict(vars(p), B=b)))
     elif target == "dqfi_peak":
         def scan(b: np.ndarray) -> np.ndarray:
-            return -np.abs(qfi_dB_batch(dict(vars(p), B=b), delta_b, impurity))
+            return -np.abs(qfi_dB_batch(dict(vars(p), B=b), delta_b))
     else:
         raise ConfigError(f"unknown target {target!r}")
 
@@ -599,13 +595,22 @@ def parse_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
-def _parse_bool(key: str, value: str) -> bool:
+def _parse_impurity(mapping: dict[str, str]) -> bool:
+    value = mapping.get("impurity", "on")
     low = value.strip().lower()
-    if low in _TRUE_WORDS:
-        return True
-    if low in _FALSE_WORDS:
-        return False
-    raise ConfigError(f"{key}: expected on/off, got {value!r}")
+    if low not in _TRUE_WORDS + _FALSE_WORDS:
+        raise ConfigError(f"impurity: expected on/off, got {value!r}")
+    return low in _TRUE_WORDS
+
+
+def _with_impurity(params, impurity: bool):
+    """The parameters (a ModelParams or a sweep grid) the solver evaluates for
+    the `impurity` key: `off` is the homogeneous chain, the chain at gamma = 0."""
+    if impurity:
+        return params
+    if isinstance(params, ModelParams):
+        return replace(params, gamma=0.0)
+    return dict(params, gamma=np.zeros_like(params["gamma"]))
 
 
 def _parse_axis(text: str) -> tuple[str, float, float, int]:
@@ -666,7 +671,7 @@ def build_sweep_config(mapping: dict[str, str], alt_correlators: bool = False) -
         quantities=_parse_quantities(mapping, "concurrence"),
         out=mapping.get("out", "sweep.csv"),
         delta_b=_parse_delta_b(mapping),
-        impurity=_parse_bool("impurity", mapping.get("impurity", "on")),
+        impurity=_parse_impurity(mapping),
         alt_correlators=alt_correlators,
     )
 
@@ -747,9 +752,9 @@ def _cmd_point(args) -> int:
     mapping = _collect_mapping(args)
     params = build_params(mapping)
     quantities = _parse_quantities(mapping, ",".join(QUANTITY_COLUMNS))
-    impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
+    impurity = _parse_impurity(mapping)
     delta_b = _parse_delta_b(mapping)
-    record = run_point(params, quantities, impurity=impurity, delta_b=delta_b,
+    record = run_point(_with_impurity(params, impurity), quantities, delta_b=delta_b,
                        alt_correlators=args.debug_paper_correlators)
     row = tuple(vars(params).values()) + tuple(record.values.values())
     _write_csv(args.out, PARAM_COLUMNS + tuple(record.values),
@@ -769,9 +774,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_threshold(args) -> int:
     mapping = _collect_mapping(args)
-    params = build_params(mapping)
-    impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
-    t_th = find_threshold_temperature(params, (args.t_min, args.t_max), impurity=impurity)
+    params = _with_impurity(build_params(mapping), _parse_impurity(mapping))
+    t_th = find_threshold_temperature(params, (args.t_min, args.t_max))
     if t_th is None:
         print("none")
         return 4
@@ -781,12 +785,11 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_critical(args) -> int:
     mapping = _collect_mapping(args)
-    params = build_params(mapping)
-    impurity = _parse_bool("impurity", mapping.get("impurity", "on"))
+    params = _with_impurity(build_params(mapping), _parse_impurity(mapping))
     delta_b = _parse_delta_b(mapping)
     target = args.target.replace("-", "_")
     b_star = find_critical_field(params, (args.b_min, args.b_max), target,
-                                 impurity=impurity, tol=args.tol, delta_b=delta_b)
+                                 tol=args.tol, delta_b=delta_b)
     print(_format(b_star))
     return 0
 

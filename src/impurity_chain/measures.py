@@ -130,7 +130,7 @@ def central_difference(f, x, step: float):
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
-def qfi_dB_batch(params: dict, delta_b: float = 1e-3, impurity: bool = True) -> np.ndarray:
+def qfi_dB_batch(params: dict, delta_b: float = 1e-3) -> np.ndarray:
     """dF/dB by central difference over the full pipeline, at every point.
 
     `params` holds the keyword arguments of `limit_states`, with B an
@@ -139,7 +139,7 @@ def qfi_dB_batch(params: dict, delta_b: float = 1e-3, impurity: bool = True) -> 
     model (~0.05).
     """
     def f_of_b(b):
-        return qfi_batch(limit_states(**dict(params, B=b), impurity=impurity))
+        return qfi_batch(limit_states(**dict(params, B=b)))
 
     return central_difference(f_of_b, np.asarray(params["B"], dtype=float), delta_b)
 
@@ -174,14 +174,12 @@ def qfi(st: XState) -> float:
     return float(qfi_batch(st.column())[0])
 
 
-def qfi_field_derivative(p: ModelParams, delta_b: float = 1e-3,
-                         impurity: bool = True) -> float:
+def qfi_field_derivative(p: ModelParams, delta_b: float = 1e-3) -> float:
     """dF/dB at one parameter point (see qfi_dB_batch)."""
-    return float(qfi_dB_batch(dict(vars(p), B=np.array([p.B])), delta_b, impurity)[0])
+    return float(qfi_dB_batch(dict(vars(p), B=np.array([p.B])), delta_b)[0])
 
 
-def measure_bundle(p: ModelParams, impurity: bool = True,
-                   with_derivative: bool = False,
+def measure_bundle(p: ModelParams, with_derivative: bool = False,
                    delta_b: float = 1e-3) -> MeasureBundle:
     """Every measure of the thermal dimer state at one parameter point.
 
@@ -191,7 +189,7 @@ def measure_bundle(p: ModelParams, impurity: bool = True,
     if with_derivative and not 0.0 < delta_b < np.inf:
         raise ValueError(f"step must be positive and finite, got {delta_b}")
     fields = [p.B - delta_b, p.B, p.B + delta_b] if with_derivative else [p.B]
-    states = limit_states(**dict(vars(p), B=np.array(fields)), impurity=impurity)
+    states = limit_states(**dict(vars(p), B=np.array(fields)))
     fisher = qfi_batch(states)
     at = len(fields) // 2
     xx, zz = correlators_batch(states)

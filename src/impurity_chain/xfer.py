@@ -7,7 +7,9 @@ defect cell, so the defect dimer's unnormalized state is sum_s c(s) P(s):
 the defect's thermal cell matrices P(s), weighted by host coefficients c(s)
 that the rest of the chain supplies.  In the N-cell ring they are
 (M++, 2 M+-, M--) of M = W_h^(N-1); in the thermodynamic limit they are the
-host's dominant projector, (Q + D, 4 w0, Q - D).
+host's dominant projector, (Q + D, 4 w0, Q - D).  The defect's fields are
+those of the host scaled by 1 + gamma, so the homogeneous chain, whose
+defect cell is a host cell, is the chain at gamma = 0.
 
 One batched kernel computes both, and log Z_N with the ring: closed-form
 spectra, per-family energy shifts, host coefficients free of cancellation
@@ -99,10 +101,8 @@ class XState:
 _PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 # the sector axis of the kernel: nodal sums s = +1, 0, -1
 _SECTORS = np.array(SECTOR_VALUES, dtype=float)[:, None]
-# the family axis: host cells keep their fields, the second family is the
-# defect (fields scaled by 1 + gamma) or, without the impurity, the host again
+# the family axis: host cells keep their fields, the defect's are scaled by 1 + gamma
 _DEFECT_FAMILY = np.array([0.0, 1.0])[:, None, None]
-_HOST_FAMILY = np.array([0.0, 0.0])[:, None, None]
 # the smallest normal float: below it 1/T overflows, and 4 w0^2 underflows
 _TINY = float(np.finfo(float).tiny)
 # exp() overflows just above exp(709); stay clear of it
@@ -120,8 +120,6 @@ def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
     """Raise `error` naming the first point flagged in `bad` (points on the last axis)."""
     i = int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
     raise error(f"{message} at {_point_text(args, i)}")
-
-
 
 
 def _host_power(w1, w0, wm, k: int):
@@ -155,7 +153,7 @@ def _host_power(w1, w0, wm, k: int):
         base_log = 2.0 * base_log + step
 
 
-def _kernel(args, impurity: bool, ring: int | None = None):
+def _kernel(args, ring: int | None = None):
     """States (5, n) of the defect dimer, and log Z of the ring.
 
     `args` are the ModelParams fields as scalars or arrays broadcasting to
@@ -177,7 +175,7 @@ def _kernel(args, impurity: bool, ring: int | None = None):
     c = J / 2.0
     nodal = J0 * _SECTORS / 2.0
     f1 = g1 * B * _SECTORS / 2.0
-    scale = 1.0 + (_DEFECT_FAMILY if impurity else _HOST_FAMILY) * gamma
+    scale = 1.0 + _DEFECT_FAMILY * gamma
     b2 = g2 * B * scale
     b3 = g3 * B * scale
     outer = (b2 + b3) / 2.0
@@ -187,7 +185,7 @@ def _kernel(args, impurity: bool, ring: int | None = None):
     b = -zz - nodal - f1 + inner
     mean = 0.5 * (a + b)
     half_gap = 0.5 * np.hypot(a - b, 2.0 * c)
-    levels = np.empty((4,) + e00.shape)
+    levels = np.empty((4,) + np.broadcast_shapes(e00.shape, beta.shape))
     levels[0] = e00
     levels[1] = mean + half_gap
     levels[2] = mean - half_gap
@@ -196,14 +194,16 @@ def _kernel(args, impurity: bool, ring: int | None = None):
     cell_min = sector_min[1]
 
     # Boltzmann factors: host levels against the host family's minimum,
-    # defect cells against their own sector minimum
+    # defect cells against their own sector minimum; in place over the
+    # levels, which nothing reads afterwards, to allocate no array their size
     shift = sector_min.copy()
     shift[0] = np.minimum(np.minimum(shift[0, 0], shift[0, 1]), shift[0, 2])
-    exponents = -beta * (levels - shift)
+    exponents = np.subtract(levels, shift, out=levels)
+    exponents *= -beta
     if exponents.max() > _MAX_EXPONENT:
         _raise_at(OverflowRisk, f"Boltzmann exponent above {_MAX_EXPONENT:g}",
                   exponents > _MAX_EXPONENT, args)
-    factors = np.exp(exponents)
+    factors = np.exp(exponents, out=exponents)
     # each sector's Boltzmann sum, outer and central pairs apart, so that
     # mirror sectors (s = +-1 at B = 0) get bit-identical sums
     sums = (factors[0] + factors[3]) + (factors[1] + factors[2])
@@ -272,14 +272,13 @@ def _kernel(args, impurity: bool, ring: int | None = None):
     return num / tr_num, log_z
 
 
-def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T, impurity: bool = True) -> np.ndarray:
+def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     """Thermodynamic-limit defect-dimer states over broadcast parameter arrays.
 
     The arguments are the ModelParams fields as scalars or arrays that
     broadcast to one dimension of length n.  Returns a (5, n) array whose
     rows are the X-state elements r11, r22, r33, r44 and r23 of each point.
-    With impurity=False the defect cell is a host cell (the homogeneous
-    chain, identical to gamma = 0).
+    The homogeneous chain, whose defect cell is a host cell, is gamma = 0.
 
     Per point: the closed-form spectra of the host and defect dimer blocks
     in all three nodal sectors; host sector weights referenced to the host
@@ -295,7 +294,7 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T, impurity: bool = True) -
     mixture, or a trace that disagrees with the weight sum) naming the first
     failing point, and ValueError for a non-positive temperature.
     """
-    return _kernel((J, Delta, J0, g1, g2, g3, gamma, B, T), impurity)[0]
+    return _kernel((J, Delta, J0, g1, g2, g3, gamma, B, T))[0]
 
 
 def _column(p: ModelParams) -> np.ndarray:
@@ -303,15 +302,14 @@ def _column(p: ModelParams) -> np.ndarray:
     return np.array(list(vars(p).values()))[:, None]
 
 
-def impurity_density_matrix(p: ModelParams, impurity: bool = True) -> XState:
+def impurity_density_matrix(p: ModelParams) -> XState:
     """Exact thermodynamic-limit reduced density matrix of the defect dimer.
 
-    With impurity=False the defect cell is replaced by a host cell, which
-    gives the homogeneous chain's dimer state (identical to gamma = 0).
-    A batch of one of limit_states, with the same bits as that point in any
-    larger batch.
+    At gamma = 0 this is the homogeneous chain's dimer state.  A batch of
+    one of limit_states, with the same bits as that point in any larger
+    batch.
     """
-    return XState(*limit_states(*_column(p), impurity=impurity)[:, 0].tolist())
+    return XState(*limit_states(*_column(p))[:, 0].tolist())
 
 
 def partition_function(p: ModelParams, N: int) -> float:
@@ -324,10 +322,10 @@ def partition_function(p: ModelParams, N: int) -> float:
     that is not an integer >= 2.
     """
     _check_length(N)
-    return float(_kernel(_column(p), True, N)[1][0])
+    return float(_kernel(_column(p), N)[1][0])
 
 
-def finite_n_density_matrix(p: ModelParams, N: int, impurity: bool = True) -> XState:
+def finite_n_density_matrix(p: ModelParams, N: int) -> XState:
     """Exact N-cell periodic-chain reduced density matrix of the defect dimer.
 
     Every element is tr(P W_h^(N-1)) / tr(W_d W_h^(N-1)), with P the 2x2
@@ -336,11 +334,11 @@ def finite_n_density_matrix(p: ModelParams, N: int, impurity: bool = True) -> XS
     trace.  A batch of one of the shared kernel, which differs from the
     thermodynamic limit only in the host coefficients: (M++, 2 M+-, M--) of
     M = W_h^(N-1) by renormalised binary powering, with no subtraction.
-    With impurity=False the defect cell is a host cell.  Raises InvalidN for
-    N that is not an integer >= 2.
+    At gamma = 0 it is the homogeneous ring.  Raises InvalidN for N that is
+    not an integer >= 2.
     """
     _check_length(N)
-    return XState(*_kernel(_column(p), impurity, N)[0][:, 0].tolist())
+    return XState(*_kernel(_column(p), N)[0][:, 0].tolist())
 
 
 def _check_length(N) -> None:

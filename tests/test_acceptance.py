@@ -230,10 +230,10 @@ def test_criterion_7b_host_reentrant_thresholds():
     for delta in (0.2, 0.5, 0.8):
         p = ModelParams(**STANDARD, Delta=delta, J0=0.7, B=0.5, T=0.1)
         host_brackets[delta] = concurrence_sign_brackets(
-            p, t_range, impurity=True, points=64)
+            p, t_range, points=64)
         defect_brackets[delta] = concurrence_sign_brackets(
             ModelParams(**STANDARD, Delta=delta, J0=0.7, gamma=-0.8, B=0.5, T=0.1),
-            t_range, impurity=True, points=64)
+            t_range, points=64)
     ok = (any(n >= 2 for n in host_brackets.values())
           and all(n == 1 for n in defect_brackets.values()))
     assert report(

@@ -188,13 +188,14 @@ class TestRunPoint:
         assert rec.values["cout"] >= 0.98
         assert abs(rec.values["r23"]) == pytest.approx(0.5, abs=1e-3)
 
-    def test_gamma_zero_equals_impurity_off(self):
-        p = ModelParams(**STANDARD, Delta=0.7, J0=1.3, gamma=0.0, B=1.1, T=0.3)
-        quantities = ("concurrence", "coherence", "sxsx", "szsz", "qfi",
-                      "qfi_dB", "favg", "cout", "rho_elements")
-        on = run_point(p, quantities, impurity=True)
-        off = run_point(p, quantities, impurity=False)
-        assert on.values == off.values
+    def test_gamma_zero_equals_impurity_off(self, capsys):
+        printed = []
+        for impurity in ("on", "off"):
+            assert cli.main(["point", "--set", "Delta=0.7", "--set", "J0=1.3",
+                             "--set", "gamma=0", "--set", "B=1.1", "--set", "T=0.3",
+                             "--set", f"impurity={impurity}"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_unknown_quantity(self):
         with pytest.raises(ConfigError):
@@ -386,6 +387,8 @@ class TestThresholdFinder:
             threshold_temperatures([p], (0.02, 2.0), points_per_scan=points)
         with pytest.raises(ConfigError, match="points_per_scan"):
             find_threshold_temperature(p, (0.02, 2.0), points=points)
+        with pytest.raises(ConfigError, match="points_per_scan"):
+            concurrence_sign_brackets(p, (0.02, 2.0), points=points)
 
     def test_bisection_stops_at_adjacent_floats(self):
         # a tol below the spacing of floats ends when the midpoint is an end
@@ -406,6 +409,8 @@ class TestThresholdFinder:
     def test_range_must_be_finite_and_increasing(self, t_range):
         with pytest.raises(ConfigError, match="temperature range"):
             threshold_temperatures([ModelParams()], t_range)
+        with pytest.raises(ConfigError, match="temperature range"):
+            concurrence_sign_brackets(ModelParams(), t_range)
 
 
 class TestCriticalFieldFinder:
@@ -583,6 +588,50 @@ class TestMainEntry:
         code = cli.main(["point", "--set", "gama=-0.8", "--set", "B=1", "--set", "T=0.1"])
         assert code == 2
         assert "'gama'" in capsys.readouterr().err
+
+    def test_impurity_off_evaluates_gamma_zero(self, tmp_path, capsys):
+        # gamma = -0.8 is configured and written, the homogeneous chain (gamma = 0)
+        # is evaluated
+        fixed = ["--set", "Delta=0.5", "--set", "J0=0.7"]
+        n, g = len(cli.PARAM_COLUMNS), cli.PARAM_COLUMNS.index("gamma")
+
+        def run(command, *argv):
+            assert cli.main([command, *fixed, *argv]) == 0
+            return capsys.readouterr().out
+
+        off = run("point", "--set", "B=0.5", "--set", "T=0.1", "--set", "gamma=-0.8",
+                  "--set", "impurity=off").splitlines()[1].split(",")
+        zero = run("point", "--set", "B=0.5", "--set", "T=0.1").splitlines()[1].split(",")
+        assert off[n:] == zero[n:] and float(off[g]) == -0.8
+
+        quantities = "--set", "quantities=" + ",".join(QUANTITY_ORDER)
+        run("sweep", "--set", "T=0.1", "--set", "impurity=off", "--set", "axis=gamma -0.8 0.4 4",
+            "--set", "axis2=B 0 2 3", *quantities, "--out", str(tmp_path / "off.csv"))
+        run("sweep", "--set", "T=0.1", "--set", "axis=B 0 2 3", *quantities,
+            "--out", str(tmp_path / "zero.csv"))
+        off, zero = ([line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+                     for name in ("off.csv", "zero.csv"))
+        assert [row[n:] for row in off] == [row[n:] for row in zero] * 4
+        assert [float(row[g]) for row in off[::3]] == pytest.approx([-0.8, -0.4, 0.0, 0.4])
+        assert "impurity = off" in (tmp_path / "off.csv.manifest.txt").read_text().splitlines()
+
+        for argv in (["threshold", "--set", "B=1.0"],
+                     ["critical", "--set", "T=0.05", "--target", "dqfi-peak"]):
+            assert run(*argv, "--set", "gamma=-0.8", "--set", "impurity=off") == run(*argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "axis=B 0 1 3", "--out"],
+        ["point", "--out"],
+        ["figure", "fig3", "--out"],
+    ])
+    def test_unwritable_output_path_exit_code(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = str(blocker if argv[0] == "figure" else blocker / "x.csv")
+        assert cli.main(argv + [out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and out in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
     def test_library_exception_exit_code(self, capsys):
         code = cli.main(["point", "--set", "T=1e-310", "--set", "B=1"])

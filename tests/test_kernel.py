@@ -107,13 +107,6 @@ class TestBatchIndependence:
             assert spin_correlators_shortcut(st) == (xs[i], zs[i])
             assert output_concurrence(st, inp) == cout[i]
 
-    def test_gamma_zero_equals_host_cells_bitwise(self, rng):
-        grid = random_grid(rng)
-        grid["gamma"] = np.zeros(121)
-        on = limit_states(**grid, impurity=True)
-        off = limit_states(**grid, impurity=False)
-        assert on.tobytes() == off.tobytes()
-
 
 class TestGuards:
     def test_error_names_the_first_failing_point(self):

@@ -124,6 +124,18 @@ def _quantity_values(states: np.ndarray, quantities, qfi_db, alt: bool) -> dict:
     return values
 
 
+def _check_quantities(quantities) -> None:
+    """Raise ConfigError for an empty list of quantities, or naming an unknown
+    or repeated entry."""
+    if not quantities:
+        raise ConfigError("no quantities requested")
+    for i, q in enumerate(quantities):
+        if q not in QUANTITY_COLUMNS:
+            raise ConfigError(f"unknown quantity {q!r}; valid: {', '.join(QUANTITY_COLUMNS)}")
+        if q in quantities[:i]:
+            raise ConfigError(f"quantity {q!r} requested twice")
+
+
 def _check_finite(values: dict, point_at) -> None:
     """Raise NonFiniteError naming the first point with a non-finite column."""
     finite = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
@@ -149,12 +161,11 @@ def run_point(p: ModelParams, quantities, delta_b: float = 1e-3,
     """Evaluate the requested quantities at one parameter point.
 
     A batch of one of the sweep path, with the same bits as that point in a
-    sweep; raises NonFiniteError (with the point attached) if any output
+    sweep; raises ConfigError for an empty list or an unknown or repeated
+    quantity, and NonFiniteError (with the point attached) if any output
     fails to be finite.
     """
-    unknown = [q for q in quantities if q not in QUANTITY_COLUMNS]
-    if unknown:
-        raise ConfigError(f"unknown quantities {unknown}; valid: {sorted(QUANTITY_COLUMNS)}")
+    _check_quantities(quantities)
     columns = {name: np.array([value]) for name, value in vars(p).items()}
     values = _sweep_chunk((columns, quantities, delta_b, alt_correlators))
     return SweepRecord(params=p, values={k: float(v[0]) for k, v in values.items()})
@@ -191,11 +202,7 @@ class SweepConfig:
                 raise ConfigError(f"axis {name!r} needs finite start < stop")
             if name == "T" and not start > 0.0:
                 raise ConfigError(f"axis 'T' needs positive temperatures, got start {start!r}")
-        if not self.quantities:
-            raise ConfigError("no quantities requested")
-        unknown = [q for q in self.quantities if q not in QUANTITY_COLUMNS]
-        if unknown:
-            raise ConfigError(f"unknown quantities {unknown}")
+        _check_quantities(self.quantities)
         _check_positive("delta_b", self.delta_b)
 
     def columns(self) -> list[str]:
@@ -241,7 +248,8 @@ def _format(v: float) -> str:
 def _write_csv(path, header, template: str, rows) -> None:
     """A header line, then `template % row` for each row, with \\r\\n endings.
 
-    Writes to `path` (see _create), or to stdout when path is None.
+    Writes to `path` in a directory that _make_dir made, or to stdout when
+    path is None.
     Every field is a name, an empty string or a finite number formatted with
     `%.16e` (_format's format) or `%d`; none needs quoting, so these are the
     bytes csv.writer would write.
@@ -253,11 +261,18 @@ def _write_csv(path, header, template: str, rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def _create(path: str, **kwargs):
-    """open(path, "w") after making its directory; a path that cannot be
-    written raises ConfigError naming it."""
+def _make_dir(path: str) -> None:
+    """Make the directory of the output file `path`, before anything is
+    computed; one that cannot be made raises ConfigError naming the path."""
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _create(path: str, **kwargs):
+    """open(path, "w"); a path that cannot be written raises ConfigError naming it."""
+    try:
         return open(path, "w", **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
@@ -270,7 +285,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     every point is computed independently of the batch it sits in, and with
     workers > 1 each worker takes one contiguous chunk of the grid.  With the
     impurity off the kernel sees gamma = 0 and the CSV the configured gamma.
+    An output directory that cannot be made raises ConfigError before the
+    grid is computed; the files are written once every value is finite.
     """
+    _make_dir(cfg.out)
     grid = cfg.grid()
     evaluated = _with_impurity(grid, cfg.impurity)
     rows = len(grid["B"])
@@ -523,6 +541,8 @@ def _write_thresholds(jobs, axis, scan) -> list[str]:
     bracket count at every axis value.  The rows of all curves are one
     threshold_temperatures call, in one process."""
     name, start, stop, count = axis
+    for _, out in jobs:
+        _make_dir(out)
     values = _axis_values(start, stop, count).tolist()
     rows = [replace(params, **{name: v}) for params, _ in jobs for v in values]
     thresholds, counts = threshold_temperatures(rows, scan[1:])
@@ -754,6 +774,10 @@ def _cmd_point(args) -> int:
     quantities = _parse_quantities(mapping, ",".join(QUANTITY_COLUMNS))
     impurity = _parse_impurity(mapping)
     delta_b = _parse_delta_b(mapping)
+    # the configuration is checked whole before the output directory is made
+    _check_quantities(quantities)
+    if args.out is not None:
+        _make_dir(args.out)
     record = run_point(_with_impurity(params, impurity), quantities, delta_b=delta_b,
                        alt_correlators=args.debug_paper_correlators)
     row = tuple(vars(params).values()) + tuple(record.values.values())

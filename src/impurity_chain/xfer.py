@@ -12,11 +12,13 @@ those of the host scaled by 1 + gamma, so the homogeneous chain, whose
 defect cell is a host cell, is the chain at gamma = 0.
 
 One batched kernel computes both, and log Z_N with the ring: closed-form
-spectra, per-family energy shifts, host coefficients free of cancellation
-(binary powering over nonnegative entries for the ring, the smaller of
-Q -+ D as 4 w0^2 / (Q +- D) for the limit), log-domain mixing of the
-sectors and a trace-against-weight-sum check.  Nothing is divided by w0;
-the ring's coefficients involve no subtraction and the limit's only
+spectra, per-family energy shifts, host coefficients free of cancellation,
+log-domain mixing of the sectors and a trace-against-weight-sum check.  The
+limit's host coefficients and the defect's central eigenvectors come from
+one 2x2 eigenprojector (_projector) free of cancellation and of any mixing
+angle, so the kernel takes no trigonometric function; the ring's come from
+binary powering over nonnegative entries.  Nothing is divided by w0; the
+ring's coefficients involve no subtraction and the limit's only
 D = w(+1) - w(-1), so no state loses digits when host and defect favour
 different nodal sectors at low T.
 """
@@ -122,6 +124,29 @@ def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
     raise error(f"{message} at {_point_text(args, i)}")
 
 
+def _projector(x, y, z):
+    """g = hypot(d, 2y) with d = x - z, and (g + d, 2y, g - d), elementwise: the
+    eigenvalue gap of the symmetric [[x, y], [y, z]] and 2g times its upper
+    eigenprojector.  The smaller of g -+ d is 4y^2 / (g + |d|), never a
+    difference of close numbers ((2y / (g + |d|)) 2y where 4y^2 underflows);
+    at g = 0 the projector is (1, 0, 0), and nothing is divided by 0.
+    """
+    d = x - z
+    off = 2.0 * y
+    gap = np.hypot(d, off)
+    big = gap + np.abs(d)
+    square = off * off
+    # one-point calls pay per numpy operation, so the selects run only in
+    # batches where 4y^2 underflows somewhere (as it does wherever g = 0)
+    if square.min() < _TINY:
+        big = np.where(big > 0.0, big, 1.0)
+        small = np.where(square < _TINY, off / big * off, square / big)
+    else:
+        small = square / big
+    up = d >= 0.0
+    return gap, (np.where(up, big, small), off, np.where(up, small, big))
+
+
 def _host_power(w1, w0, wm, k: int):
     """Entries (M++, M+-, M--) of M = W^k, W = [[w1, w0], [w0, wm]], scaled to
     a largest entry of 1, and the log of that scale.
@@ -184,7 +209,8 @@ def _kernel(args, ring: int | None = None):
     a = -zz + nodal - f1 - inner
     b = -zz - nodal - f1 + inner
     mean = 0.5 * (a + b)
-    half_gap = 0.5 * np.hypot(a - b, 2.0 * c)
+    gap, central = _projector(a, c, b)
+    half_gap = 0.5 * gap
     levels = np.empty((4,) + np.broadcast_shapes(e00.shape, beta.shape))
     levels[0] = e00
     levels[1] = mean + half_gap
@@ -211,23 +237,14 @@ def _kernel(args, ring: int | None = None):
 
     coef = np.empty((3,) + w0.shape)
     if ring is None:
-        # dominant projector (Q + D, 4 w0, Q - D); the smaller of Q -+ D is
-        # 4 w0^2 / (Q +- D), never a difference of close numbers, and
-        # (4 w0 / (Q +- D)) w0 where 4 w0^2 underflows
-        d = w1 - wm
-        q = np.hypot(d, 2.0 * w0)
+        # the dominant projector, 2Q times: (Q + D, 2 w0, Q - D) with D = w1 - wm
+        q, (coef[0], m0, coef[2]) = _projector(w1, w0, wm)
         if not q.min() > 0.0:
             _raise_at(DegenerateGap, "all host sector weights vanished", ~(q > 0.0), args)
-        big = q + np.abs(d)
-        square = 4.0 * w0 * w0
-        small = np.where(square < _TINY, 4.0 * w0 / big * w0, square / big)
-        up = d >= 0.0
-        coef[0] = np.where(up, big, small)
-        coef[1] = 4.0 * w0
-        coef[2] = np.where(up, small, big)
     else:
         (coef[0], m0, coef[2]), log_scale = _host_power(w1, w0, wm, ring - 1)
-        coef[1] = 2.0 * m0
+    # the s = 0 sector takes both off-diagonal entries
+    coef[1] = 2.0 * m0
 
     # log-domain sector mixing: coefficient times exp(-beta * sector offset)
     ref = np.minimum(np.minimum(cell_min[0], cell_min[1]), cell_min[2])
@@ -239,18 +256,18 @@ def _kernel(args, ring: int | None = None):
                   top == -np.inf, args)
     gains = np.exp(logs - top)
 
-    # defect cell matrices sum_j e^{-beta(e_j - min)} |phi_j><phi_j|, whose
-    # central eigenvectors are (cos, sin) and (-sin, cos) of half the mixing angle
-    angle = 0.5 * np.arctan2(2.0 * c, a[1] - b[1])
-    co = np.cos(angle)
-    si = np.sin(angle)
+    # defect cell matrices sum_j e^{-beta(e_j - min)} |phi_j><phi_j|: the
+    # central pair's projectors are P / tr P and 1 - P / tr P, with P the
+    # upper one from _projector (tr P is 2g, and 1 where g = 0)
+    p11, p12, p22 = central[0][1], central[1], central[2][1]
+    trace = p11 + p22
     f00, f_up, f_down, f33 = factors[:, 1]
     cells = np.empty((5,) + f00.shape)
     cells[0] = f00
-    cells[1] = co * f_up * co + si * f_down * si
-    cells[2] = si * f_up * si + co * f_down * co
+    cells[1] = (p11 * f_up + p22 * f_down) / trace
+    cells[2] = (p22 * f_up + p11 * f_down) / trace
     cells[3] = f33
-    cells[4] = co * f_up * si - si * f_down * co
+    cells[4] = p12 * (f_up - f_down) / trace
     cells *= gains
     num = cells[:, 0] + cells[:, 1] + cells[:, 2]
     weighted = gains * sums[1]
@@ -283,11 +300,14 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     Per point: the closed-form spectra of the host and defect dimer blocks
     in all three nodal sectors; host sector weights referenced to the host
     family's own minimum; the cancellation-free sector coefficients
-    (Q + D, 4 w0, Q - D); and the defect's cell matrices, each referenced to
-    its own sector minimum and mixed in log domain, so that neither family
-    overflows or collapses to 0/0 when host and defect prefer different
-    nodal alignments.  Every point is computed by elementwise operations
-    alone, so its bits do not depend on the batch it is evaluated in.
+    (Q + D, 4 w0, Q - D) of the host's dominant eigenprojector; and the
+    defect's cell matrices, built from the eigenprojectors of its central
+    block by the same angle-free algebra (so J = 0, which ModelParams
+    rejects, gives the decoupled dimer), each referenced to its own sector
+    minimum and mixed in log domain, so that neither family overflows or
+    collapses to 0/0 when host and defect prefer different nodal
+    alignments.  Every point is computed by elementwise operations alone,
+    so its bits do not depend on the batch it is evaluated in.
 
     Raises OverflowRisk (a Boltzmann exponent past 700, or 1/T overflowing),
     DegenerateGap (vanishing host weights, a degenerate or non-finite sector

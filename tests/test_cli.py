@@ -173,6 +173,24 @@ class TestConfigParsing:
                         quantities=("concurrence",), out="x.csv")
 
 
+# an empty, a repeated or an unknown quantity, and what the error names
+BAD_QUANTITIES = [
+    ((), "no quantities"),
+    (("concurrence", "concurrence"), "'concurrence'"),
+    (("qfi", "rho_elements", "qfi"), "'qfi'"),
+    (("concurrence", "entropy"), "'entropy'"),
+]
+
+
+@pytest.mark.parametrize("quantities, named", BAD_QUANTITIES)
+def test_bad_quantity_list(quantities, named):
+    with pytest.raises(ConfigError, match=named):
+        run_point(ModelParams(), quantities)
+    with pytest.raises(ConfigError, match=named):
+        SweepConfig(params=ModelParams(), axes=(("B", 0.0, 1.0, 3),),
+                    quantities=quantities, out="x.csv")
+
+
 class TestRunPoint:
     def test_infinite_temperature_point(self):
         p = ModelParams(**STANDARD, gamma=-0.8, B=0.9, T=1e12)
@@ -623,8 +641,14 @@ class TestMainEntry:
         ["sweep", "--set", "axis=B 0 1 3", "--out"],
         ["point", "--out"],
         ["figure", "fig3", "--out"],
+        ["figure", "fig22-threshold", "--out"],
     ])
-    def test_unwritable_output_path_exit_code(self, argv, tmp_path, capsys):
+    def test_unwritable_output_path_exit_code(self, argv, tmp_path, capsys, monkeypatch):
+        # the output directory is made, or rejected, before the kernel runs
+        def kernel(**_):
+            raise AssertionError("the kernel ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "limit_states", kernel)
         blocker = tmp_path / "F"
         blocker.write_text("")
         out = str(blocker if argv[0] == "figure" else blocker / "x.csv")
@@ -632,6 +656,21 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error:") and out in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+    @pytest.mark.parametrize("quantities, named", BAD_QUANTITIES)
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "axis=B,0,1,3", "--out"],
+        ["point", "--out"],
+        ["point"],
+    ])
+    def test_bad_quantity_list_exit_code(self, argv, quantities, named, tmp_path, capsys):
+        if argv[-1] == "--out":
+            argv = argv + [str(tmp_path / "sub" / "X.csv")]
+        assert cli.main(argv + ["--set", "quantities=" + ",".join(quantities)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and named in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+        assert not os.listdir(tmp_path)
 
     def test_library_exception_exit_code(self, capsys):
         code = cli.main(["point", "--set", "T=1e-310", "--set", "B=1"])

@@ -1,6 +1,8 @@
 """The package names the benchmark relies on must keep existing.
 
 The `presets` workload runs every figure preset by name, from its own list.
+A traced run of a figure, a pooled sweep and a ring must report the layers
+that the benchmark's per-layer metrics read.
 
 `perfbench/tracing.py` wraps every `(module, function)` of its TRACED table by
 name and replaces `cli.concurrent.futures.ProcessPoolExecutor`; a deleted or
@@ -12,7 +14,13 @@ stays unpatched for the other tests.
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import impurity_chain
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +54,39 @@ def test_benchmark_runs_every_figure_preset():
                and any(getattr(target, "id", None) == "PRESETS" for target in node.targets)]
     cli = importlib.import_module("impurity_chain.cli")
     assert presets == [tuple(cli.FIGURE_PRESETS)]
+
+
+# run in a fresh interpreter, because install() patches the package and
+# concurrent.futures for the rest of the process
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+src, tracing_path, outdir = sys.argv[1:]
+sys.path.insert(0, src)
+import impurity_chain as ic
+import impurity_chain.cli as cli
+spec = importlib.util.spec_from_file_location("tracing", tracing_path)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+cli.run_figure("fig3", outdir, {})
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sweep", "--set", "axis=B 0 1 5", "--set", "axis2=T 0.1 1 3",
+                     "--workers", "2", "--out", outdir + "/grid.csv"])
+assert code == 0, code
+ic.finite_n_density_matrix(ic.ModelParams(B=0.5, T=0.3), 6)
+print(json.dumps({k: v for k, (v, _) in tracing.layer_metrics(tracer, 1).items()}))
+"""
+
+
+def test_traced_run_reports_sweep_and_pool_layers(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(impurity_chain.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, src, str(TRACING), str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    assert metrics["cli.run_sweep.self_us_per_row"] > 0.0
+    assert metrics["cli.run_sweep.pool_wait_ms"] > 0.0
+    assert metrics["xfer.finite_n_density_matrix.self_us"] > 0.0
+    assert len(os.listdir(tmp_path)) == 2 * 6 + 2   # fig3's 6 CSVs and the grid's, with manifests

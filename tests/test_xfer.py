@@ -1,5 +1,7 @@
+import decimal
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from impurity_chain.xfer import (
     NotAState,
     XState,
     _host_power,
+    _projector,
     finite_n_density_matrix,
     impurity_density_matrix,
+    limit_states,
     partition_function,
 )
 from conftest import draw_params, whole_range_scan
@@ -150,6 +154,87 @@ class TestTmEigen:
         m, _ = host_power(1.0, e, 0.5, 3)
         assert m[0, 1] == pytest.approx(1.75 * e, rel=1e-15)
         assert m[1, 1] == pytest.approx(0.125, rel=1e-15)
+
+
+def projector(x, y, z):
+    """The kernel's upper eigenprojector of [[x, y], [y, z]], divided by 2g, as (3, n)."""
+    gap, entries = _projector(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    return np.array(np.broadcast_arrays(*entries)) / (2.0 * gap)
+
+
+def dense_projector(x, y, z):
+    """The upper eigenvector's projector from np.linalg.eigh, as (3, n)."""
+    m = np.stack([np.stack([x, y], axis=-1), np.stack([y, z], axis=-1)], axis=-2)
+    v = np.linalg.eigh(m)[1][..., -1]
+    return np.array([v[:, 0] * v[:, 0], v[:, 0] * v[:, 1], v[:, 1] * v[:, 1]])
+
+
+def exact_projector(x, y, z):
+    """The same projector in 80-digit decimal arithmetic, rounded once, as (3, n).
+
+    The smaller of g -+ d is taken as 4y^2 / (g + |d|), which is exact in
+    exact arithmetic, so that it keeps all 80 digits down to y = 0."""
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for xi, yi, zi in zip(x, y, z):
+            xi, yi, zi = (decimal.Decimal(float(v)) for v in (xi, yi, zi))
+            d = xi - zi
+            g = (d * d + 4 * yi * yi).sqrt()
+            big = g + abs(d)
+            small = 4 * yi * yi / big
+            entries = (big, 2 * yi, small) if d >= 0 else (small, 2 * yi, big)
+            out.append([float(v / (2 * g)) for v in entries])
+    return np.array(out).T
+
+
+def assert_relative(got, want, rtol):
+    """Every entry within rtol of its own magnitude; zeros exactly."""
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want)), np.max(
+        np.abs(got - want) / np.where(want == 0.0, 1.0, np.abs(want)))
+
+
+class TestProjector:
+    """The one 2x2 eigenprojector of the host transfer matrix and the defect's
+    central block.  np.linalg.eigh is good to about 1e-15 of the largest entry,
+    not per entry (its entries below 1e-16 can be wholly wrong), so per entry
+    the kernel is held to an 80-digit decimal reference."""
+
+    def test_against_dense_and_exact_projectors(self, rng):
+        n = 2000
+        x, y, z = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        z[:100] = x[:100]        # d = 0
+        y[100:200] = 0.0         # y = 0, both signs of d
+        d = x - z
+        assert (d > 0.0).sum() > 500 and (d < 0.0).sum() > 500
+        got = projector(x, y, z)
+        assert np.abs(got - dense_projector(x, y, z)).max() <= 1e-15
+        assert_relative(got, exact_projector(x, y, z), 1e-15)
+        assert np.abs(got[:, :100]) == pytest.approx(np.full((3, 100), 0.5), rel=1e-15)
+        assert np.all(np.sign(got[1, :100]) == np.sign(y[:100]))
+        assert np.all(got[:, 100:200] == np.where(d[100:200] > 0.0, [[1.0], [0.0], [0.0]],
+                                                  [[0.0], [0.0], [1.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150])
+    def test_weak_coupling_down_to_underflow(self, scale):
+        # |y| << |d|: the small diagonal entry is about (y/d)^2, taken as
+        # 4y^2 / (g + |d|), and as (2y / (g + |d|)) 2y where 4y^2 underflows
+        # (at scale 1e-150, y <= 1e-155)
+        ratio = 10.0 ** -np.arange(1.0, 16.0)
+        d = np.repeat([[2.0], [-0.7]], len(ratio), axis=1).ravel() * scale
+        y = np.tile(ratio, 2) * np.abs(d) * np.where(np.arange(d.size) % 2, 1.0, -1.0)
+        x, z = 0.3 * scale + d, np.full(d.size, 0.3 * scale)
+        got = projector(x, y, z)
+        assert_relative(got, exact_projector(x, y, z), 1e-15)
+        assert np.abs(got - dense_projector(x, y, z)).max() <= 1e-15
+        if scale < 1.0:
+            assert (4.0 * y * y < np.finfo(float).tiny).sum() > 10
+
+    def test_zero_gap_is_the_first_basis_vector(self):
+        gap, entries = _projector(np.array([0.4, 0.0]), np.array([0.0, 0.0]),
+                                  np.array([0.4, 0.0]))
+        assert gap.tolist() == [0.0, 0.0]
+        assert [e.tolist() for e in entries] == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
 
 class TestPartitionFunction:
@@ -334,6 +419,61 @@ class TestLimitState:
         assert st.r11 == st.r44
         ring = finite_n_density_matrix(p, 400)
         assert st.r22 == pytest.approx(ring.r22, abs=1e-12)
+
+
+def decoupled_limit_states(B, **columns):
+    """Limit states at J = 0 by dense algebra, as (5, n).
+
+    Every cell matrix is then diagonal: e^(-(level - lowest) / T) of the model's
+    dimer blocks, read through a namespace because ModelParams rejects J = 0.
+    The host coefficients come from np.linalg.eigh of the host transfer matrix.
+    """
+    states = []
+    for values in zip(*columns.values()):
+        p = SimpleNamespace(**STANDARD, J=0.0, B=B, **dict(zip(columns, values)))
+
+        def cells(impurity):
+            levels = {s: np.diag(dimer_block(p, s, impurity)) for s in SECTOR_VALUES}
+            lowest = min(e.min() for e in levels.values())
+            return {s: np.exp(-(e - lowest) / p.T) for s, e in levels.items()}
+
+        host, defect = cells(False), cells(True)
+        w = {s: f.sum() for s, f in host.items()}
+        u = np.linalg.eigh(np.array([[w[1], w[0]], [w[0], w[-1]]]))[1][:, -1]
+        num = u[0] ** 2 * defect[1] + 2.0 * u[0] * u[1] * defect[0] + u[1] ** 2 * defect[-1]
+        states.append(np.append(num / num.sum(), 0.0))
+    return np.array(states).T
+
+
+@pytest.mark.parametrize("B", [0.0, 0.5])
+def test_decoupled_dimer_states(B):
+    # J = 0 (which ModelParams rejects, and limit_states takes) leaves the
+    # central block diagonal; at B = 0 and J0 = 0 its gap is 0 in the s = 0
+    # sector, and the defect's projector there divides nothing by 0
+    columns = dict(Delta=np.linspace(0.0, 2.0, 7), J0=np.linspace(-1.0, 1.0, 7),
+                   gamma=np.linspace(-1.0, 1.0, 7), T=np.linspace(0.05, 1.0, 7))
+    states = limit_states(J=np.zeros(7), **STANDARD, B=B, **columns)
+    assert np.abs(states - decoupled_limit_states(B, **columns)).max() <= 1e-15
+    assert np.all(states[4] == 0.0)
+
+
+def test_point_bits_do_not_depend_on_a_decoupled_neighbour(rng):
+    # a J = 0 point sends its whole batch through the projector's selects,
+    # which leave every other point's bits as they are alone
+    grid = {k: rng.uniform(0.1, 2.0, 50) for k in ("J", "Delta", "J0", "B", "T")}
+    alone = limit_states(**grid, **STANDARD, gamma=-0.8)
+    grid["J"] = np.append(grid["J"], 0.0)
+    grid.update({k: np.append(v, v[0]) for k, v in grid.items() if k != "J"})
+    assert limit_states(**grid, **STANDARD, gamma=-0.8)[:, :50].tobytes() == alone.tobytes()
+
+
+def test_host_guard_raises_before_dividing():
+    # J = 0, B = 0: the s = +-1 sectors tie and w(0) = 4 e^-1000 underflows, so
+    # the host has no dominant eigenvector; the guard names the point, with no
+    # numpy warning on the way
+    with pytest.raises(DegenerateGap, match="all host sector weights vanished at J=0.0"):
+        limit_states(J=np.zeros(2), Delta=1.0, J0=10.0, **STANDARD, gamma=0.0, B=0.0,
+                     T=0.005)
 
 
 class TestFiniteChain:

@@ -34,9 +34,7 @@ from .measures import (
     MeasureBundle,
     coherence_batch,
     concurrence_batch,
-    concurrence_x,
     correlators_batch,
-    l1_coherence,
     measure_bundle,
     qfi,
     qfi_batch,
@@ -47,12 +45,7 @@ from .measures import (
 from .teleport import (
     InputState,
     TeleportOutput,
-    average_fidelity,
     average_fidelity_batch,
-    beats_classical_bound,
-    bell_probabilities,
-    fidelity,
-    output_concurrence,
     output_concurrence_batch,
     teleport_output,
 )
@@ -85,14 +78,11 @@ __all__ = [
     "XState", "InvalidN", "DegenerateGap", "NotAState", "partition_function",
     "limit_states", "impurity_density_matrix", "finite_n_density_matrix",
     "TooLarge", "brute_force_density_matrix", "wootters_concurrence",
-    "MeasureBundle", "measure_bundle", "concurrence_x", "l1_coherence",
-    "spin_correlators", "qfi", "qfi_field_derivative",
-    "concurrence_batch", "coherence_batch", "correlators_batch", "qfi_batch",
-    "qfi_dB_batch",
-    "InputState", "TeleportOutput", "bell_probabilities",
-    "teleport_output", "output_concurrence", "fidelity", "average_fidelity",
+    "MeasureBundle", "measure_bundle", "spin_correlators", "qfi",
+    "qfi_field_derivative", "concurrence_batch", "coherence_batch",
+    "correlators_batch", "qfi_batch", "qfi_dB_batch",
+    "InputState", "TeleportOutput", "teleport_output",
     "output_concurrence_batch", "average_fidelity_batch",
-    "beats_classical_bound",
     "ConfigError", "NotFound", "SweepConfig", "run_point", "run_sweep",
     "threshold_temperatures", "find_threshold_temperature", "find_critical_field",
 ]

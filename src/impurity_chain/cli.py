@@ -46,7 +46,6 @@ __all__ = [
     "NotFound",
     "NonFiniteError",
     "SweepConfig",
-    "SweepRecord",
     "run_point",
     "run_sweep",
     "threshold_temperatures",
@@ -148,17 +147,9 @@ def _check_finite(values: dict, point_at) -> None:
 # ---------------------------------------------------------------------------
 # single point
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point: the parameters used plus every computed column."""
-
-    params: ModelParams
-    values: dict[str, float]
-
-
 def run_point(p: ModelParams, quantities, delta_b: float = 1e-3,
-              alt_correlators: bool = False) -> SweepRecord:
-    """Evaluate the requested quantities at one parameter point.
+              alt_correlators: bool = False) -> dict[str, float]:
+    """Every column of the requested quantities at one parameter point.
 
     A batch of one of the sweep path, with the same bits as that point in a
     sweep; raises ConfigError for an empty list or an unknown or repeated
@@ -168,7 +159,7 @@ def run_point(p: ModelParams, quantities, delta_b: float = 1e-3,
     _check_quantities(quantities)
     columns = {name: np.array([value]) for name, value in vars(p).items()}
     values = _sweep_chunk((columns, quantities, delta_b, alt_correlators))
-    return SweepRecord(params=p, values={k: float(v[0]) for k, v in values.items()})
+    return {k: float(v[0]) for k, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +254,10 @@ def _write_csv(path, header, template: str, rows) -> None:
 
 def _make_dir(path: str) -> None:
     """Make the directory of the output file `path`, before anything is
-    computed; one that cannot be made raises ConfigError naming the path."""
+    computed; a `path` that is a directory, or a directory that cannot be
+    made, raises ConfigError naming the path."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     except OSError as exc:
@@ -541,8 +535,6 @@ def _write_thresholds(jobs, axis, scan) -> list[str]:
     bracket count at every axis value.  The rows of all curves are one
     threshold_temperatures call, in one process."""
     name, start, stop, count = axis
-    for _, out in jobs:
-        _make_dir(out)
     values = _axis_values(start, stop, count).tolist()
     rows = [replace(params, **{name: v}) for params, _ in jobs for v in values]
     thresholds, counts = threshold_temperatures(rows, scan[1:])
@@ -559,8 +551,8 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 
     `overrides` may set any parameter the preset holds fixed; one it sets
     per curve, axis value or scan point raises ConfigError before any file
-    is written.  `workers` is the process count of each sweep preset; a
-    threshold preset runs in one process.
+    is written, as does a bad output path.  `workers` is the process count
+    of each sweep preset; a threshold preset runs in one process.
     """
     if name not in FIGURE_PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(FIGURE_PRESETS)}")
@@ -571,6 +563,8 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
                               f"so it cannot be overridden")
     _, _, _, axis, output = FIGURE_PRESETS[name]
     jobs = _preset_jobs(name, outdir, overrides)
+    for _, out in jobs:
+        _make_dir(out)
     if output[0] in PARAM_COLUMNS:
         return _write_thresholds(jobs, axis, output)
     return [run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out),
@@ -778,10 +772,10 @@ def _cmd_point(args) -> int:
     _check_quantities(quantities)
     if args.out is not None:
         _make_dir(args.out)
-    record = run_point(_with_impurity(params, impurity), quantities, delta_b=delta_b,
+    values = run_point(_with_impurity(params, impurity), quantities, delta_b=delta_b,
                        alt_correlators=args.debug_paper_correlators)
-    row = tuple(vars(params).values()) + tuple(record.values.values())
-    _write_csv(args.out, PARAM_COLUMNS + tuple(record.values),
+    row = tuple(vars(params).values()) + tuple(values.values())
+    _write_csv(args.out, PARAM_COLUMNS + tuple(values),
                ",".join(["%.16e"] * len(row)), [row])
     return 0
 

@@ -7,9 +7,9 @@ coherence and the correlators are closed forms; the quantum Fisher
 information is the bipartite sum over the local orthonormal observable set
 sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, written in the X
 state's eigenbasis, whose eigenvalues and overlaps are closed forms of the
-five elements too: no matrix is built and no eigensolver runs.  The
-functions taking one XState are the same computations on a batch of one,
-with the same bits.
+five elements too: no matrix is built and no eigensolver runs.  The few
+one-point functions left (`spin_correlators`, `qfi`, `qfi_field_derivative`,
+`measure_bundle`) run the array functions on a batch of one, same bits.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ __all__ = [
     "correlators_shortcut_batch",
     "qfi_batch",
     "qfi_dB_batch",
-    "concurrence_x",
-    "l1_coherence",
     "spin_correlators",
-    "spin_correlators_shortcut",
     "qfi",
     "qfi_field_derivative",
     "central_difference",
@@ -147,25 +144,9 @@ def qfi_dB_batch(params: dict, delta_b: float = 1e-3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one state or one parameter point: batches of one
 
-def concurrence_x(st: XState) -> float:
-    """Wootters concurrence of an X state: 2*max(|r23| - sqrt(r11*r44), 0)."""
-    return float(concurrence_batch(st.column())[0])
-
-
-def l1_coherence(st: XState) -> float:
-    """Sum of absolute off-diagonal elements; for an X state just 2*|r23|."""
-    return float(coherence_batch(st.column())[0])
-
-
 def spin_correlators(st: XState) -> tuple[float, float]:
     """(<Sx Sx>, <Sz Sz>) of one state."""
     xx, zz = correlators_batch(st.column())
-    return float(xx[0]), float(zz[0])
-
-
-def spin_correlators_shortcut(st: XState) -> tuple[float, float]:
-    """The shortcut convention (r22/2, 1/4 - r23) of one state."""
-    xx, zz = correlators_shortcut_batch(st.column())
     return float(xx[0]), float(zz[0])
 
 

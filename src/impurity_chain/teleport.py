@@ -5,8 +5,10 @@ rho_out = sum_{ij} p_i p_j (sigma_i x sigma_j) rho_in (sigma_i x sigma_j)
 with p_i the Bell-basis populations of the channel state.  For an X-state
 channel and the one-parameter input family
 |psi_in> = cos(theta/2)|10> + e^{i phi} sin(theta/2)|01>
-everything collapses to closed forms.  The tests check them against the
-explicit 16-term Kraus composition, built independently.
+everything collapses to closed forms: the output state of one channel
+(`teleport_output`), and the output concurrence and average fidelity of
+(5, n) channel batches.  The tests check them against the explicit 16-term
+Kraus composition, built independently.
 """
 
 from __future__ import annotations
@@ -22,17 +24,10 @@ from .xfer import XState
 __all__ = [
     "InputState",
     "TeleportOutput",
-    "bell_probabilities",
     "teleport_output",
-    "output_concurrence",
     "output_concurrence_batch",
-    "fidelity",
-    "average_fidelity",
     "average_fidelity_batch",
-    "beats_classical_bound",
 ]
-
-CLASSICAL_FIDELITY_BOUND = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -52,14 +47,6 @@ class InputState:
     def input_concurrence(self) -> float:
         return abs(math.sin(self.theta))
 
-    def ket(self) -> np.ndarray:
-        amp = cmath.exp(1j * self.phi) * math.sin(0.5 * self.theta)
-        return np.array([0.0, amp, math.cos(0.5 * self.theta), 0.0], dtype=complex)
-
-    def density_matrix(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
-
 
 @dataclass(frozen=True)
 class TeleportOutput:
@@ -75,20 +62,6 @@ class TeleportOutput:
     g: float
     kappa: complex
     matrix: np.ndarray = field(repr=False)
-
-
-def bell_probabilities(ch: XState) -> tuple[float, float, float, float]:
-    """Bell-basis populations of the channel, ordered (Psi-, Phi-, Phi+, Psi+).
-
-    With |Psi+-> = (|01> +- |10>)/sqrt(2) and |Phi+-> = (|00> +- |11>)/sqrt(2):
-    p0 = (r22+r33)/2 - r23, p3 = (r22+r33)/2 + r23, p1 = p2 = (r11+r44)/2
-    (the X channel has no |00><11| coherence).  Raises NotAState for an
-    invalid channel.
-    """
-    ch.validate()
-    central = 0.5 * (ch.r22 + ch.r33)
-    outer = 0.5 * (ch.r11 + ch.r44)
-    return (central - ch.r23, outer, outer, central + ch.r23)
 
 
 def teleport_output(ch: XState, inp: InputState) -> TeleportOutput:
@@ -126,22 +99,6 @@ def output_concurrence_batch(states: np.ndarray, input_concurrence: float) -> np
     return 2.0 * np.maximum(value, 0.0)
 
 
-def output_concurrence(ch: XState, inp: InputState) -> float:
-    """Concurrence of the output state: 2*max(2 r23^2 C_in - |q1 q2|, 0)."""
-    return float(output_concurrence_batch(ch.column(), inp.input_concurrence)[0])
-
-
-def fidelity(ch: XState, inp: InputState) -> float:
-    """Teleportation fidelity <psi_in| rho_out |psi_in> in closed form.
-
-    F = sin^2(theta)/2 * [(r11+r44)^2 + 4 r23^2 - (r22+r33)^2] + (r22+r33)^2.
-    """
-    q_central = ch.r22 + ch.r33
-    q_outer = ch.r11 + ch.r44
-    bracket = q_outer ** 2 + 4.0 * ch.r23 ** 2 - q_central ** 2
-    return 0.5 * math.sin(inp.theta) ** 2 * bracket + q_central ** 2
-
-
 def average_fidelity_batch(states: np.ndarray) -> np.ndarray:
     """Fidelity averaged over the input family with the sphere measure.
 
@@ -154,13 +111,3 @@ def average_fidelity_batch(states: np.ndarray) -> np.ndarray:
     q_outer = r11 + r44
     bracket = q_outer ** 2 + 4.0 * r23 ** 2 - q_central ** 2
     return bracket / 3.0 + q_central ** 2
-
-
-def average_fidelity(ch: XState) -> float:
-    """Average fidelity of one channel (see average_fidelity_batch)."""
-    return float(average_fidelity_batch(ch.column())[0])
-
-
-def beats_classical_bound(ch: XState) -> bool:
-    """True when the channel teleports better than any classical protocol."""
-    return average_fidelity(ch) > CLASSICAL_FIDELITY_BOUND

@@ -93,6 +93,9 @@ class XState:
         return np.sort([self.r11, self.r44, mean + half_gap, mean - half_gap])
 
     def validate(self, trace_tol: float = 1e-12, psd_tol: float = 1e-12) -> "XState":
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise NotAState(f"element {name} = {value!r} is not finite")
         if abs(self.trace - 1.0) > trace_tol:
             raise NotAState(f"trace {self.trace!r} deviates from 1 beyond {trace_tol:g}")
         if float(self.eigenvalues()[0]) < -psd_tol:

@@ -30,6 +30,13 @@ def draw_xstate(rng) -> XState:
                   r33=float(diag[2]), r44=float(diag[3]), r23=r23)
 
 
+def of_state(batch_fn, st: XState, *args):
+    """An array measure of one state: `batch_fn` on its batch of one, taken
+    at that column (a tuple of values for a measure returning a tuple)."""
+    out = batch_fn(st.column(), *args)
+    return tuple(v[0] for v in out) if isinstance(out, tuple) else out[0]
+
+
 def random_grid(rng, n=121):
     """Parameter columns over the whole physical range, standard g-factors."""
     return dict(

@@ -12,12 +12,12 @@ from impurity_chain.cli import (
     find_critical_field,
     run_sweep,
 )
-from impurity_chain.measures import concurrence_x, qfi
+from impurity_chain.measures import concurrence_batch, qfi
 from impurity_chain.model import ModelParams
 from impurity_chain.oracle import brute_force_density_matrix, wootters_concurrence
-from impurity_chain.teleport import average_fidelity, teleport_output
+from impurity_chain.teleport import average_fidelity_batch, teleport_output
 from impurity_chain.xfer import XState, finite_n_density_matrix, impurity_density_matrix
-from conftest import draw_params, draw_xstate
+from conftest import draw_params, draw_xstate, of_state
 from test_measures import OBSERVABLES, random_pure_x
 from test_teleport import kraus_reference, quadrature_average_fidelity, random_input
 
@@ -39,7 +39,7 @@ def test_criterion_1_critical_field_reproduction():
     p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
     b_found = find_critical_field(p, (0.0, 3.0), "max_concurrence",
                                   points=128, tol=1e-7)
-    c_max = concurrence_x(impurity_density_matrix(ModelParams(
+    c_max = of_state(concurrence_batch, impurity_density_matrix(ModelParams(
         **STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01, B=b_found)))
     ok = (abs(b_found - B_QUOTED) <= 0.002
           and c_max >= 0.99
@@ -89,7 +89,7 @@ def test_criterion_2b_dqfi_extremum_location_j0_independent():
 
 def test_criterion_3_teleportation_optimum():
     def favg(b, gamma):
-        return average_fidelity(impurity_density_matrix(ModelParams(
+        return of_state(average_fidelity_batch, impurity_density_matrix(ModelParams(
             **STANDARD, Delta=0.5, J0=1.0, gamma=gamma, B=b, T=0.01)))
 
     at_critical = favg(B_QUOTED, -0.8)
@@ -139,7 +139,8 @@ def test_criterion_5_formula_cross_checks():
     rng = np.random.default_rng(57)
 
     worst_c = max(
-        abs(concurrence_x(st) - wootters_concurrence(st.to_matrix().astype(complex)))
+        abs(of_state(concurrence_batch, st)
+            - wootters_concurrence(st.to_matrix().astype(complex)))
         for st in (draw_xstate(rng) for _ in range(1000))
     )
     ok_c = worst_c <= 1e-10
@@ -152,7 +153,7 @@ def test_criterion_5_formula_cross_checks():
     ok_t = worst_t <= 1e-12
 
     worst_f = max(
-        abs(average_fidelity(ch) - quadrature_average_fidelity(ch))
+        abs(of_state(average_fidelity_batch, ch) - quadrature_average_fidelity(ch))
         for ch in (draw_xstate(rng) for _ in range(100))
     )
     ok_f = worst_f <= 1e-8

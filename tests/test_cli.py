@@ -27,9 +27,10 @@ from impurity_chain.cli import (
     run_sweep,
     threshold_temperatures,
 )
-from impurity_chain.measures import concurrence_x
+from impurity_chain.measures import concurrence_batch
 from impurity_chain.model import ModelParams
 from impurity_chain.xfer import XState, impurity_density_matrix, limit_states
+from conftest import of_state
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 QUANTITY_ORDER = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB", "favg",
@@ -106,8 +107,8 @@ PRESET_JOBS = {
 
 
 def concurrence_at(p):
-    """C of one point through the one-point API, the finders' scalar oracle."""
-    return concurrence_x(impurity_density_matrix(p))
+    """C of one point's limit state, the finders' scalar oracle."""
+    return of_state(concurrence_batch, impurity_density_matrix(p))
 
 
 class TestConfigParsing:
@@ -194,17 +195,17 @@ def test_bad_quantity_list(quantities, named):
 class TestRunPoint:
     def test_infinite_temperature_point(self):
         p = ModelParams(**STANDARD, gamma=-0.8, B=0.9, T=1e12)
-        rec = run_point(p, ("concurrence", "coherence", "favg"))
-        assert rec.values["concurrence"] == 0.0
-        assert rec.values["coherence"] == pytest.approx(0.0, abs=1e-10)
-        assert rec.values["favg"] == pytest.approx(0.25, abs=1e-10)
+        values = run_point(p, ("concurrence", "coherence", "favg"))
+        assert values["concurrence"] == 0.0
+        assert values["coherence"] == pytest.approx(0.0, abs=1e-10)
+        assert values["favg"] == pytest.approx(0.25, abs=1e-10)
 
     def test_critical_point_concurrence(self):
         p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, B=B_STAR, T=0.01)
-        rec = run_point(p, ("concurrence", "cout", "rho_elements"))
-        assert rec.values["concurrence"] >= 0.99
-        assert rec.values["cout"] >= 0.98
-        assert abs(rec.values["r23"]) == pytest.approx(0.5, abs=1e-3)
+        values = run_point(p, ("concurrence", "cout", "rho_elements"))
+        assert values["concurrence"] >= 0.99
+        assert values["cout"] >= 0.98
+        assert abs(values["r23"]) == pytest.approx(0.5, abs=1e-3)
 
     def test_gamma_zero_equals_impurity_off(self, capsys):
         printed = []
@@ -220,9 +221,9 @@ class TestRunPoint:
             run_point(ModelParams(), ("magnetization",))
 
     def test_alt_correlator_columns(self):
-        rec = run_point(ModelParams(B=0.5, T=0.5), ("sxsx", "szsz"), alt_correlators=True)
-        assert "sxsx_alt" in rec.values and "szsz_alt" in rec.values
-        assert rec.values["sxsx_alt"] != rec.values["sxsx"]
+        values = run_point(ModelParams(B=0.5, T=0.5), ("sxsx", "szsz"), alt_correlators=True)
+        assert "sxsx_alt" in values and "szsz_alt" in values
+        assert values["sxsx_alt"] != values["sxsx"]
 
     def test_non_finite_detection(self, monkeypatch):
         nan_state = XState(0.5, 0.25, 0.25, float("nan"), 0.0)
@@ -279,7 +280,7 @@ class TestRunSweep:
         assert open(cfg_on.out, "rb").read() == open(cfg_off.out, "rb").read()
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
-        # the row-template writer against csv.writer over run_point's values
+        # the row-template writer against csv.writer over run_point's columns
         quantities = list(QUANTITY_ORDER)
         out = str(tmp_path / "all.csv")
         code = cli.main(["sweep", "--set", "J=-1.3", "--set", "gamma=-0.6",
@@ -295,11 +296,11 @@ class TestRunSweep:
             for j in range(4):
                 p = ModelParams(**STANDARD, J=-1.3, Delta=0.4, J0=-0.9, gamma=-0.6,
                                 B=0.0 + (2.0 - 0.0) * i / 6, T=0.05 + (1.0 - 0.05) * j / 3)
-                rec = run_point(p, quantities, alt_correlators=True)
+                values = run_point(p, quantities, alt_correlators=True)
                 if not rows:
-                    writer.writerow(list(cli.PARAM_COLUMNS) + list(rec.values))
+                    writer.writerow(list(cli.PARAM_COLUMNS) + list(values))
                 rows.append([cli._format(getattr(p, c)) for c in cli.PARAM_COLUMNS]
-                            + [cli._format(v) for v in rec.values.values()])
+                            + [cli._format(v) for v in values.values()])
         writer.writerows(rows)
         assert open(out, "rb").read() == expected.getvalue().encode()
 
@@ -655,6 +656,15 @@ class TestMainEntry:
         assert cli.main(argv + [out]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error:") and out in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+        # an output file that is an existing directory: for a figure, its first CSV
+        out = tmp_path / "D"
+        target = out / PRESET_JOBS[argv[1]][1][0][0] if argv[0] == "figure" else out
+        target.mkdir(parents=True)
+        assert cli.main(argv + [str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and str(target) in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
     @pytest.mark.parametrize("quantities, named", BAD_QUANTITIES)

@@ -12,27 +12,14 @@ import numpy as np
 import pytest
 
 from impurity_chain.measures import (
-    coherence_batch,
-    concurrence_batch,
-    concurrence_x,
     correlators_batch,
-    correlators_shortcut_batch,
-    l1_coherence,
     qfi,
     qfi_batch,
     qfi_dB_batch,
     qfi_field_derivative,
     spin_correlators,
-    spin_correlators_shortcut,
 )
 from impurity_chain.model import ModelParams, OverflowRisk
-from impurity_chain.teleport import (
-    InputState,
-    average_fidelity,
-    average_fidelity_batch,
-    output_concurrence,
-    output_concurrence_batch,
-)
 from impurity_chain.xfer import XState, impurity_density_matrix, limit_states
 from conftest import random_grid, whole_range_scan
 
@@ -88,24 +75,13 @@ class TestBatchIndependence:
     def test_one_point_api_is_a_batch_of_one(self, rng):
         grid = random_grid(rng, 60)
         states = limit_states(**grid)
-        inp = InputState(theta=1.1)
-        columns = {
-            concurrence_x: concurrence_batch(states),
-            l1_coherence: coherence_batch(states),
-            qfi: qfi_batch(states),
-            average_fidelity: average_fidelity_batch(states),
-        }
+        fisher = qfi_batch(states)
         xx, zz = correlators_batch(states)
-        xs, zs = correlators_shortcut_batch(states)
-        cout = output_concurrence_batch(states, inp.input_concurrence)
         for i in range(60):
             st = impurity_density_matrix(point(grid, i))
             assert st == XState(*states[:, i].tolist())
-            for scalar, batch in columns.items():
-                assert scalar(st) == batch[i]
+            assert qfi(st) == fisher[i]
             assert spin_correlators(st) == (xx[i], zz[i])
-            assert spin_correlators_shortcut(st) == (xs[i], zs[i])
-            assert output_concurrence(st, inp) == cout[i]
 
 
 class TestGuards:

@@ -5,18 +5,18 @@ import pytest
 
 from impurity_chain.measures import (
     central_difference,
-    concurrence_x,
-    l1_coherence,
+    coherence_batch,
+    concurrence_batch,
+    correlators_shortcut_batch,
     measure_bundle,
     qfi,
     qfi_batch,
     qfi_field_derivative,
     spin_correlators,
-    spin_correlators_shortcut,
 )
 from impurity_chain.model import ModelParams
 from impurity_chain.xfer import XState, impurity_density_matrix, limit_states
-from conftest import draw_xstate, random_grid, whole_range_scan
+from conftest import draw_xstate, of_state, random_grid, whole_range_scan
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 
@@ -56,32 +56,32 @@ def random_pure_x(rng):
 
 class TestConcurrence:
     def test_bell_state(self):
-        assert concurrence_x(BELL_PSI_MINUS) == 1.0
+        assert of_state(concurrence_batch, BELL_PSI_MINUS) == 1.0
 
     def test_maximally_mixed(self):
-        assert concurrence_x(MAXIMALLY_MIXED) == 0.0
+        assert of_state(concurrence_batch, MAXIMALLY_MIXED) == 0.0
 
     def test_diagonal_states_are_separable(self, rng):
         for _ in range(20):
             st = draw_xstate(rng)
             diagonal = XState(st.r11, st.r22, st.r33, st.r44, 0.0)
-            assert concurrence_x(diagonal) == 0.0
+            assert of_state(concurrence_batch, diagonal) == 0.0
 
     def test_range(self, rng):
         for _ in range(200):
-            c = concurrence_x(draw_xstate(rng))
+            c = of_state(concurrence_batch, draw_xstate(rng))
             assert 0.0 <= c <= 1.0
 
 
 class TestCoherence:
     def test_bell_state(self):
-        assert l1_coherence(BELL_PSI_MINUS) == 1.0
+        assert of_state(coherence_batch, BELL_PSI_MINUS) == 1.0
 
     def test_diagonal_state(self):
-        assert l1_coherence(XState(0.4, 0.3, 0.2, 0.1, 0.0)) == 0.0
+        assert of_state(coherence_batch, XState(0.4, 0.3, 0.2, 0.1, 0.0)) == 0.0
 
     def test_is_twice_the_coherence(self):
-        assert l1_coherence(XState(0.1, 0.3, 0.3, 0.3, 0.3)) == pytest.approx(0.6)
+        assert of_state(coherence_batch, XState(0.1, 0.3, 0.3, 0.3, 0.3)) == pytest.approx(0.6)
 
 
 class TestCorrelators:
@@ -108,11 +108,11 @@ class TestCorrelators:
 
     def test_shortcut_variant(self):
         st = XState(0.1, 0.4, 0.3, 0.2, -0.15)
-        assert spin_correlators_shortcut(st) == (0.2, 0.4)
+        assert of_state(correlators_shortcut_batch, st) == (0.2, 0.4)
 
     def test_conventions_differ_generically(self, rng):
         st = draw_xstate(rng)
-        assert spin_correlators(st) != spin_correlators_shortcut(st)
+        assert spin_correlators(st) != of_state(correlators_shortcut_batch, st)
 
 
 class TestQfi:
@@ -232,8 +232,8 @@ class TestMeasureBundle:
         p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=0.8, T=0.3)
         st = impurity_density_matrix(p)
         bundle = measure_bundle(p, with_derivative=True)
-        assert bundle.concurrence == concurrence_x(st)
-        assert bundle.coherence_l1 == l1_coherence(st)
+        assert bundle.concurrence == of_state(concurrence_batch, st)
+        assert bundle.coherence_l1 == of_state(coherence_batch, st)
         assert (bundle.sxsx, bundle.szsz) == spin_correlators(st)
         assert bundle.qfi == qfi(st)
         assert bundle.qfi_dB == qfi_field_derivative(p)

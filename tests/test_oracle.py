@@ -9,8 +9,8 @@ from impurity_chain.oracle import (
     wootters_concurrence,
 )
 from impurity_chain.xfer import InvalidN, NotAState, finite_n_density_matrix
-from impurity_chain.measures import concurrence_x
-from conftest import draw_params, draw_xstate
+from impurity_chain.measures import concurrence_batch
+from conftest import draw_params, draw_xstate, of_state
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _FLIP = np.kron(_SY, _SY)
@@ -91,7 +91,7 @@ class TestWoottersConcurrence:
         for _ in range(200):
             st = draw_xstate(rng)
             generic = wootters_concurrence(st.to_matrix().astype(complex))
-            assert abs(generic - concurrence_x(st)) <= 1e-10
+            assert abs(generic - of_state(concurrence_batch, st)) <= 1e-10
 
     def test_flip_spectrum_noise_is_bounded(self, rng):
         # eigenvalues of R are nonnegative up to ~1e-12 noise for valid states

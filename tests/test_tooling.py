@@ -1,6 +1,8 @@
 """The package names the benchmark relies on must keep existing.
 
-The `presets` workload runs every figure preset by name, from its own list.
+The `presets` workload runs every figure preset by name, from its own list,
+and `perfbench/child.py` and `run.py` call the package as `ic.<name>` and
+`cli.<name>`; every such name must resolve.
 A traced run of a figure, a pooled sweep and a ring must report the layers
 that the benchmark's per-layer metrics read.
 
@@ -17,6 +19,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -54,6 +57,34 @@ def test_benchmark_runs_every_figure_preset():
                and any(getattr(target, "id", None) == "PRESETS" for target in node.targets)]
     cli = importlib.import_module("impurity_chain.cli")
     assert presets == [tuple(cli.FIGURE_PRESETS)]
+
+
+def package_attributes(path: pathlib.Path) -> set[tuple[str, str]]:
+    """("ic" or "cli", name) of every `ic.<name>` and `cli.<name>` a benchmark
+    file reads, in its code and in the code strings it runs in fresh
+    interpreters (their `{key!r}` format fields read as None)."""
+    trees = [ast.parse(path.read_text())]
+    for node in ast.walk(trees[0]):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                trees.append(ast.parse(re.sub(r"\{\w+!r\}", "None", node.value)))
+            except SyntaxError:
+                pass
+    return {(node.value.id, node.attr) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("ic", "cli")}
+
+
+def test_benchmark_entry_points_resolve():
+    # perfbench/child.py and run.py are read, not imported, like workloads.py
+    modules = {"ic": impurity_chain, "cli": importlib.import_module("impurity_chain.cli")}
+    missing = []
+    for name in ("child.py", "run.py"):
+        used = package_attributes(TRACING.parent / name)
+        assert used, f"no package attribute found in perfbench/{name}"
+        missing += [f"{name}: {mod}.{attr}" for mod, attr in sorted(used)
+                    if not hasattr(modules[mod], attr)]
+    assert not missing, f"benchmark entry points missing from impurity_chain: {missing}"
 
 
 # run in a fresh interpreter, because install() patches the package and

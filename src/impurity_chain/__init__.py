@@ -36,9 +36,9 @@ from .measures import (
     concurrence_batch,
     correlators_batch,
     measure_bundle,
+    measure_columns,
     qfi,
     qfi_batch,
-    qfi_dB_batch,
     qfi_field_derivative,
     spin_correlators,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "TooLarge", "brute_force_density_matrix", "wootters_concurrence",
     "MeasureBundle", "measure_bundle", "spin_correlators", "qfi",
     "qfi_field_derivative", "concurrence_batch", "coherence_batch",
-    "correlators_batch", "qfi_batch", "qfi_dB_batch",
+    "correlators_batch", "qfi_batch", "measure_columns",
     "InputState", "TeleportOutput", "teleport_output",
     "output_concurrence_batch", "average_fidelity_batch",
     "ConfigError", "NotFound", "SweepConfig", "run_point", "run_sweep",

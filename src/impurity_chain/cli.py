@@ -14,6 +14,7 @@ significant digits, byte-identical across reruns and worker counts.
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path), 3 numerical failure (a non-finite result or a solver
 exception, reported with its parameter point), 4 nothing found (finders).
+Every column, scan and bisection step is one `measures.measure_columns` call.
 """
 
 from __future__ import annotations
@@ -29,17 +30,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .measures import (
-    coherence_batch,
-    concurrence_batch,
-    correlators_batch,
-    correlators_shortcut_batch,
-    qfi_batch,
-    qfi_dB_batch,
-)
+from .measures import QUANTITY_COLUMNS, measure_columns
 from .model import ModelParams, OverflowRisk
-from .teleport import InputState, average_fidelity_batch, output_concurrence_batch
-from .xfer import DegenerateGap, InvalidN, NotAState, limit_states
+from .xfer import DegenerateGap, InvalidN, NotAState
 
 __all__ = [
     "ConfigError",
@@ -73,55 +66,11 @@ class NonFiniteError(ArithmeticError):
 PARAM_COLUMNS = ("J", "Delta", "J0", "g1", "g2", "g3", "gamma", "B", "T")
 SWEEPABLE = ("B", "T", "Delta", "J0", "gamma")
 
-QUANTITY_COLUMNS = {
-    "concurrence": ("concurrence",),
-    "coherence": ("coherence",),
-    "sxsx": ("sxsx",),
-    "szsz": ("szsz",),
-    "qfi": ("qfi",),
-    "qfi_dB": ("qfi_dB",),
-    "favg": ("favg",),
-    "cout": ("cout",),
-    "rho_elements": ("r11", "r22", "r33", "r44", "r23"),
-}
-ALT_CORRELATOR_COLUMNS = ("sxsx_alt", "szsz_alt")
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# quantities of state batches
-
-# the output concurrence is reported for the maximally entangled input
-_COUT_INPUT = InputState(theta=math.pi / 2.0)
-
-# quantity -> its column as an array function of (5, n) states; qfi_dB and
-# rho_elements are filled in by _quantity_values
-_MEASURES = {
-    "concurrence": concurrence_batch,
-    "coherence": coherence_batch,
-    "sxsx": lambda states: correlators_batch(states)[0],
-    "szsz": lambda states: correlators_batch(states)[1],
-    "qfi": qfi_batch,
-    "favg": average_fidelity_batch,
-    "cout": lambda states: output_concurrence_batch(states, _COUT_INPUT.input_concurrence),
-}
-
-
-def _quantity_values(states: np.ndarray, quantities, qfi_db, alt: bool) -> dict:
-    """Every requested column, one array each, in CSV column order."""
-    values = {}
-    for q in quantities:
-        if q == "rho_elements":
-            values.update(zip(QUANTITY_COLUMNS[q], states))
-        elif q == "qfi_dB":
-            values[q] = qfi_db
-        else:
-            values[q] = _MEASURES[q](states)
-    if alt:
-        values["sxsx_alt"], values["szsz_alt"] = correlators_shortcut_batch(states)
-    return values
-
+# quantities
 
 def _check_quantities(quantities) -> None:
     """Raise ConfigError for an empty list of quantities, or naming an unknown
@@ -189,25 +138,16 @@ class SweepConfig:
             seen.add(name)
             if count < 2:
                 raise ConfigError(f"axis {name!r} needs count >= 2, got {count}")
-            if not -math.inf < start < stop < math.inf:
-                raise ConfigError(f"axis {name!r} needs finite start < stop")
             if name == "T" and not start > 0.0:
                 raise ConfigError(f"axis 'T' needs positive temperatures, got start {start!r}")
+            _axis_values(name, start, stop, count)
         _check_quantities(self.quantities)
         _check_positive("delta_b", self.delta_b)
-
-    def columns(self) -> list[str]:
-        cols = list(PARAM_COLUMNS)
-        for q in self.quantities:
-            cols.extend(QUANTITY_COLUMNS[q])
-        if self.alt_correlators:
-            cols.extend(ALT_CORRELATOR_COLUMNS)
-        return cols
 
     def grid(self) -> dict[str, np.ndarray]:
         """Grid points in row order, last axis fastest like nested loops:
         one array per ModelParams field."""
-        values = [_axis_values(start, stop, count) for (_, start, stop, count) in self.axes]
+        values = [_axis_values(*axis) for axis in self.axes]
         if len(values) == 2:
             values = [np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0]))]
         n = len(values[0])
@@ -218,18 +158,26 @@ class SweepConfig:
 
 
 def _sweep_chunk(task) -> dict:
-    """Every column of a contiguous run of grid points, in one kernel call."""
+    """Every column of a contiguous run of grid points, in one evaluator call;
+    with `alt`, the shortcut correlators sxsx_alt and szsz_alt last."""
     columns, quantities, delta_b, alt = task
-    states = limit_states(**columns)
-    qfi_db = qfi_dB_batch(columns, delta_b) if "qfi_dB" in quantities else None
-    values = _quantity_values(states, quantities, qfi_db, alt)
+    requested = tuple(quantities) + (("sxsx_alt", "szsz_alt") if alt else ())
+    values = measure_columns(columns, requested, delta_b)
     _check_finite(values, lambda i: ModelParams(**{k: float(v[i]) for k, v in columns.items()}))
     return values
 
 
-def _axis_values(start: float, stop: float, count: int) -> np.ndarray:
-    """`count` evenly spaced values from start to stop inclusive."""
-    return start + (stop - start) * np.arange(count) / (count - 1)
+def _axis_values(name: str, start: float, stop: float, count: int,
+                 floor: float = -math.inf) -> np.ndarray:
+    """`count` >= 2 evenly spaced values from start to stop inclusive; a range
+    that is not increasing above `floor`, or a value that is not finite (the
+    ends, or an overflow between them), raises ConfigError naming the range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = start + (stop - start) * np.arange(count) / (count - 1)
+    if not (floor < start < stop and np.isfinite(values).all()):
+        raise ConfigError(f"bad {name} range ({start!r}, {stop!r}): need {floor:g} < lo < hi "
+                          f"and {count} finite values")
+    return values
 
 
 def _format(v: float) -> str:
@@ -279,10 +227,12 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     every point is computed independently of the batch it sits in, and with
     workers > 1 each worker takes one contiguous chunk of the grid.  With the
     impurity off the kernel sees gamma = 0 and the CSV the configured gamma.
-    An output directory that cannot be made raises ConfigError before the
-    grid is computed; the files are written once every value is finite.
+    An output or manifest path that cannot be written raises ConfigError
+    before the grid is computed; the files are written once every value is
+    finite.  The pool has no more processes than chunks or CPUs.
     """
     _make_dir(cfg.out)
+    _make_dir(cfg.out + ".manifest.txt")
     grid = cfg.grid()
     evaluated = _with_impurity(grid, cfg.impurity)
     rows = len(grid["B"])
@@ -290,7 +240,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     if workers > 1:
         size = -(-rows // workers)
         chunks = [{k: v[i:i + size] for k, v in evaluated.items()} for i in range(0, rows, size)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(len(chunks), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_sweep_chunk, [(c, *task) for c in chunks]))
         values = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
     else:
@@ -302,8 +253,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     template = ",".join(["%.16e" if c in axes else _format(getattr(cfg.params, c))
                          for c in PARAM_COLUMNS] + ["%.16e"] * len(values))
     columns = [grid[c].tolist() for c in PARAM_COLUMNS if c in axes]
-    columns += [values[c].tolist() for c in cfg.columns()[len(PARAM_COLUMNS):]]
-    _write_csv(cfg.out, cfg.columns(), template, zip(*columns))
+    columns += [v.tolist() for v in values.values()]
+    _write_csv(cfg.out, PARAM_COLUMNS + tuple(values), template, zip(*columns))
     _write_manifest(cfg)
     return cfg.out
 
@@ -330,39 +281,22 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _check_range(name: str, bounds, floor: float = -math.inf) -> None:
-    """A finder's scan range must be finite and increasing (and above floor)."""
-    lo, hi = bounds
-    if not floor < lo < hi < math.inf:
-        raise ConfigError(f"bad {name} range {tuple(bounds)}: need {floor:g} < lo < hi < inf")
-
-
 def concurrence_sign_brackets(p: ModelParams, t_range, points: int = 64) -> int:
     """(C > 0) sign changes of C(T) on threshold_temperatures' scan, same ConfigErrors."""
     return int(_coarse_scan([p], t_range, points)[2].sum())
 
 
-# most kernel points per coarse-scan call of threshold_temperatures: the
-# size of a preset sweep, which keeps the kernel's temporaries small
-_SCAN_BLOCK = 601
-
-
 def _coarse_scan(points: list, t_range, count: int):
     """The scan temperatures, C > 0 at each per point, its flips between neighbours
-    and the points' other parameters; at most 601 kernel points a call."""
-    _check_range("temperature", t_range, floor=0.0)
+    and the points' other parameters; one evaluator call for every point."""
     if count < 2:
         raise ConfigError(f"points_per_scan must be at least 2, got {count!r}")
-    temps = _axis_values(*t_range, count)
+    temps = _axis_values("temperature", *t_range, count, floor=0.0)
     params = {name: np.array([getattr(p, name) for p in points], dtype=float)
               for name in PARAM_COLUMNS if name != "T"}
-    positive = np.empty((len(points), len(temps)), dtype=bool)
-    block = max(1, _SCAN_BLOCK // len(temps))
-    for start in range(0, len(points), block):
-        rows = slice(start, start + block)
-        block_params = {k: np.repeat(v[rows], len(temps)) for k, v in params.items()}
-        states = limit_states(**block_params, T=np.tile(temps, len(positive[rows])))
-        positive[rows] = (concurrence_batch(states) > 0.0).reshape(-1, len(temps))
+    scan = {k: np.repeat(v, count) for k, v in params.items()}
+    concurrence = measure_columns(dict(scan, T=np.tile(temps, len(points))), ("concurrence",))
+    positive = (concurrence["concurrence"] > 0.0).reshape(-1, count)
     return temps, positive, positive[:, :-1] != positive[:, 1:], params
 
 
@@ -370,13 +304,11 @@ def threshold_temperatures(points, t_range, points_per_scan: int = 64, tol: floa
     """Largest temperature where the concurrence changes between zero and
     positive, for each parameter point (its own T is not used).
 
-    Every point gets a coarse scan of `points_per_scan` temperatures.  The
-    scans run whole points at a time in blocks of at most 601 kernel points
-    (9 points of 64 temperatures, the size of a preset sweep), which bounds
-    the kernel's working memory; every point's sign flips, their count and
-    its last bracket are then read from one (points, points_per_scan)
-    boolean array.  The last bracket of every point that has one is bisected
-    in lockstep, one kernel call per step over the points still active; a
+    Every point gets a coarse scan of `points_per_scan` temperatures, all in
+    one measure_columns call; every point's sign flips, their count and its
+    last bracket are then read from one (points, points_per_scan) boolean
+    array.  The last bracket of every point that has one is bisected in
+    lockstep, one evaluator call per step over the points still active; a
     point stops when its bracket is no wider than `tol` or its midpoint
     equals an end.  Returns (thresholds, bracket_counts): a threshold is
     None where C is identically zero or strictly positive on the scan, and
@@ -399,8 +331,9 @@ def threshold_temperatures(points, t_range, points_per_scan: int = 64, tol: floa
         if not active.size:
             break
         m = mid[active]
-        states = limit_states(**{k: v[active] for k, v in params.items()}, T=m)
-        keep = (concurrence_batch(states) > 0.0) == side[active]
+        step = measure_columns(dict({k: v[active] for k, v in params.items()}, T=m),
+                               ("concurrence",))
+        keep = (step["concurrence"] > 0.0) == side[active]
         t_lo[active] = np.where(keep, m, t_lo[active])
         t_hi[active] = np.where(keep, t_hi[active], m)
     thresholds = [None] * len(points)
@@ -419,6 +352,11 @@ def find_threshold_temperature(p: ModelParams, t_range, points: int = 64, tol: f
     return threshold_temperatures([p], t_range, points, tol)[0][0]
 
 
+# target -> (quantity, sign): find_critical_field minimizes sign * |quantity|
+_TARGETS = {"max_concurrence": ("concurrence", -1.0), "qfi_min": ("qfi", 1.0),
+            "dqfi_peak": ("qfi_dB", -1.0)}
+
+
 def find_critical_field(p: ModelParams, b_range, target: str, points: int = 64,
                         tol: float = 1e-4, delta_b: float = 1e-3) -> float:
     """Field value extremizing the chosen functional inside b_range.
@@ -432,24 +370,18 @@ def find_critical_field(p: ModelParams, b_range, target: str, points: int = 64,
     not positive and finite or a scan of fewer than 3 fields (an interior
     sample needs at least 3).
     """
-    _check_range("field", b_range)
     _check_positive("tol", tol)
     if points < 3:
         raise ConfigError(f"points must be at least 3, got {points!r}")
 
-    if target == "max_concurrence":
-        def scan(b: np.ndarray) -> np.ndarray:
-            return -concurrence_batch(limit_states(**dict(vars(p), B=b)))
-    elif target == "qfi_min":
-        def scan(b: np.ndarray) -> np.ndarray:
-            return qfi_batch(limit_states(**dict(vars(p), B=b)))
-    elif target == "dqfi_peak":
-        def scan(b: np.ndarray) -> np.ndarray:
-            return -np.abs(qfi_dB_batch(dict(vars(p), B=b), delta_b))
-    else:
+    if target not in _TARGETS:
         raise ConfigError(f"unknown target {target!r}")
+    quantity, sign = _TARGETS[target]
 
-    grid = _axis_values(*b_range, points)
+    def scan(b: np.ndarray) -> np.ndarray:
+        return sign * np.abs(measure_columns(dict(vars(p), B=b), (quantity,), delta_b)[quantity])
+
+    grid = _axis_values("field", *b_range, points)
     best = int(np.argmin(scan(grid)))
     if best in (0, points - 1):
         raise NotFound(f"{target} has no interior extremum in {b_range}")
@@ -535,7 +467,7 @@ def _write_thresholds(jobs, axis, scan) -> list[str]:
     bracket count at every axis value.  The rows of all curves are one
     threshold_temperatures call, in one process."""
     name, start, stop, count = axis
-    values = _axis_values(start, stop, count).tolist()
+    values = _axis_values(name, start, stop, count).tolist()
     rows = [replace(params, **{name: v}) for params, _ in jobs for v in values]
     thresholds, counts = threshold_temperatures(rows, scan[1:])
     cells = ["" if t is None else _format(t) for t in thresholds]
@@ -565,6 +497,8 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
     jobs = _preset_jobs(name, outdir, overrides)
     for _, out in jobs:
         _make_dir(out)
+        if output[0] not in PARAM_COLUMNS:
+            _make_dir(out + ".manifest.txt")
     if output[0] in PARAM_COLUMNS:
         return _write_thresholds(jobs, axis, output)
     return [run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out),

@@ -7,9 +7,11 @@ coherence and the correlators are closed forms; the quantum Fisher
 information is the bipartite sum over the local orthonormal observable set
 sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, written in the X
 state's eigenbasis, whose eigenvalues and overlaps are closed forms of the
-five elements too: no matrix is built and no eigensolver runs.  The few
-one-point functions left (`spin_correlators`, `qfi`, `qfi_field_derivative`,
-`measure_bundle`) run the array functions on a batch of one, same bits.
+five elements too: no matrix is built and no eigensolver runs.
+`measure_columns`, the one evaluator of every column over parameter points,
+takes the states, and those that dF/dB needs, from one `limit_states` call.
+The few one-point functions left (`spin_correlators`, `qfi`,
+`qfi_field_derivative`, `measure_bundle`) are batches of one, same bits.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
+from .teleport import average_fidelity_batch, output_concurrence_batch
 from .xfer import XState, limit_states
 
 __all__ = [
+    "measure_columns",
     "MeasureBundle",
     "measure_bundle",
     "concurrence_batch",
@@ -29,12 +33,23 @@ __all__ = [
     "correlators_batch",
     "correlators_shortcut_batch",
     "qfi_batch",
-    "qfi_dB_batch",
     "spin_correlators",
     "qfi",
     "qfi_field_derivative",
-    "central_difference",
 ]
+
+# quantity -> its columns, in CSV order
+QUANTITY_COLUMNS = {
+    "concurrence": ("concurrence",),
+    "coherence": ("coherence",),
+    "sxsx": ("sxsx",),
+    "szsz": ("szsz",),
+    "qfi": ("qfi",),
+    "qfi_dB": ("qfi_dB",),
+    "favg": ("favg",),
+    "cout": ("cout",),
+    "rho_elements": ("r11", "r22", "r33", "r44", "r23"),
+}
 
 # eigenvalue pairs with a + lambda below this fraction of the largest
 # eigenvalue lie outside the state's support and are skipped
@@ -69,9 +84,9 @@ def coherence_batch(states: np.ndarray) -> np.ndarray:
 
 
 def correlators_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<Sx Sx>, <Sz Sz>) = (r23/2, (r11 - r22 - r33 + r44)/4)."""
-    r11, r22, r33, r44, r23 = states
-    return r23 / 2.0, (r11 - r22 - r33 + r44) / 4.0
+    """(<Sx Sx>, <Sz Sz>) = (r23/2, (r11 - r22 - r33 + r44)/4): the sxsx and
+    szsz columns of measure_columns."""
+    return _COLUMNS["sxsx"](states), _COLUMNS["szsz"](states)
 
 
 def correlators_shortcut_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,25 +135,63 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
     return 4.0 * total
 
 
-def central_difference(f, x, step: float):
-    """Symmetric difference quotient (f(x+h) - f(x-h)) / 2h, O(h^2) accurate."""
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    return (f(x + step) - f(x - step)) / (2.0 * step)
+# column -> its array function of (5, n) states, but for qfi, qfi_dB and the
+# rho_elements rows; cout takes C_in = 1, the maximally entangled input, and
+# no quantity names the shortcut correlators sxsx_alt and szsz_alt
+_COLUMNS = {
+    "concurrence": concurrence_batch,
+    "coherence": coherence_batch,
+    "sxsx": lambda states: states[4] / 2.0,
+    "szsz": lambda states: (states[0] - states[1] - states[2] + states[3]) / 4.0,
+    "favg": average_fidelity_batch,
+    "cout": lambda states: output_concurrence_batch(states, 1.0),
+    "sxsx_alt": lambda states: correlators_shortcut_batch(states)[0],
+    "szsz_alt": lambda states: correlators_shortcut_batch(states)[1],
+}
 
 
-def qfi_dB_batch(params: dict, delta_b: float = 1e-3) -> np.ndarray:
-    """dF/dB by central difference over the full pipeline, at every point.
+def measure_columns(params: dict, quantities, delta_b: float = 1e-3) -> dict:
+    """Every column of the requested quantities at a batch of parameter points.
 
-    `params` holds the keyword arguments of `limit_states`, with B an
-    array; the states are rebuilt at B +- delta_b in one batched call each.
-    The default step resolves the field scales on which F varies in this
-    model (~0.05).
+    `params` holds the keyword arguments of `limit_states`, B broadcast
+    against the others; `quantities` are keys of QUANTITY_COLUMNS, or the
+    columns sxsx_alt and szsz_alt.  One limit_states call takes the fields
+    [B, B + delta_b, B - delta_b]: B if a quantity needs the points' own
+    states, the others for qfi_dB, the central difference (F(B + delta_b) -
+    F(B - delta_b)) / (2 delta_b) of one QFI evaluation over them all; the
+    default step resolves the field scales of F here (~0.05).  Returns
+    column -> array in request order; raises ValueError for a delta_b that
+    is not positive and finite when qfi_dB is requested.
     """
-    def f_of_b(b):
-        return qfi_batch(limit_states(**dict(params, B=b)))
-
-    return central_difference(f_of_b, np.asarray(params["B"], dtype=float), delta_b)
+    b = params["B"]
+    fields = [] if set(quantities) == {"qfi_dB"} else [b]
+    if "qfi_dB" in quantities:
+        if not 0.0 < delta_b < np.inf:
+            raise ValueError(f"step must be positive and finite, got {delta_b}")
+        fields += [b + delta_b, b - delta_b]
+    if len(fields) > 1:
+        # the parameters that vary repeat once per field, B takes each field
+        # broadcast to the n points in turn
+        n = np.broadcast(*params.values()).size
+        if n > 1:
+            params = {k: np.tile(v, len(fields)) if getattr(v, "size", 1) > 1 else v
+                      for k, v in params.items()}
+        params = dict(params, B=np.array(fields).ravel().repeat(
+            1 if getattr(b, "size", 1) == n else n))
+    states = limit_states(**params)
+    n = states.shape[1] // len(fields)
+    fisher = qfi_batch(states) if "qfi" in quantities or "qfi_dB" in quantities else None
+    at, columns = states[:, :n], {}
+    for q in quantities:
+        if q == "qfi_dB":
+            columns[q] = (fisher[-2 * n:-n] - fisher[-n:]) / (2.0 * delta_b)
+        elif q == "qfi":
+            columns[q] = fisher[:n]
+        elif q == "rho_elements":
+            columns.update(zip(QUANTITY_COLUMNS[q], at))
+        else:
+            columns[q] = _COLUMNS[q](at)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -156,29 +209,18 @@ def qfi(st: XState) -> float:
 
 
 def qfi_field_derivative(p: ModelParams, delta_b: float = 1e-3) -> float:
-    """dF/dB at one parameter point (see qfi_dB_batch)."""
-    return float(qfi_dB_batch(dict(vars(p), B=np.array([p.B])), delta_b)[0])
+    """dF/dB at one parameter point: a batch of one of measure_columns, one
+    kernel call of the two points B +- delta_b."""
+    return float(measure_columns(vars(p), ("qfi_dB",), delta_b)["qfi_dB"][0])
 
 
 def measure_bundle(p: ModelParams, with_derivative: bool = False,
                    delta_b: float = 1e-3) -> MeasureBundle:
     """Every measure of the thermal dimer state at one parameter point.
 
-    With the derivative, the states at B - delta_b, B and B + delta_b are
-    one batch of three.
+    A batch of one of measure_columns: with the derivative, the states at
+    B, B + delta_b and B - delta_b are one kernel call of three points.
     """
-    if with_derivative and not 0.0 < delta_b < np.inf:
-        raise ValueError(f"step must be positive and finite, got {delta_b}")
-    fields = [p.B - delta_b, p.B, p.B + delta_b] if with_derivative else [p.B]
-    states = limit_states(**dict(vars(p), B=np.array(fields)))
-    fisher = qfi_batch(states)
-    at = len(fields) // 2
-    xx, zz = correlators_batch(states)
-    return MeasureBundle(
-        concurrence=float(concurrence_batch(states)[at]),
-        coherence_l1=float(coherence_batch(states)[at]),
-        sxsx=float(xx[at]),
-        szsz=float(zz[at]),
-        qfi=float(fisher[at]),
-        qfi_dB=(float((fisher[2] - fisher[0]) / (2.0 * delta_b)) if with_derivative else None),
-    )
+    names = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB")
+    columns = measure_columns(vars(p), names if with_derivative else names[:-1], delta_b)
+    return MeasureBundle(*[float(v[0]) for v in columns.values()])

@@ -20,7 +20,7 @@ angle, so the kernel takes no trigonometric function; the ring's come from
 binary powering over nonnegative entries.  Nothing is divided by w0; the
 ring's coefficients involve no subtraction and the limit's only
 D = w(+1) - w(-1), so no state loses digits when host and defect favour
-different nodal sectors at low T.
+different nodal sectors at low T.  limit_states runs at most 601 points a call.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ _DEFECT_FAMILY = np.array([0.0, 1.0])[:, None, None]
 _TINY = float(np.finfo(float).tiny)
 # exp() overflows just above exp(709); stay clear of it
 _MAX_EXPONENT = 700.0
+# most points per kernel call of limit_states
+_BLOCK = 601
 
 
 def _point_text(args, index: int) -> str:
@@ -315,9 +317,17 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     Raises OverflowRisk (a Boltzmann exponent past 700, or 1/T overflowing),
     DegenerateGap (vanishing host weights, a degenerate or non-finite sector
     mixture, or a trace that disagrees with the weight sum) naming the first
-    failing point, and ValueError for a non-positive temperature.
+    failing point, and ValueError for a non-positive temperature.  Batches
+    are cut, in order, into kernel calls of at most 601 points (a preset
+    sweep), so an error names the first failing point in batch order.
     """
-    return _kernel((J, Delta, J0, g1, g2, g3, gamma, B, T))[0]
+    args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
+    n = np.broadcast(*args).size
+    if 0 < n <= _BLOCK:
+        return _kernel(args)[0]
+    args = np.broadcast_arrays(*args)
+    blocks = [_kernel([a[i:i + _BLOCK] for a in args])[0] for i in range(0, n, _BLOCK)]
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((5, 0))
 
 
 def _column(p: ModelParams) -> np.ndarray:
@@ -329,10 +339,10 @@ def impurity_density_matrix(p: ModelParams) -> XState:
     """Exact thermodynamic-limit reduced density matrix of the defect dimer.
 
     At gamma = 0 this is the homogeneous chain's dimer state.  A batch of
-    one of limit_states, with the same bits as that point in any larger
-    batch.
+    one of the kernel, with the same bits as that point in any batch of
+    limit_states.
     """
-    return XState(*limit_states(*_column(p))[:, 0].tolist())
+    return XState(*_kernel(_column(p))[0][:, 0].tolist())
 
 
 def partition_function(p: ModelParams, N: int) -> float:

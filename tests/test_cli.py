@@ -6,11 +6,12 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import impurity_chain
 
-from impurity_chain import cli
+from impurity_chain import cli, xfer
 from impurity_chain.cli import (
     ConfigError,
     NotFound,
@@ -29,7 +30,7 @@ from impurity_chain.cli import (
 )
 from impurity_chain.measures import concurrence_batch
 from impurity_chain.model import ModelParams
-from impurity_chain.xfer import XState, impurity_density_matrix, limit_states
+from impurity_chain.xfer import XState, impurity_density_matrix
 from conftest import of_state
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
@@ -157,6 +158,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("axis", [
         ("q", 0.0, 1.0, 5), ("B", 1.0, 0.0, 5), ("B", 0.0, 1.0, 1),
+        ("B", 0.0, 1e306, 601), ("B", -1e308, 1e308, 3),
     ])
     def test_axis_validation(self, axis):
         with pytest.raises(ConfigError):
@@ -227,7 +229,7 @@ class TestRunPoint:
 
     def test_non_finite_detection(self, monkeypatch):
         nan_state = XState(0.5, 0.25, 0.25, float("nan"), 0.0)
-        monkeypatch.setattr(cli, "limit_states", lambda **kw: nan_state.column())
+        monkeypatch.setattr(xfer, "_kernel", lambda args, ring=None: (nan_state.column(), None))
         with pytest.raises(NonFiniteError):
             run_point(ModelParams(), ("rho_elements",))
 
@@ -267,6 +269,37 @@ class TestRunSweep:
         run_sweep(cfg1, workers=1)
         run_sweep(cfg2, workers=2)
         assert open(cfg1.out, "rb").read() == open(cfg2.out, "rb").read()
+
+    @pytest.mark.parametrize("cpus, workers, processes", [
+        (4, 64, 4), (8, 64, 5), (None, 64, 1), (8, 3, 3),
+    ])
+    def test_pool_is_bounded_by_chunks_and_cpus(self, cpus, workers, processes, tmp_path,
+                                                monkeypatch):
+        # a fake pool records what the sweep asks for and maps serially,
+        # so no process is started
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        serial = self.make_config(tmp_path, name="serial.csv", axes=(("B", 0.0, 1.0, 5),))
+        pooled = self.make_config(tmp_path, name="pooled.csv", axes=(("B", 0.0, 1.0, 5),))
+        run_sweep(serial, workers=1)
+        run_sweep(pooled, workers=workers)
+        assert asked == [processes]
+        assert open(serial.out, "rb").read() == open(pooled.out, "rb").read()
 
     def test_gamma_zero_matches_homogeneous_model(self, tmp_path):
         base = ModelParams(**STANDARD, Delta=0.7, J0=1.0, gamma=0.0, T=0.15)
@@ -458,7 +491,7 @@ class TestCriticalFieldFinder:
             find_critical_field(ModelParams(), (0.0, 1.0), "entropy_peak")
 
     @pytest.mark.parametrize("b_range", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
-                                         (1.0, 1.0)])
+                                         (1.0, 1.0), (0.0, 1e307)])
     def test_range_must_be_finite_and_increasing(self, b_range):
         with pytest.raises(ConfigError, match="field range"):
             find_critical_field(ModelParams(), b_range, "max_concurrence")
@@ -528,17 +561,17 @@ class TestFigurePresets:
             assert len(lines) == 82
 
     def test_fig22_kernel_calls_stay_within_a_sweep_size(self, tmp_path, monkeypatch):
-        sizes = []
+        sizes, kernel = [], xfer._kernel
 
-        def recording(**kwargs):
-            sizes.append(len(kwargs["T"]))
-            return limit_states(**kwargs)
+        def recording(args, ring=None):
+            sizes.append(np.broadcast(*args).size)
+            return kernel(args, ring)
 
-        monkeypatch.setattr(cli, "limit_states", recording)
+        monkeypatch.setattr(xfer, "_kernel", recording)
         run_figure("fig22-threshold", str(tmp_path), {})
-        # 162 rows of 64 temperatures in blocks of 9 rows, then 15 lockstep
-        # bisection steps from a bracket of 1.19/63 down to 1e-6
-        assert sizes[:18] == [576] * 18
+        # 162 rows of 64 temperatures in kernel calls of 601 points, then 15
+        # lockstep bisection steps from a bracket of 1.19/63 down to 1e-6
+        assert sizes[:18] == [601] * 17 + [151]
         assert len(sizes) == 33
         assert max(sizes) <= 601
 
@@ -588,7 +621,7 @@ class TestMainEntry:
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         nan_state = XState(0.5, 0.25, 0.25, float("nan"), 0.0)
-        monkeypatch.setattr(cli, "limit_states", lambda **kw: nan_state.column())
+        monkeypatch.setattr(xfer, "_kernel", lambda args, ring=None: (nan_state.column(), None))
         code = cli.main(["point", "--set", "quantities=rho_elements"])
         assert code == 3
 
@@ -645,11 +678,11 @@ class TestMainEntry:
         ["figure", "fig22-threshold", "--out"],
     ])
     def test_unwritable_output_path_exit_code(self, argv, tmp_path, capsys, monkeypatch):
-        # the output directory is made, or rejected, before the kernel runs
-        def kernel(**_):
-            raise AssertionError("the kernel ran before the output path was checked")
+        # the output directory is made, or rejected, before anything is evaluated
+        def evaluator(*_, **__):
+            raise AssertionError("the evaluator ran before the output path was checked")
 
-        monkeypatch.setattr(cli, "limit_states", kernel)
+        monkeypatch.setattr(cli, "measure_columns", evaluator)
         blocker = tmp_path / "F"
         blocker.write_text("")
         out = str(blocker if argv[0] == "figure" else blocker / "x.csv")
@@ -666,6 +699,18 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error:") and str(target) in captured.err
         assert "Traceback" not in captured.err and not captured.out
+
+        # a sweep whose manifest path is an existing directory: no CSV is written
+        if argv[0] == "sweep" or argv[1] == "fig3":
+            out = tmp_path / "M"
+            csv_path = out / (PRESET_JOBS["fig3"][1][0][0] if argv[0] == "figure" else "x.csv")
+            manifest = out / (csv_path.name + ".manifest.txt")
+            manifest.mkdir(parents=True)
+            assert cli.main(argv + [str(out if argv[0] == "figure" else csv_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("configuration error:")
+            assert str(manifest) in captured.err and not captured.out
+            assert os.listdir(tmp_path / "M") == [manifest.name]
 
     @pytest.mark.parametrize("quantities, named", BAD_QUANTITIES)
     @pytest.mark.parametrize("argv", [
@@ -742,6 +787,9 @@ class TestMainEntry:
         ["point", "--set", "J=nan"],
         ["point", "--set", "gamma=inf"],
         ["figure", "fig3", "--set", "Delta=inf"],
+        ["sweep", "--set", "axis=B 0 1e306 601"],
+        ["sweep", "--set", "axis=B -1e308 1e308 3"],
+        ["critical", "--set", "T=0.05", "--b-max", "1e307"],
     ])
     def test_non_finite_input_exit_code(self, argv, tmp_path, capsys):
         if argv[0] in ("sweep", "figure"):

@@ -11,11 +11,12 @@ import itertools
 import numpy as np
 import pytest
 
+from impurity_chain import xfer
 from impurity_chain.measures import (
     correlators_batch,
+    measure_columns,
     qfi,
     qfi_batch,
-    qfi_dB_batch,
     qfi_field_derivative,
     spin_correlators,
 )
@@ -68,7 +69,7 @@ class TestBatchIndependence:
     def test_derivative_independent_of_batch(self, rng):
         grid = random_grid(rng, 40)
         grid["T"] = np.maximum(grid["T"], 0.05)
-        whole = qfi_dB_batch(grid)
+        whole = measure_columns(grid, ("qfi_dB",))["qfi_dB"]
         singles = [qfi_field_derivative(point(grid, i)) for i in range(40)]
         assert whole.tobytes() == np.array(singles).tobytes()
 
@@ -82,6 +83,35 @@ class TestBatchIndependence:
             assert st == XState(*states[:, i].tolist())
             assert qfi(st) == fisher[i]
             assert spin_correlators(st) == (xx[i], zz[i])
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [601, 602, 1202, 1500])
+    def test_blocked_batch_equals_single_points(self, n, monkeypatch):
+        grid = random_grid(np.random.default_rng(n), n)
+        sizes, kernel = [], xfer._kernel
+
+        def recording(args, ring=None):
+            sizes.append(np.broadcast(*args).size)
+            return kernel(args, ring)
+
+        monkeypatch.setattr(xfer, "_kernel", recording)
+        whole = limit_states(**grid)
+        assert sizes == [601] * (n // 601) + [n % 601] * (n % 601 > 0)
+        monkeypatch.setattr(xfer, "_kernel", kernel)
+        singles = np.stack([limit_states(**{k: v[i:i + 1] for k, v in grid.items()})[:, 0]
+                            for i in range(n)], axis=1)
+        assert whole.tobytes() == singles.tobytes()
+
+    def test_empty_batch(self):
+        assert limit_states(**{k: np.empty(0) for k in NAMES}).shape == (5, 0)
+
+    def test_error_names_the_failing_point_of_a_later_block(self):
+        fields = np.linspace(0.0, 3.0, 1000)
+        temps = np.full(1000, 0.1)
+        temps[[700, 900]] = 1e-310, 1e-320
+        with pytest.raises(OverflowRisk, match=f"B={float(fields[700])!r}, T=1e-310$"):
+            limit_states(1.0, 1.0, 1.0, 1.2, 5.0, 1.1, 0.0, fields, temps)
 
 
 class TestGuards:

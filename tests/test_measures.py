@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from impurity_chain import xfer
 from impurity_chain.measures import (
-    central_difference,
     coherence_batch,
     concurrence_batch,
     correlators_shortcut_batch,
     measure_bundle,
+    measure_columns,
     qfi,
     qfi_batch,
     qfi_field_derivative,
@@ -187,14 +188,50 @@ class TestQfi:
 
 
 class TestFieldDerivative:
-    def test_central_difference_is_exact_on_quadratics(self):
-        for b in (0.0, 0.7, 2.0):
-            d = central_difference(lambda x: x * x, b, 1e-3)
-            assert d == pytest.approx(2.0 * b, abs=1e-9)
-
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            central_difference(lambda x: x, 1.0, 0.0)
+            measure_columns(vars(ModelParams(B=1.0, T=0.5)), ("qfi_dB",), 0.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("inf"), float("nan")])
+    def test_step_is_checked_only_for_the_derivative(self, step):
+        params = vars(ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.05))
+        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+            measure_columns(params, ("qfi", "qfi_dB"), step)
+        columns = measure_columns(params, ("qfi", "rho_elements"), step)
+        assert list(columns) == ["qfi", "r11", "r22", "r33", "r44", "r23"]
+
+    @pytest.mark.parametrize("varied", [{}, {"B": np.linspace(0.0, 3.0, 41)},
+                                        {"T": np.linspace(0.02, 1.0, 41)},
+                                        {"B": np.array([0.7]), "T": np.linspace(0.02, 1.0, 41)},
+                                        {"B": np.empty(0)}, {"T": np.empty(0)}])
+    def test_derivative_is_the_difference_of_two_evaluations(self, varied):
+        # scalar B alone, B an array, scalar B and a one-point B broadcast
+        # against an array T, and empty batches
+        params = dict(vars(ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0,
+                                       T=0.05)), **varied)
+        b, step = params["B"], 1e-3
+        plus = qfi_batch(limit_states(**dict(params, B=b + step)))
+        minus = qfi_batch(limit_states(**dict(params, B=b - step)))
+        expected = ((plus - minus) / (2.0 * step)).tobytes()
+        for quantities in (("qfi_dB",), ("qfi", "qfi_dB"), ("concurrence", "qfi_dB", "qfi")):
+            columns = measure_columns(params, quantities, step)
+            assert columns["qfi_dB"].tobytes() == expected
+            assert list(columns) == list(quantities)
+        assert columns["qfi"].tobytes() == qfi_batch(limit_states(**params)).tobytes()
+
+    def test_one_point_paths_make_one_kernel_call(self, monkeypatch):
+        sizes, kernel = [], xfer._kernel
+
+        def recording(args, ring=None):
+            sizes.append(np.broadcast(*args).size)
+            return kernel(args, ring)
+
+        monkeypatch.setattr(xfer, "_kernel", recording)
+        p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=0.8, T=0.3)
+        measure_bundle(p, with_derivative=True)
+        qfi_field_derivative(p)
+        measure_bundle(p)
+        assert sizes == [3, 2, 1]
 
     @pytest.mark.parametrize("step", [float("inf"), float("nan")])
     def test_rejects_non_finite_step(self, step):

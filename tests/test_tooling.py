@@ -87,6 +87,36 @@ def test_benchmark_entry_points_resolve():
     assert not missing, f"benchmark entry points missing from impurity_chain: {missing}"
 
 
+def evaluator_or_exception(module: str, name: str) -> bool:
+    if name in ("measure_columns", "QUANTITY_COLUMNS"):
+        return True
+    value = getattr(importlib.import_module(f"impurity_chain.{module}"), name)
+    return isinstance(value, type) and issubclass(value, Exception)
+
+
+def test_cli_evaluates_through_the_one_evaluator():
+    # cli.py is read, not imported: of the state, measure and teleport
+    # modules it may import only the evaluator, its quantity table and
+    # exception classes, so every column goes through measure_columns
+    tree = ast.parse((pathlib.Path(impurity_chain.__file__).parent / "cli.py").read_text())
+    guarded = ("measures", "xfer", "teleport")
+    names, wrong = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            wrong += [a.name for a in node.names if a.name.split(".")[-1] in guarded]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("impurity_chain.")
+            for alias in node.names:
+                if module in guarded:
+                    names.append(alias.name)
+                    if not evaluator_or_exception(module, alias.name):
+                        wrong.append(f"{module}.{alias.name}")
+                elif alias.name in guarded:
+                    wrong.append(alias.name)
+    assert "measure_columns" in names
+    assert not wrong, f"cli imports more than the evaluator: {wrong}"
+
+
 # run in a fresh interpreter, because install() patches the package and
 # concurrent.futures for the rest of the process
 TRACED_RUN = """

@@ -12,7 +12,6 @@ field derivative, and standard-teleportation fidelities.
 __version__ = "0.1.0"
 
 from .model import (
-    DimerEigensystem,
     ModelParams,
     OverflowRisk,
     boltzmann_weights,
@@ -73,7 +72,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "__version__",
-    "ModelParams", "DimerEigensystem", "OverflowRisk",
+    "ModelParams", "OverflowRisk",
     "dimer_block", "dimer_spectrum", "boltzmann_weights",
     "XState", "InvalidN", "DegenerateGap", "NotAState", "partition_function",
     "limit_states", "impurity_density_matrix", "finite_n_density_matrix",

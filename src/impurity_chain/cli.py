@@ -138,9 +138,7 @@ class SweepConfig:
             seen.add(name)
             if count < 2:
                 raise ConfigError(f"axis {name!r} needs count >= 2, got {count}")
-            if name == "T" and not start > 0.0:
-                raise ConfigError(f"axis 'T' needs positive temperatures, got start {start!r}")
-            _axis_values(name, start, stop, count)
+            _axis_values(name, start, stop, count, floor=0.0 if name == "T" else -math.inf)
         _check_quantities(self.quantities)
         _check_positive("delta_b", self.delta_b)
 
@@ -202,14 +200,18 @@ def _write_csv(path, header, template: str, rows) -> None:
 
 def _make_dir(path: str) -> None:
     """Make the directory of the output file `path`, before anything is
-    computed; a `path` that is a directory, or a directory that cannot be
-    made, raises ConfigError naming the path."""
+    computed; a `path` that is a directory, a directory that cannot be made,
+    or no write permission (on the file if it exists, else on its directory)
+    raises ConfigError naming the path."""
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        raise ConfigError(f"cannot write {path}: permission denied")
 
 
 def _create(path: str, **kwargs):
@@ -607,10 +609,9 @@ def build_params(mapping: dict[str, str]) -> ModelParams:
 
 def build_sweep_config(mapping: dict[str, str], alt_correlators: bool = False) -> SweepConfig:
     params = build_params(mapping)
-    axes = []
-    for key in ("axis", "axis1", "axis2"):
-        if key in mapping:
-            axes.append(_parse_axis(mapping[key]))
+    if "axis" in mapping and "axis1" in mapping:
+        raise ConfigError("keys 'axis' and 'axis1' both name the first sweep axis; give one")
+    axes = [_parse_axis(mapping[key]) for key in ("axis", "axis1", "axis2") if key in mapping]
     if not axes:
         raise ConfigError("no sweep axis given (use 'axis = NAME START STOP COUNT')")
     return SweepConfig(

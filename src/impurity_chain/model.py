@@ -1,4 +1,4 @@
-"""Dimer Hamiltonian blocks, spectra and Boltzmann weights.
+"""Model parameters, dimer Hamiltonian blocks, and the oracle's spectra and weights.
 
 The chain alternates classical Ising "nodal" spins with quantum spin-1/2
 XXZ dimers.  Conditioned on the two nodal spins flanking a dimer, the cell
@@ -9,6 +9,9 @@ sectors s in {+1, 0, -1}.
 One designated dimer carries a field distortion: its two Zeeman fields are
 rescaled by (1 + gamma), which models a local magnetic defect.  Host and
 defect cells share the same exchange structure and differ only in fields.
+
+dimer_spectrum (a dense np.linalg.eigh) and boltzmann_weights are the
+enumeration oracle's scalar path; the solver's kernel in xfer calls neither.
 
 Units: |J| sets the energy scale, k_B = 1 and mu_0 = 1, so B and T are
 energies as well.
@@ -25,7 +28,6 @@ __all__ = [
     "OverflowRisk",
     "ModelParams",
     "SECTOR_VALUES",
-    "DimerEigensystem",
     "dimer_block",
     "dimer_spectrum",
     "boltzmann_weights",
@@ -107,44 +109,10 @@ def dimer_block(p: ModelParams, sector, impurity: bool = False) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class DimerEigensystem:
-    """Eigenvalues in ascending order with matching orthonormal eigenvector columns.
-
-    The outer basis states |00> and |11> are exact eigenstates and appear as
-    exact unit columns; the two remaining columns live in the {|01>, |10>}
-    plane.  Which column sits where follows the energy ordering.
-    """
-
-    energies: np.ndarray
-    vectors: np.ndarray
-
-
-def dimer_spectrum(H: np.ndarray) -> DimerEigensystem:
-    """Diagonalize a dimer block in closed form.
-
-    The central 2x2 block is solved through its mixing angle
-    theta = atan2(2*H12, H11 - H22), which stays well-conditioned for any
-    field or anisotropy: eigenvalues mean +- hypot(H11-H22, 2*H12)/2 and
-    eigenvectors (cos(theta/2), sin(theta/2)) / (-sin(theta/2), cos(theta/2)).
-    At a degenerate central block the ground vector is (|01> - |10>)/sqrt(2)
-    up to sign, i.e. equal magnitudes 1/sqrt(2).
-    """
-    a, b, c = H[1, 1], H[2, 2], H[1, 2]
-    mean = 0.5 * (a + b)
-    half_gap = 0.5 * math.hypot(a - b, 2.0 * c)
-    theta = math.atan2(2.0 * c, a - b)
-    co = math.cos(0.5 * theta)
-    si = math.sin(0.5 * theta)
-    energies = np.array([H[0, 0], mean + half_gap, mean - half_gap, H[3, 3]])
-    vectors = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, co, -si, 0.0],
-        [0.0, si, co, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    order = np.argsort(energies, kind="stable")
-    return DimerEigensystem(energies[order], vectors[:, order])
+def dimer_spectrum(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, vectors) by dense np.linalg.eigh: ascending eigenvalues with
+    orthonormal eigenvector columns, sharing none of the kernel's algebra."""
+    return np.linalg.eigh(H)
 
 
 def boltzmann_weights(p: ModelParams, impurity: bool = False) -> dict[int, float]:
@@ -158,6 +126,6 @@ def boltzmann_weights(p: ModelParams, impurity: bool = False) -> dict[int, float
     """
     if math.isinf(p.beta):
         raise OverflowRisk(f"1/T overflows at {p}")
-    energies = {s: dimer_spectrum(dimer_block(p, s, impurity)).energies for s in SECTOR_VALUES}
+    energies = {s: dimer_spectrum(dimer_block(p, s, impurity))[0] for s in SECTOR_VALUES}
     shift = min(float(e[0]) for e in energies.values())
     return {s: float(np.exp(-p.beta * (e - shift)).sum()) for s, e in energies.items()}

@@ -1,7 +1,8 @@
 """Brute-force references: configuration enumeration and generic concurrence.
 
 These routines take no shortcuts.  The finite-chain density matrix is summed
-over all 2^N classical nodal configurations, and the concurrence is computed
+over all 2^N classical nodal configurations, with every dimer block solved by
+a dense np.linalg.eigh (model.dimer_spectrum), and the concurrence is computed
 from the full spin-flip R matrix of an arbitrary two-qubit density matrix.
 They exist to validate the transfer-matrix and X-state closed forms, so they
 must stay independent of them.
@@ -70,9 +71,9 @@ def _cell_matrices(p: ModelParams, impurity: bool) -> dict[int, np.ndarray]:
     """Unnormalized thermal cell matrices sum_j e^{-beta(e_j - e_min)} |phi_j><phi_j|
     of each nodal sector, e_min the family's lowest level over the sectors."""
     spectra = {s: dimer_spectrum(dimer_block(p, s, impurity)) for s in SECTOR_VALUES}
-    shift = min(float(eig.energies[0]) for eig in spectra.values())
-    return {s: (eig.vectors * np.exp(-p.beta * (eig.energies - shift))) @ eig.vectors.T
-            for s, eig in spectra.items()}
+    shift = min(float(energies[0]) for energies, _ in spectra.values())
+    return {s: (vectors * np.exp(-p.beta * (energies - shift))) @ vectors.T
+            for s, (energies, vectors) in spectra.items()}
 
 
 def brute_force_density_matrix(p: ModelParams, N: int, impurity: bool = True,

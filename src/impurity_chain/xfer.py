@@ -92,13 +92,13 @@ class XState:
         half_gap = 0.5 * math.hypot(self.r22 - self.r33, 2.0 * self.r23)
         return np.sort([self.r11, self.r44, mean + half_gap, mean - half_gap])
 
-    def validate(self, trace_tol: float = 1e-12, psd_tol: float = 1e-12) -> "XState":
+    def validate(self) -> "XState":
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise NotAState(f"element {name} = {value!r} is not finite")
-        if abs(self.trace - 1.0) > trace_tol:
-            raise NotAState(f"trace {self.trace!r} deviates from 1 beyond {trace_tol:g}")
-        if float(self.eigenvalues()[0]) < -psd_tol:
+        if abs(self.trace - 1.0) > _TRACE_TOL:
+            raise NotAState(f"trace {self.trace!r} deviates from 1 beyond {_TRACE_TOL:g}")
+        if float(self.eigenvalues()[0]) < -_PSD_TOL:
             raise NotAState(f"negative eigenvalue {self.eigenvalues()[0]:.3e}")
         return self
 
@@ -114,6 +114,9 @@ _TINY = float(np.finfo(float).tiny)
 _MAX_EXPONENT = 700.0
 # most points per kernel call of limit_states
 _BLOCK = 601
+# XState.validate's bounds on |trace - 1| and on a negative eigenvalue
+_TRACE_TOL = 1e-12
+_PSD_TOL = 1e-12
 
 
 def _point_text(args, index: int) -> str:
@@ -330,11 +333,6 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     return np.concatenate(blocks, axis=1) if blocks else np.empty((5, 0))
 
 
-def _column(p: ModelParams) -> np.ndarray:
-    """The parameter point as kernel arguments of one point each."""
-    return np.array(list(vars(p).values()))[:, None]
-
-
 def impurity_density_matrix(p: ModelParams) -> XState:
     """Exact thermodynamic-limit reduced density matrix of the defect dimer.
 
@@ -342,7 +340,7 @@ def impurity_density_matrix(p: ModelParams) -> XState:
     one of the kernel, with the same bits as that point in any batch of
     limit_states.
     """
-    return XState(*_kernel(_column(p))[0][:, 0].tolist())
+    return XState(*_kernel(tuple(vars(p).values()))[0][:, 0].tolist())
 
 
 def partition_function(p: ModelParams, N: int) -> float:
@@ -355,7 +353,7 @@ def partition_function(p: ModelParams, N: int) -> float:
     that is not an integer >= 2.
     """
     _check_length(N)
-    return float(_kernel(_column(p), N)[1][0])
+    return float(_kernel(tuple(vars(p).values()), N)[1][0])
 
 
 def finite_n_density_matrix(p: ModelParams, N: int) -> XState:
@@ -371,7 +369,7 @@ def finite_n_density_matrix(p: ModelParams, N: int) -> XState:
     not an integer >= 2.
     """
     _check_length(N)
-    return XState(*_kernel(_column(p), N)[0][:, 0].tolist())
+    return XState(*_kernel(tuple(vars(p).values()), N)[0][:, 0].tolist())
 
 
 def _check_length(N) -> None:

@@ -595,6 +595,24 @@ class TestMainEntry:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["sweep", "--set", "T=-1", "--set", "axis=B 0 1 5"]) == 2
 
+    def test_axis_and_axis1_name_the_first_axis(self, tmp_path, capsys):
+        # axis1 alone is the first axis; with axis as well it is ambiguous
+        out = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--set", "axis1=B 0 1 3", "--set", "axis2=T 0.1 1 2",
+                         "--out", str(out)])
+        assert code == 0
+        manifest = (tmp_path / "s.csv.manifest.txt").read_text().splitlines()
+        assert "axis1 = B 0.0 1.0 3" in manifest and "axis2 = T 0.1 1.0 2" in manifest
+        capsys.readouterr()
+        both = tmp_path / "both"
+        code = cli.main(["sweep", "--set", "axis=B 0 1 3", "--set", "axis1=T 0.1 1 2",
+                         "--out", str(both / "s.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and not captured.out
+        assert "'axis'" in captured.err and "'axis1'" in captured.err
+        assert not both.exists()
+
     def test_threshold_none_exit_code(self, capsys):
         code = cli.main(["threshold", "--set", "B=50", "--set", "gamma=0",
                          "--t-min", "0.1", "--t-max", "1.0"])
@@ -711,6 +729,38 @@ class TestMainEntry:
             assert captured.err.startswith("configuration error:")
             assert str(manifest) in captured.err and not captured.out
             assert os.listdir(tmp_path / "M") == [manifest.name]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "axis=B 0 1 3", "--out"],
+        ["point", "--out"],
+        ["figure", "fig3", "--out"],
+        ["figure", "fig22-threshold", "--out"],
+    ])
+    def test_output_without_write_permission_exit_code(self, argv, tmp_path, capsys,
+                                                       monkeypatch):
+        # write permission is checked before anything is evaluated; tests may
+        # run as root, which ignores permission bits, so os.access denies it
+        def evaluator(*_, **__):
+            raise AssertionError("the evaluator ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "measure_columns", evaluator)
+        figure = argv[0] == "figure"
+        name = PRESET_JOBS[argv[1]][1][0][0] if figure else "x.csv"
+        existing = tmp_path / "D" / name
+        existing.parent.mkdir()
+        existing.write_text("")
+        missing = tmp_path / "E" / name
+        missing.parent.mkdir()
+        # an existing file that cannot be written, then a new file in a
+        # directory that cannot be written: for a figure, its first CSV
+        for target, denied in ((existing, existing), (missing, missing.parent)):
+            monkeypatch.setattr(cli.os, "access",
+                                lambda path, *_, denied=str(denied), **__: path != denied)
+            assert cli.main(argv + [str(target.parent if figure else target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("configuration error:") and str(target) in captured.err
+            assert "Traceback" not in captured.err and not captured.out
+        assert existing.read_text() == "" and not os.listdir(missing.parent)
 
     @pytest.mark.parametrize("quantities, named", BAD_QUANTITIES)
     @pytest.mark.parametrize("argv", [

@@ -81,10 +81,10 @@ class TestDimerBlock:
     @pytest.mark.parametrize("delta", [0.0, 0.7, 1.0, 2.3])
     def test_zero_field_eigenvalues(self, delta):
         p = ModelParams(J=1.0, Delta=delta, B=0.0)
-        eig = dimer_spectrum(dimer_block(p, 0))
+        energies, _ = dimer_spectrum(dimer_block(p, 0))
         zz = delta / 4.0
         expected = np.sort([-zz - 0.5, -zz + 0.5, zz, zz])
-        assert np.allclose(eig.energies, expected, atol=1e-14)
+        assert np.allclose(energies, expected, atol=1e-14)
 
     def test_host_equals_impurity_at_gamma_zero(self, rng):
         for _ in range(20):
@@ -114,7 +114,7 @@ class TestDimerBlock:
         pairs = [round(a + b) for a in (0.5, -0.5) for b in (0.5, -0.5)]
         assert [pairs.count(s) for s in SECTOR_VALUES] == [1, 2, 1]
         p = ModelParams(B=0.4, gamma=-0.3, T=0.7)
-        true_w = [{s: np.exp(-p.beta * dimer_spectrum(dimer_block(p, s, imp)).energies).sum()
+        true_w = [{s: np.exp(-p.beta * dimer_spectrum(dimer_block(p, s, imp))[0]).sum()
                    for s in SECTOR_VALUES} for imp in (False, True)]
         z2 = sum(m * true_w[0][s] * true_w[1][s] for m, s in zip((1, 2, 1), SECTOR_VALUES))
         assert partition_function(p, 2) == pytest.approx(math.log(z2), abs=1e-12)
@@ -127,14 +127,14 @@ class TestDimerBlock:
 class TestDimerSpectrum:
     def test_isotropic_zero_field(self):
         p = ModelParams(J=1.0, Delta=1.0, B=0.0)
-        eig = dimer_spectrum(dimer_block(p, 0))
-        assert np.allclose(eig.energies, [-0.75, 0.25, 0.25, 0.25], atol=1e-14)
+        energies, _ = dimer_spectrum(dimer_block(p, 0))
+        assert np.allclose(energies, [-0.75, 0.25, 0.25, 0.25], atol=1e-14)
 
     def test_degenerate_central_block_mixes_equally(self):
         # g2 = g3 and s = 0 zero the central asymmetry for any field
         p = ModelParams(J=1.0, Delta=0.7, g2=2.0, g3=2.0, B=1.3)
-        eig = dimer_spectrum(dimer_block(p, 0))
-        central = [v for v in eig.vectors.T if abs(v[1]) > 1e-15]
+        _, vectors = dimer_spectrum(dimer_block(p, 0))
+        central = [v for v in vectors.T if abs(v[1]) > 1e-15]
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         for v in central:
             assert abs(v[1]) == pytest.approx(inv_sqrt2, abs=1e-15)
@@ -145,24 +145,24 @@ class TestDimerSpectrum:
             p = draw_params(rng)
             s = int(rng.choice(SECTOR_VALUES))
             h = dimer_block(p, s, impurity=bool(rng.integers(2)))
-            eig = dimer_spectrum(h)
-            assert np.allclose(eig.energies, np.linalg.eigvalsh(h), atol=1e-12)
-            residual = h @ eig.vectors - eig.vectors * eig.energies
+            energies, vectors = dimer_spectrum(h)
+            assert np.allclose(energies, np.linalg.eigvalsh(h), atol=1e-12)
+            residual = h @ vectors - vectors * energies
             assert np.abs(residual).max() <= 1e-12
-            gram = eig.vectors.T @ eig.vectors
+            gram = vectors.T @ vectors
             assert np.abs(gram - np.eye(4)).max() <= 1e-12
 
     def test_energies_ascending(self, rng):
         for _ in range(50):
             p = draw_params(rng)
-            eig = dimer_spectrum(dimer_block(p, int(rng.choice(SECTOR_VALUES))))
-            assert np.all(np.diff(eig.energies) >= 0.0)
+            energies, _ = dimer_spectrum(dimer_block(p, int(rng.choice(SECTOR_VALUES))))
+            assert np.all(np.diff(energies) >= 0.0)
 
     def test_outer_basis_states_are_exact_eigenvectors(self, rng):
         for _ in range(50):
             p = draw_params(rng)
-            eig = dimer_spectrum(dimer_block(p, int(rng.choice(SECTOR_VALUES)), True))
-            cols = [tuple(np.abs(c)) for c in eig.vectors.T]
+            _, vectors = dimer_spectrum(dimer_block(p, int(rng.choice(SECTOR_VALUES)), True))
+            cols = [tuple(np.abs(c)) for c in vectors.T]
             assert (1.0, 0.0, 0.0, 0.0) in cols
             assert (0.0, 0.0, 0.0, 1.0) in cols
 
@@ -174,30 +174,30 @@ class TestDimerSpectrum:
             s = int(rng.choice(SECTOR_VALUES))
             b1, b2, b3 = p.g1 * p.B, p.g2 * p.B, p.g3 * p.B
             omega = p.J0 * s - (b2 - b3)
-            eig = dimer_spectrum(dimer_block(p, s))
+            energies, _ = dimer_spectrum(dimer_block(p, s))
             mean = -p.J * p.Delta / 4.0 - b1 * s / 2.0
             half = 0.5 * math.hypot(omega, p.J)
-            assert np.min(np.abs(eig.energies - (mean - half))) <= 1e-12
-            assert np.min(np.abs(eig.energies - (mean + half))) <= 1e-12
+            assert np.min(np.abs(energies - (mean - half))) <= 1e-12
+            assert np.min(np.abs(energies - (mean + half))) <= 1e-12
             if half > 1e-6:
                 unhalved = mean + 2.0 * half
                 zz = p.J * p.Delta / 4.0
                 outer = [zz + p.J0 * s / 2.0 - b1 * s / 2.0 - (b2 + b3) / 2.0,
                          zz - p.J0 * s / 2.0 - b1 * s / 2.0 + (b2 + b3) / 2.0]
                 if min(abs(unhalved - e) for e in outer) > 1e-6:
-                    assert np.min(np.abs(eig.energies - unhalved)) > 1e-8
+                    assert np.min(np.abs(energies - unhalved)) > 1e-8
 
     def test_outer_levels_match_closed_form(self, rng):
         for _ in range(50):
             p = draw_params(rng)
             s = int(rng.choice(SECTOR_VALUES))
             b1, b2, b3 = p.g1 * p.B, p.g2 * p.B, p.g3 * p.B
-            eig = dimer_spectrum(dimer_block(p, s))
+            energies, _ = dimer_spectrum(dimer_block(p, s))
             zz = p.J * p.Delta / 4.0
             e_up = zz + p.J0 * s / 2.0 - b1 * s / 2.0 - (b2 + b3) / 2.0
             e_dn = zz - p.J0 * s / 2.0 - b1 * s / 2.0 + (b2 + b3) / 2.0
-            assert np.min(np.abs(eig.energies - e_up)) <= 1e-12
-            assert np.min(np.abs(eig.energies - e_dn)) <= 1e-12
+            assert np.min(np.abs(energies - e_up)) <= 1e-12
+            assert np.min(np.abs(energies - e_dn)) <= 1e-12
 
     def test_central_vectors_match_closed_coefficients(self, rng):
         # closed-form amplitudes for the defect block, J > 0:
@@ -208,10 +208,10 @@ class TestDimerSpectrum:
             h2, h3 = p.g2 * p.B * (1.0 + p.gamma), p.g3 * p.B * (1.0 + p.gamma)
             kappa = p.J0 * s - (h2 - h3)
             r = math.hypot(kappa, p.J)
-            eig = dimer_spectrum(dimer_block(p, s, impurity=True))
+            _, vectors = dimer_spectrum(dimer_block(p, s, impurity=True))
             plus = np.array([p.J, r - kappa]) / math.sqrt(2.0 * r * (r - kappa))
             minus = np.array([p.J, -(r + kappa)]) / math.sqrt(2.0 * r * (r + kappa))
-            central = [c[[1, 2]] for c in eig.vectors.T if abs(c[0]) + abs(c[3]) == 0.0]
+            central = [c[[1, 2]] for c in vectors.T if abs(c[0]) + abs(c[3]) == 0.0]
             hits = 0
             for v in central:
                 for ref in (plus, minus):
@@ -225,8 +225,8 @@ class TestDimerSpectrum:
         p0 = ModelParams(**STANDARD_G, J0=1.0, gamma=-0.8)
         b_star = p0.J0 / ((p0.g2 - p0.g3) * (1.0 + p0.gamma))
         p = ModelParams(**STANDARD_G, J0=1.0, gamma=-0.8, B=b_star)
-        eig = dimer_spectrum(dimer_block(p, 1, impurity=True))
-        central = [c for c in eig.vectors.T if abs(c[0]) + abs(c[3]) == 0.0]
+        _, vectors = dimer_spectrum(dimer_block(p, 1, impurity=True))
+        central = [c for c in vectors.T if abs(c[0]) + abs(c[3]) == 0.0]
         for v in central:
             assert abs(v[1]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
             assert abs(v[2]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
@@ -255,9 +255,9 @@ class TestBoltzmannWeights:
         # with B = 0 the s -> -s spectra coincide level by level
         for _ in range(20):
             p = draw_params(rng, B=0.0)
-            up = dimer_spectrum(dimer_block(p, 1, impurity=True))
-            down = dimer_spectrum(dimer_block(p, -1, impurity=True))
-            assert np.allclose(up.energies, down.energies, atol=1e-14)
+            up, _ = dimer_spectrum(dimer_block(p, 1, impurity=True))
+            down, _ = dimer_spectrum(dimer_block(p, -1, impurity=True))
+            assert np.allclose(up, down, atol=1e-14)
             host, defect = boltzmann_weights(p), boltzmann_weights(p, impurity=True)
             assert host[1] == host[-1]
             assert defect[1] == defect[-1]
@@ -301,6 +301,6 @@ class TestGammaContinuity:
         for gamma in (1e-8, -1e-8):
             p = ModelParams(**STANDARD_G, Delta=1.4, J0=0.9, B=0.7, gamma=gamma)
             for s in SECTOR_VALUES:
-                reference = dimer_spectrum(dimer_block(base, s)).energies
-                eig = dimer_spectrum(dimer_block(p, s, impurity=True))
-                assert np.allclose(eig.energies, reference, atol=1e-6)
+                reference, _ = dimer_spectrum(dimer_block(base, s))
+                energies, _ = dimer_spectrum(dimer_block(p, s, impurity=True))
+                assert np.allclose(energies, reference, atol=1e-6)

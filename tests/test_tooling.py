@@ -117,6 +117,22 @@ def test_cli_evaluates_through_the_one_evaluator():
     assert not wrong, f"cli imports more than the evaluator: {wrong}"
 
 
+def test_solver_and_oracle_modules_take_no_trigonometry():
+    # the kernel's dimer algebra is one angle-free eigenprojector and the
+    # oracle's is a dense eigh; teleport.py keeps its input-state angles
+    package = pathlib.Path(impurity_chain.__file__).parent
+    banned = ("atan2", "arctan2", "cos", "sin")
+    calls = []
+    for name in ("model.py", "xfer.py", "oracle.py"):
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in banned:
+                    calls.append(f"{name}:{node.lineno} {called}")
+    assert not calls, f"trigonometric calls in the solver or oracle: {calls}"
+
+
 # run in a fresh interpreter, because install() patches the package and
 # concurrent.futures for the rest of the process
 TRACED_RUN = """

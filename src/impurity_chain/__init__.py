@@ -6,7 +6,9 @@ distortion (1 + gamma).  The package computes the defect dimer's exact
 thermal reduced density matrix (finite rings and the thermodynamic limit)
 and the quantum-information measures built on it: Wootters concurrence,
 l1 coherence, spin-spin correlators, quantum Fisher information and its
-field derivative, and standard-teleportation fidelities.
+field derivative, and standard-teleportation fidelities.  The sweeps, the
+finders and the command line live in `impurity_chain.cli`, which the package
+neither imports nor re-exports.
 """
 
 __version__ = "0.1.0"
@@ -49,27 +51,6 @@ from .teleport import (
     teleport_output,
 )
 
-# The CLI names resolve on first use, so importing the package does not
-# import `cli` (and `python -m impurity_chain.cli` runs it only once).
-_CLI_NAMES = (
-    "ConfigError",
-    "NotFound",
-    "SweepConfig",
-    "find_critical_field",
-    "find_threshold_temperature",
-    "run_point",
-    "run_sweep",
-    "threshold_temperatures",
-)
-
-
-def __getattr__(name: str):
-    if name in _CLI_NAMES:
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "__version__",
     "ModelParams", "OverflowRisk",
@@ -82,6 +63,4 @@ __all__ = [
     "correlators_batch", "qfi_batch", "measure_columns",
     "InputState", "TeleportOutput", "teleport_output",
     "output_concurrence_batch", "average_fidelity_batch",
-    "ConfigError", "NotFound", "SweepConfig", "run_point", "run_sweep",
-    "threshold_temperatures", "find_threshold_temperature", "find_critical_field",
 ]

@@ -8,8 +8,10 @@ Subcommands:
   figure     run a named preset that reproduces one figure's data files
 
 Configuration is plain `key = value` text (# comments), overridable with
-repeated --set key=value flags.  CSV output is RFC-4180 style with 17
-significant digits, byte-identical across reruns and worker counts.
+repeated --set key=value flags; each subparser declares its handler and the
+keys it accepts, and any other key is an error.  CSV output is RFC-4180 style
+with 17 significant digits, byte-identical across reruns and worker counts.
+Library callers import run_point, run_sweep and the finders from here.
 
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path), 3 numerical failure (a non-finite result or a solver
@@ -63,7 +65,7 @@ class NonFiniteError(ArithmeticError):
     """A computed quantity came out non-finite; the parameter point is reported."""
 
 
-PARAM_COLUMNS = ("J", "Delta", "J0", "g1", "g2", "g3", "gamma", "B", "T")
+PARAM_COLUMNS = tuple(f.name for f in fields(ModelParams))
 SWEEPABLE = ("B", "T", "Delta", "J0", "gamma")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -511,16 +513,6 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-# the configuration keys each subcommand uses; any other key is an error.
-# threshold scans T and critical scans B, so neither takes that parameter.
-_POINT_KEYS = PARAM_COLUMNS + ("quantities", "impurity", "delta_b")
-_COMMAND_KEYS = {
-    "point": _POINT_KEYS,
-    "sweep": _POINT_KEYS + ("axis", "axis1", "axis2", "out"),
-    "threshold": tuple(k for k in PARAM_COLUMNS if k != "T") + ("impurity",),
-    "critical": tuple(k for k in PARAM_COLUMNS if k != "B") + ("impurity", "delta_b"),
-    "figure": PARAM_COLUMNS,
-}
 _TRUE_WORDS = ("1", "true", "on", "yes")
 _FALSE_WORDS = ("0", "false", "off", "no")
 
@@ -614,6 +606,8 @@ def build_sweep_config(mapping: dict[str, str], alt_correlators: bool = False) -
     axes = [_parse_axis(mapping[key]) for key in ("axis", "axis1", "axis2") if key in mapping]
     if not axes:
         raise ConfigError("no sweep axis given (use 'axis = NAME START STOP COUNT')")
+    if "axis" not in mapping and "axis1" not in mapping:
+        raise ConfigError("key 'axis2' names a second sweep axis, but no first one is given")
     return SweepConfig(
         params=params,
         axes=tuple(axes),
@@ -632,11 +626,10 @@ def _collect_mapping(args) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    valid = _COMMAND_KEYS[args.command]
-    unknown = [key for key in mapping if key not in valid]
+    unknown = [key for key in mapping if key not in args.keys]
     if unknown:
         raise ConfigError(f"configuration key {unknown[0]!r} is not used by "
-                          f"{args.command!r}; valid: {', '.join(valid)}")
+                          f"{args.command!r}; valid: {', '.join(args.keys)}")
     return mapping
 
 
@@ -656,39 +649,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, run, keys, **kwargs):
+        """A subcommand that `run`s on a configuration of only the `keys`."""
+        sp = sub.add_parser(name, **kwargs)
+        sp.set_defaults(run=run, keys=keys)
         sp.add_argument("--config", help="key = value configuration file")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one configuration key (repeatable)")
+        return sp
 
-    sp = sub.add_parser("point", help="evaluate one parameter point")
-    common(sp)
+    # threshold scans T and critical scans B, so neither takes that parameter
+    point_keys = PARAM_COLUMNS + ("quantities", "impurity", "delta_b")
+    sp = command("point", _cmd_point, point_keys, help="evaluate one parameter point")
     sp.add_argument("--out", help="write the one-row CSV here instead of stdout")
     sp.add_argument("--debug-paper-correlators", action="store_true",
                     help="also emit the shortcut correlator variants")
 
-    sp = sub.add_parser("sweep", help="run a parameter grid to CSV")
-    common(sp)
+    sp = command("sweep", _cmd_sweep, point_keys + ("axis", "axis1", "axis2", "out"),
+                 help="run a parameter grid to CSV")
     sp.add_argument("--out", help="output CSV path (overrides config)")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--debug-paper-correlators", action="store_true",
                     help="also emit the shortcut correlator variants")
 
-    sp = sub.add_parser("threshold", help="largest temperature where C(T) dies")
-    common(sp)
+    sp = command("threshold", _cmd_threshold,
+                 tuple(k for k in PARAM_COLUMNS if k != "T") + ("impurity",),
+                 help="largest temperature where C(T) dies")
     sp.add_argument("--t-min", type=float, default=0.01)
     sp.add_argument("--t-max", type=float, default=2.0)
 
-    sp = sub.add_parser("critical", help="critical field of a chosen functional")
-    common(sp)
+    sp = command("critical", _cmd_critical,
+                 tuple(k for k in PARAM_COLUMNS if k != "B") + ("impurity", "delta_b"),
+                 help="critical field of a chosen functional")
     sp.add_argument("--b-min", type=float, default=0.0)
     sp.add_argument("--b-max", type=float, default=3.0)
     sp.add_argument("--target", default="max-concurrence",
                     choices=("max-concurrence", "qfi-min", "dqfi-peak"))
     sp.add_argument("--tol", type=float, default=1e-4)
 
-    sp = sub.add_parser("figure", help="write a figure preset's data files")
-    common(sp)
+    sp = command("figure", _cmd_figure, PARAM_COLUMNS, help="write a figure preset's data files")
     sp.add_argument("preset", choices=sorted(FIGURE_PRESETS))
     sp.add_argument("--out", default="figures", help="output directory")
     sp.add_argument("--workers", type=int, default=1,
@@ -754,19 +753,10 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "point": _cmd_point,
-    "sweep": _cmd_sweep,
-    "threshold": _cmd_threshold,
-    "critical": _cmd_critical,
-    "figure": _cmd_figure,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

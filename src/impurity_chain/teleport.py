@@ -43,10 +43,6 @@ class InputState:
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
-    @property
-    def input_concurrence(self) -> float:
-        return abs(math.sin(self.theta))
-
 
 @dataclass(frozen=True)
 class TeleportOutput:
@@ -93,7 +89,8 @@ def teleport_output(ch: XState, inp: InputState) -> TeleportOutput:
 
 
 def output_concurrence_batch(states: np.ndarray, input_concurrence: float) -> np.ndarray:
-    """Output concurrence for (5, n) channel states: 2*max(2 r23^2 C_in - |q1 q2|, 0)."""
+    """Output concurrence for (5, n) channel states and an input of concurrence
+    C_in (|sin theta| for an InputState): 2*max(2 r23^2 C_in - |q1 q2|, 0)."""
     r11, r22, r33, r44, r23 = states
     value = 2.0 * r23 ** 2 * input_concurrence - np.abs(r22 + r33) * np.abs(r11 + r44)
     return 2.0 * np.maximum(value, 0.0)

@@ -613,6 +613,15 @@ class TestMainEntry:
         assert "'axis'" in captured.err and "'axis1'" in captured.err
         assert not both.exists()
 
+    def test_axis2_needs_a_first_axis(self, tmp_path, capsys):
+        out = tmp_path / "second" / "s.csv"
+        code = cli.main(["sweep", "--set", "axis2=T 0.1 1 3", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and not captured.out
+        assert "'axis2'" in captured.err
+        assert not out.parent.exists()
+
     def test_threshold_none_exit_code(self, capsys):
         code = cli.main(["threshold", "--set", "B=50", "--set", "gamma=0",
                          "--t-min", "0.1", "--t-max", "1.0"])

@@ -109,10 +109,6 @@ def quadrature_average_fidelity(ch, order=64):
 
 
 class TestInputState:
-    def test_input_concurrence(self):
-        assert InputState(theta=0.0).input_concurrence == 0.0
-        assert InputState(theta=math.pi / 2).input_concurrence == pytest.approx(1.0)
-
     def test_ket_layout(self):
         k = ket(InputState(theta=math.pi / 2, phi=0.0))
         assert k[1] == pytest.approx(1 / math.sqrt(2))
@@ -200,16 +196,18 @@ class TestTeleportOutput:
 class TestOutputConcurrence:
     def test_perfect_channel_equator(self):
         assert of_state(output_concurrence_batch, PERFECT,
-                        InputState(theta=math.pi / 2).input_concurrence) == pytest.approx(1.0)
+                        abs(math.sin(math.pi / 2))) == pytest.approx(1.0)
 
     def test_polar_input_never_entangled(self, rng):
         assert of_state(output_concurrence_batch, draw_xstate(rng),
-                        InputState(theta=0.0).input_concurrence) == 0.0
+                        abs(math.sin(0.0))) == 0.0
 
     def test_agrees_with_generic_wootters(self, rng):
         for _ in range(200):
             ch, inp = draw_xstate(rng), random_input(rng)
-            closed = of_state(output_concurrence_batch, ch, inp.input_concurrence)
+            c_in = abs(math.sin(inp.theta))
+            assert abs(wootters_concurrence(density_matrix(inp)) - c_in) <= 1e-10
+            closed = of_state(output_concurrence_batch, ch, c_in)
             generic = wootters_concurrence(teleport_output(ch, inp).matrix)
             assert abs(closed - generic) <= 1e-10
 

@@ -167,3 +167,29 @@ def test_traced_run_reports_sweep_and_pool_layers(tmp_path):
     assert metrics["cli.run_sweep.pool_wait_ms"] > 0.0
     assert metrics["xfer.finite_n_density_matrix.self_us"] > 0.0
     assert len(os.listdir(tmp_path)) == 2 * 6 + 2   # fig3's 6 CSVs and the grid's, with manifests
+
+
+# the sweep, finder and exception names that only `impurity_chain.cli` provides
+CLI_NAMES = ("ConfigError", "NotFound", "SweepConfig", "run_point", "run_sweep",
+             "threshold_temperatures", "find_threshold_temperature", "find_critical_field")
+
+# sys.modules is read before any hasattr, which could import the CLI
+PACKAGE_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import impurity_chain
+print(json.dumps({"cli_imported": "impurity_chain.cli" in sys.modules,
+                  "names": [n for n in sys.argv[2:] if hasattr(impurity_chain, n)]}))
+"""
+
+
+def test_package_does_not_reexport_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(impurity_chain.__file__)))
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_IMPORT, src, *CLI_NAMES],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert not result["cli_imported"], "importing impurity_chain imports its CLI"
+    assert result["names"] == [], f"impurity_chain re-exports CLI names: {result['names']}"
+    cli = importlib.import_module("impurity_chain.cli")
+    assert all(hasattr(cli, name) for name in CLI_NAMES)

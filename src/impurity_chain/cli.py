@@ -22,7 +22,7 @@ Every column, scan and bisection step is one `measures.measure_columns` call.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import concurrent.futures  # perfbench/tracing.py patches its pool class; nothing starts one
 import contextlib
 import math
 import os
@@ -109,7 +109,7 @@ def run_point(p: ModelParams, quantities, delta_b: float = 1e-3,
     """
     _check_quantities(quantities)
     columns = {name: np.array([value]) for name, value in vars(p).items()}
-    values = _sweep_chunk((columns, quantities, delta_b, alt_correlators))
+    values = _sweep_chunk(columns, quantities, delta_b, alt_correlators)
     return {k: float(v[0]) for k, v in values.items()}
 
 
@@ -157,10 +157,9 @@ class SweepConfig:
         return grid
 
 
-def _sweep_chunk(task) -> dict:
-    """Every column of a contiguous run of grid points, in one evaluator call;
+def _sweep_chunk(columns: dict, quantities, delta_b: float, alt: bool) -> dict:
+    """Every column of the grid points in `columns`, in one evaluator call;
     with `alt`, the shortcut correlators sxsx_alt and szsz_alt last."""
-    columns, quantities, delta_b, alt = task
     requested = tuple(quantities) + (("sxsx_alt", "szsz_alt") if alt else ())
     values = measure_columns(columns, requested, delta_b)
     _check_finite(values, lambda i: ModelParams(**{k: float(v[i]) for k, v in columns.items()}))
@@ -227,29 +226,18 @@ def _create(path: str, **kwargs):
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     """Run the grid and write the CSV plus a run-manifest sidecar.
 
-    Output bytes depend only on the configuration, not on the worker count:
-    every point is computed independently of the batch it sits in, and with
-    workers > 1 each worker takes one contiguous chunk of the grid.  With the
-    impurity off the kernel sees gamma = 0 and the CSV the configured gamma.
-    An output or manifest path that cannot be written raises ConfigError
-    before the grid is computed; the files are written once every value is
-    finite.  The pool has no more processes than chunks or CPUs.
+    The whole grid is evaluated in this process, whatever `workers` is: a
+    process pool cost more to start than the grid it shared out, so `workers`
+    changes no byte.  With the impurity off the kernel sees gamma = 0 and the
+    CSV the configured gamma.  An output or manifest path that cannot be
+    written raises ConfigError before the grid is computed; the files are
+    written once every value is finite.
     """
     _make_dir(cfg.out)
     _make_dir(cfg.out + ".manifest.txt")
     grid = cfg.grid()
     evaluated = _with_impurity(grid, cfg.impurity)
-    rows = len(grid["B"])
-    task = (cfg.quantities, cfg.delta_b, cfg.alt_correlators)
-    if workers > 1:
-        size = -(-rows // workers)
-        chunks = [{k: v[i:i + size] for k, v in evaluated.items()} for i in range(0, rows, size)]
-        processes = min(len(chunks), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_sweep_chunk, [(c, *task) for c in chunks]))
-        values = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
-    else:
-        values = _sweep_chunk((evaluated, *task))
+    values = _sweep_chunk(evaluated, cfg.quantities, cfg.delta_b, cfg.alt_correlators)
 
     # fixed parameters are formatted once into the row template, every other
     # column is a %.16e slot
@@ -487,8 +475,8 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 
     `overrides` may set any parameter the preset holds fixed; one it sets
     per curve, axis value or scan point raises ConfigError before any file
-    is written, as does a bad output path.  `workers` is the process count
-    of each sweep preset; a threshold preset runs in one process.
+    is written, as does a bad output path.  Every preset runs in this
+    process; `workers` is accepted as in run_sweep and changes no byte.
     """
     if name not in FIGURE_PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(FIGURE_PRESETS)}")
@@ -505,8 +493,7 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
             _make_dir(out + ".manifest.txt")
     if output[0] in PARAM_COLUMNS:
         return _write_thresholds(jobs, axis, output)
-    return [run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out),
-                      workers=workers)
+    return [run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out))
             for params, out in jobs]
 
 
@@ -658,6 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override one configuration key (repeatable)")
         return sp
 
+    workers_help = "checked to be at least 1; every sweep runs in this one process"
     # threshold scans T and critical scans B, so neither takes that parameter
     point_keys = PARAM_COLUMNS + ("quantities", "impurity", "delta_b")
     sp = command("point", _cmd_point, point_keys, help="evaluate one parameter point")
@@ -668,7 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("sweep", _cmd_sweep, point_keys + ("axis", "axis1", "axis2", "out"),
                  help="run a parameter grid to CSV")
     sp.add_argument("--out", help="output CSV path (overrides config)")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, help=workers_help)
     sp.add_argument("--debug-paper-correlators", action="store_true",
                     help="also emit the shortcut correlator variants")
 
@@ -690,8 +678,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("figure", _cmd_figure, PARAM_COLUMNS, help="write a figure preset's data files")
     sp.add_argument("preset", choices=sorted(FIGURE_PRESETS))
     sp.add_argument("--out", default="figures", help="output directory")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes per sweep; fig22-threshold runs in one process")
+    sp.add_argument("--workers", type=int, default=1, help=workers_help)
 
     return parser
 

@@ -37,7 +37,7 @@ SECTOR_VALUES = (1, 0, -1)
 
 
 class OverflowRisk(ValueError):
-    """A Boltzmann exponent -beta*(energy - shift) would overflow exp()."""
+    """A dimer level or 1/T past the float range."""
 
 
 @dataclass(frozen=True)

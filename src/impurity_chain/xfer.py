@@ -110,8 +110,6 @@ _SECTORS = np.array(SECTOR_VALUES, dtype=float)[:, None]
 _DEFECT_FAMILY = np.array([0.0, 1.0])[:, None, None]
 # the smallest normal float: below it 1/T overflows, and 4 w0^2 underflows
 _TINY = float(np.finfo(float).tiny)
-# exp() overflows just above exp(709); stay clear of it
-_MAX_EXPONENT = 700.0
 # most points per kernel call of limit_states
 _BLOCK = 601
 # XState.validate's bounds on |trace - 1| and on a negative eigenvalue
@@ -197,46 +195,53 @@ def _kernel(args, ring: int | None = None):
     """
     J, Delta, J0, g1, g2, g3, gamma, B = (np.asarray(a, dtype=float) for a in args[:-1])
     T = np.atleast_1d(np.asarray(args[-1], dtype=float))
-    if not T.min() > 0.0:
+    t_min = T.min()
+    if not t_min > 0.0:
         _raise_at(ValueError, "temperature must be positive", ~(T > 0.0), args)
-    if T.min() < _TINY:
+    if t_min < _TINY:
         _raise_at(OverflowRisk, "1/T overflows", T < _TINY, args)
     beta = 1.0 / T
 
-    # dimer blocks, shape (family, sector, point)
-    zz = J * Delta / 4.0
-    c = J / 2.0
-    nodal = J0 * _SECTORS / 2.0
-    f1 = g1 * B * _SECTORS / 2.0
-    scale = 1.0 + _DEFECT_FAMILY * gamma
-    b2 = g2 * B * scale
-    b3 = g3 * B * scale
-    outer = (b2 + b3) / 2.0
-    inner = (b2 - b3) / 2.0
-    e00 = zz + nodal - f1 - outer
-    a = -zz + nodal - f1 - inner
-    b = -zz - nodal - f1 + inner
-    mean = 0.5 * (a + b)
-    gap, central = _projector(a, c, b)
-    half_gap = 0.5 * gap
-    levels = np.empty((4,) + np.broadcast_shapes(e00.shape, beta.shape))
-    levels[0] = e00
-    levels[1] = mean + half_gap
-    levels[2] = mean - half_gap
-    levels[3] = zz - nodal - f1 + outer
-    sector_min = np.minimum(np.minimum(levels[0], levels[2]), levels[3])
-    cell_min = sector_min[1]
-
-    # Boltzmann factors: host levels against the host family's minimum,
-    # defect cells against their own sector minimum; in place over the
-    # levels, which nothing reads afterwards, to allocate no array their size
-    shift = sector_min.copy()
-    shift[0] = np.minimum(np.minimum(shift[0, 0], shift[0, 1]), shift[0, 2])
-    exponents = np.subtract(levels, shift, out=levels)
-    exponents *= -beta
-    if exponents.max() > _MAX_EXPONENT:
-        _raise_at(OverflowRisk, f"Boltzmann exponent above {_MAX_EXPONENT:g}",
-                  exponents > _MAX_EXPONENT, args)
+    # dimer blocks, shape (family, sector, point).  A Zeeman term or exchange
+    # past the float range leaves a level, or its height above its shift, inf
+    # or nan, which raises; from finite heights an exponent or sector offset
+    # may overflow, to its true weight of 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = J * Delta / 4.0
+        c = J / 2.0
+        nodal = J0 * _SECTORS / 2.0
+        f1 = g1 * B * _SECTORS / 2.0
+        scale = 1.0 + _DEFECT_FAMILY * gamma
+        b2 = g2 * B * scale
+        b3 = g3 * B * scale
+        outer = (b2 + b3) / 2.0
+        inner = (b2 - b3) / 2.0
+        e00 = zz + nodal - f1 - outer
+        a = -zz + nodal - f1 - inner
+        b = -zz - nodal - f1 + inner
+        mean = 0.5 * (a + b)
+        gap, central = _projector(a, c, b)
+        half_gap = 0.5 * gap
+        levels = np.empty((4,) + np.broadcast(e00, beta).shape)
+        levels[0] = e00
+        levels[1] = mean + half_gap
+        levels[2] = mean - half_gap
+        levels[3] = zz - nodal - f1 + outer
+        sector_min = np.minimum(np.minimum(levels[0], levels[2]), levels[3])
+        cell_min = sector_min[1]
+        ref = np.minimum(np.minimum(cell_min[0], cell_min[1]), cell_min[2])
+        offsets = beta * (cell_min - ref)
+        # Boltzmann factors: host levels against the host family's minimum,
+        # defect cells against their own sector minimum, so no exponent is
+        # positive; in place over the levels, which nothing reads afterwards,
+        # to allocate no array their size
+        shift = sector_min.copy()
+        shift[0] = np.minimum(np.minimum(shift[0, 0], shift[0, 1]), shift[0, 2])
+        exponents = np.subtract(levels, shift, out=levels)
+        if not exponents.max() < np.inf:
+            _raise_at(OverflowRisk, "a Zeeman term or dimer level is past the float range",
+                      ~(exponents < np.inf), args)
+        exponents *= -beta
     factors = np.exp(exponents, out=exponents)
     # each sector's Boltzmann sum, outer and central pairs apart, so that
     # mirror sectors (s = +-1 at B = 0) get bit-identical sums
@@ -255,9 +260,8 @@ def _kernel(args, ring: int | None = None):
     coef[1] = 2.0 * m0
 
     # log-domain sector mixing: coefficient times exp(-beta * sector offset)
-    ref = np.minimum(np.minimum(cell_min[0], cell_min[1]), cell_min[2])
     logs = np.log(coef, out=np.full(coef.shape, -np.inf), where=coef > 0.0)
-    logs -= beta * (cell_min - ref)
+    logs -= offsets
     top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
     if top.min() == -np.inf:
         _raise_at(DegenerateGap, "every sector weight vanished in log domain",
@@ -317,12 +321,13 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     alignments.  Every point is computed by elementwise operations alone,
     so its bits do not depend on the batch it is evaluated in.
 
-    Raises OverflowRisk (a Boltzmann exponent past 700, or 1/T overflowing),
-    DegenerateGap (vanishing host weights, a degenerate or non-finite sector
-    mixture, or a trace that disagrees with the weight sum) naming the first
-    failing point, and ValueError for a non-positive temperature.  Batches
-    are cut, in order, into kernel calls of at most 601 points (a preset
-    sweep), so an error names the first failing point in batch order.
+    Raises OverflowRisk (a Zeeman term or level past the float range, or 1/T
+    overflowing), DegenerateGap (vanishing host weights, a degenerate or
+    non-finite sector mixture, or a trace that disagrees with the weight sum)
+    naming the first failing point, and ValueError for a non-positive
+    temperature.  Batches are cut, in order, into kernel calls of at most 601
+    points (a preset sweep), so an error names the first failing point in
+    batch order.
     """
     args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
     n = np.broadcast(*args).size

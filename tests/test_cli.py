@@ -270,36 +270,18 @@ class TestRunSweep:
         run_sweep(cfg2, workers=2)
         assert open(cfg1.out, "rb").read() == open(cfg2.out, "rb").read()
 
-    @pytest.mark.parametrize("cpus, workers, processes", [
-        (4, 64, 4), (8, 64, 5), (None, 64, 1), (8, 3, 3),
-    ])
-    def test_pool_is_bounded_by_chunks_and_cpus(self, cpus, workers, processes, tmp_path,
-                                                monkeypatch):
-        # a fake pool records what the sweep asks for and maps serially,
-        # so no process is started
-        asked = []
+    def test_workers_start_no_process(self, tmp_path, monkeypatch):
+        # a pool that cannot be made: any --workers value must run in-process
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a sweep started a process pool")
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", NoPool)
         serial = self.make_config(tmp_path, name="serial.csv", axes=(("B", 0.0, 1.0, 5),))
-        pooled = self.make_config(tmp_path, name="pooled.csv", axes=(("B", 0.0, 1.0, 5),))
+        many = self.make_config(tmp_path, name="many.csv", axes=(("B", 0.0, 1.0, 5),))
         run_sweep(serial, workers=1)
-        run_sweep(pooled, workers=workers)
-        assert asked == [processes]
-        assert open(serial.out, "rb").read() == open(pooled.out, "rb").read()
+        run_sweep(many, workers=64)
+        assert open(serial.out, "rb").read() == open(many.out, "rb").read()
 
     def test_gamma_zero_matches_homogeneous_model(self, tmp_path):
         base = ModelParams(**STANDARD, Delta=0.7, J0=1.0, gamma=0.0, T=0.15)
@@ -792,6 +774,14 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert "T=1e-310" in err and "B=1.0" in err
+
+    @pytest.mark.parametrize("field", [1e308, 3e307])
+    def test_field_past_the_float_range_exit_code(self, field, capsys):
+        code = cli.main(["point", "--set", f"B={field!r}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: a Zeeman term or dimer level is past the float range")
+        assert f"B={field!r}" in err
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_critical_bad_tol_exit_code(self, tol, capsys):

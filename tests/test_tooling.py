@@ -3,8 +3,8 @@
 The `presets` workload runs every figure preset by name, from its own list,
 and `perfbench/child.py` and `run.py` call the package as `ic.<name>` and
 `cli.<name>`; every such name must resolve.
-A traced run of a figure, a pooled sweep and a ring must report the layers
-that the benchmark's per-layer metrics read.
+A traced run of a figure, a sweep at --workers 2 and a ring must report the
+layers that the benchmark's per-layer metrics read.
 
 `perfbench/tracing.py` wraps every `(module, function)` of its TRACED table by
 name and replaces `cli.concurrent.futures.ProcessPoolExecutor`; a deleted or
@@ -164,7 +164,8 @@ def test_traced_run_reports_sweep_and_pool_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
     assert metrics["cli.run_sweep.self_us_per_row"] > 0.0
-    assert metrics["cli.run_sweep.pool_wait_ms"] > 0.0
+    # the tracer still patches the pool class, and no sweep opens a pool
+    assert metrics["cli.run_sweep.pool_wait_ms"] == 0.0
     assert metrics["xfer.finite_n_density_matrix.self_us"] > 0.0
     assert len(os.listdir(tmp_path)) == 2 * 6 + 2   # fig3's 6 CSVs and the grid's, with manifests
 

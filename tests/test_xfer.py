@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 
 from impurity_chain.model import (
     ModelParams,
+    OverflowRisk,
     SECTOR_VALUES,
     boltzmann_weights,
     dimer_block,
@@ -474,6 +476,16 @@ def test_host_guard_raises_before_dividing():
     with pytest.raises(DegenerateGap, match="all host sector weights vanished at J=0.0"):
         limit_states(J=np.zeros(2), Delta=1.0, J0=10.0, **STANDARD, gamma=0.0, B=0.0,
                      T=0.005)
+
+
+@pytest.mark.parametrize("B", [1e308, 3e307, -1e308])
+def test_field_past_the_float_range_raises_overflow_risk(B):
+    # g2 B overflows at 1e308, and the level sums at 3e307; the kernel names
+    # the point, with no numpy warning on the way
+    named = "level is past the float range at .*" + re.escape(f"B={B!r}")
+    with pytest.raises(OverflowRisk, match=named):
+        limit_states(J=1.0, Delta=1.0, J0=1.0, **STANDARD, gamma=-0.8, B=np.array([0.5, B]),
+                     T=1.0)
 
 
 class TestFiniteChain:

@@ -283,6 +283,29 @@ class TestRunSweep:
         run_sweep(many, workers=64)
         assert open(serial.out, "rb").read() == open(many.out, "rb").read()
 
+    @pytest.mark.parametrize("cpus, workers, processes", [
+        (4, 64, 4), (8, 64, 5), (None, 64, 1), (8, 3, 3),
+    ])
+    def test_pool_is_bounded_by_chunks_and_cpus(self, cpus, workers, processes, tmp_path,
+                                                monkeypatch):
+        # `processes` is the pool size a 5-point grid once asked for with this
+        # CPU count and --workers value; the bound is now zero processes
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, *args, **kwargs):
+                asked.append((args, kwargs))
+                raise AssertionError("a sweep started a process pool")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        serial = self.make_config(tmp_path, name="serial.csv", axes=(("B", 0.0, 1.0, 5),))
+        pooled = self.make_config(tmp_path, name="pooled.csv", axes=(("B", 0.0, 1.0, 5),))
+        run_sweep(serial, workers=1)
+        run_sweep(pooled, workers=workers)
+        assert asked == [], f"a pool was asked for (once {processes} processes)"
+        assert open(serial.out, "rb").read() == open(pooled.out, "rb").read()
+
     def test_gamma_zero_matches_homogeneous_model(self, tmp_path):
         base = ModelParams(**STANDARD, Delta=0.7, J0=1.0, gamma=0.0, T=0.15)
         quantities = ("concurrence", "coherence", "favg", "rho_elements")

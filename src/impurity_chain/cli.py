@@ -10,8 +10,10 @@ Subcommands:
 Configuration is plain `key = value` text (# comments), overridable with
 repeated --set key=value flags; each subparser declares its handler and the
 keys it accepts, and any other key is an error.  CSV output is RFC-4180 style
-with 17 significant digits, byte-identical across reruns and worker counts.
-Library callers import run_point, run_sweep and the finders from here.
+with 17 significant digits, byte-identical across reruns and worker counts:
+numpy formats whole blocks of numbers at once, with exactly the bytes of
+Python's `%.16e` (_format_array).  Library callers import run_point,
+run_sweep and the finders from here.
 
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path), 3 numerical failure (a non-finite result or a solver
@@ -183,20 +185,114 @@ def _format(v: float) -> str:
     return f"{v:.16e}"
 
 
-def _write_csv(path, header, template: str, rows) -> None:
-    """A header line, then `template % row` for each row, with \\r\\n endings.
+def _decimal_tables():
+    """_format_array's tables at p = -324..340, from exact integers: 10^p =
+    (H + L) 2^E, H the double nearest 10^p 2^-E in [0.5, 1] with its upper
+    26 bits (Veltkamp's split), and the smallest double >= 10^p."""
+    rows = []  # (H, L, E, the smallest double >= 10^p)
+    for p in range(-324, 341):
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        shift = 130 - num.bit_length() + den.bit_length()
+        w = (num << max(shift, 0)) // (den << max(-shift, 0))
+        bits, high = w.bit_length(), float(w)
+        ceiling = num / den if p <= 308 else math.inf
+        n, d = ceiling.as_integer_ratio() if p <= 308 else (1, 0)
+        rows.append((math.ldexp(high, -bits), math.ldexp(float(w - int(high)), -bits),
+                     bits - shift, math.nextafter(ceiling, math.inf) if n * den < num * d
+                     else ceiling))
+    high, low, exponent, ceiling = (np.array(column) for column in zip(*rows))
+    t = high * (2.0 ** 27 + 1.0)
+    return high, t - (t - high), low, exponent.astype(np.int32), ceiling
 
-    Writes to `path` in a directory that _make_dir made, or to stdout when
-    path is None.
-    Every field is a name, an empty string or a finite number formatted with
-    `%.16e` (_format's format) or `%d`; none needs quoting, so these are the
-    bytes csv.writer would write.
+
+_HIGH, _HIGH1, _LOW, _EXPONENT, _CEILING = _decimal_tables()
+# uint32 words of text: "0000" .. "9999" at i; "\0-d." or "\0\0d." (sign, lead
+# digit d) at 10000 + 10 sign + d; "e-324" .. "e+308" null-padded to two words
+# at 10020 + 2 (k + 324)
+_WORDS = np.frombuffer(
+    "".join(f"{i:04d}" for i in range(10000)).encode()
+    + b"".join(b"\0" + sign + b"%d." % d for sign in (b"\0", b"-") for d in range(10))
+    + b"".join(f"e{k:+03d}".encode().ljust(8, b"\0") for k in range(-324, 309)), np.uint32)
+_WIDTH = 28  # bytes of one formatted number
+_BLOCK_NUMBERS = 4096  # numbers per _format_array call of _write_csv
+
+
+def _format_array(x: np.ndarray) -> np.ndarray:
+    """`'%.16e' % v` for every v of the float array x: rows of (len(x), 28)
+    bytes padded with nulls.  k = floor(log10 |v|) is corrected against the
+    smallest double >= 10^k; the 17 digits N = round(|v| 10^(16 - k)) are
+    frexp's mantissa times a double-double 10^(16 - k), the high product
+    exact by Dekker (Numer. Math. 18 (1971) 224), with an error below about
+    2^-47 of a unit of N.  A fraction of N within 2^-36 of 1/2 (as an exact
+    tie, which %.16e rounds to even) or a v that is not finite is _format's.
     """
-    line = template + "\r\n"
-    target = contextlib.nullcontext(sys.stdout) if path is None else _create(path, newline="")
-    with target as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % row for row in rows)
+    a = np.abs(x)
+    zero = a == 0.0
+    finite = a < np.inf
+    a = np.where(finite & ~zero, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    k += (a >= _CEILING.take(k + 325)) - (a < _CEILING.take(k + 324)).astype(np.intp)
+    m, e = np.frexp(a)
+    i = 340 - k  # 10^(16 - k)
+    t = m * (2.0 ** 27 + 1.0)
+    m1 = t - (t - m)
+    m2 = m - m1
+    h, h1 = _HIGH.take(i), _HIGH1.take(i)
+    h2 = h - h1
+    high = m * h
+    rest = (((m1 * h1 - high) + m1 * h2 + m2 * h1) + m2 * h2) + m * _LOW.take(i)
+    e += _EXPONENT.take(i)
+    # high is an integer, as N >= 10^16 > 2^53, and N - high is small
+    high = np.ldexp(high, e)
+    rest = np.ldexp(rest, e)
+    whole = np.floor(rest)
+    frac = rest - whole
+    n = high.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    n[zero] = 0
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    k += carry
+    top, low = n // 10 ** 8, n % 10 ** 8
+    words = np.stack([top // 10 ** 8 + 10 * np.signbit(x) + 10000, top // 10 ** 4 % 10 ** 4,
+                      top % 10 ** 4, low // 10 ** 4, low % 10 ** 4, 2 * k + 10668, 2 * k + 10669],
+                     axis=1)
+    text = _WORDS.take(words).view(np.uint8)
+    for j in np.flatnonzero(~finite | (np.abs(frac - 0.5) < 2.0 ** -36)).tolist():
+        text[j] = np.frombuffer(_format(float(x[j])).encode().ljust(_WIDTH, b"\0"), np.uint8)
+    return text
+
+
+def _write_csv(path, header, columns) -> None:
+    """A header line, then one row per element of the `columns` (float
+    arrays, or numpy bytes arrays of text), with \\r\\n endings, to `path`
+    in a directory that _make_dir made, or to stdout when path is None.
+
+    Rows are built in blocks of about _BLOCK_NUMBERS numbers as one byte
+    matrix, with one _format_array call, and written without its null
+    padding.  No field (a name, an empty string, a finite number or `%d`
+    text) needs quoting, so these are the bytes csv.writer would write.
+    """
+    widths = [_WIDTH if c.dtype.kind == "f" else c.itemsize for c in columns]
+    starts = np.cumsum([0] + [w + 1 for w in widths])  # each field, then its separator
+    line = np.frombuffer(b",".join(b"\0" * w for w in widths) + b"\r\n", np.uint8)
+    numbers = [c for c in columns if c.dtype.kind == "f"]
+    step, count = max(1, _BLOCK_NUMBERS // len(numbers)), len(columns[0])
+    if path is None:
+        sys.stdout.flush()  # the rows go to its byte buffer, or as text without one
+    stdout = getattr(sys.stdout, "buffer", None)
+    with _create(path, "wb") if path is not None else contextlib.nullcontext(stdout) as fh:
+        write = fh.write if fh is not None else lambda data: sys.stdout.write(bytes(data).decode())
+        write((",".join(header) + "\r\n").encode())
+        for start in range(0, count, step):
+            rows = min(step, count - start)
+            text = _format_array(np.concatenate([c[start:start + step] for c in numbers]))
+            text = iter(text.reshape(len(numbers), rows, _WIDTH))
+            block = np.tile(line, (rows, 1))
+            for c, at, width in zip(columns, starts, widths):
+                block[:, at:at + width] = (
+                    next(text) if c.dtype.kind == "f"
+                    else c[start:start + step].view(np.uint8).reshape(rows, width))
+            write(block[block != 0])
 
 
 def _make_dir(path: str) -> None:
@@ -215,10 +311,10 @@ def _make_dir(path: str) -> None:
         raise ConfigError(f"cannot write {path}: permission denied")
 
 
-def _create(path: str, **kwargs):
-    """open(path, "w"); a path that cannot be written raises ConfigError naming it."""
+def _create(path: str, mode: str = "w"):
+    """open(path, mode); a path that cannot be written raises ConfigError naming it."""
     try:
-        return open(path, "w", **kwargs)
+        return open(path, mode)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -239,14 +335,12 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     evaluated = _with_impurity(grid, cfg.impurity)
     values = _sweep_chunk(evaluated, cfg.quantities, cfg.delta_b, cfg.alt_correlators)
 
-    # fixed parameters are formatted once into the row template, every other
-    # column is a %.16e slot
+    # fixed parameters are formatted once, as text columns
     axes = {name for name, *_ in cfg.axes}
-    template = ",".join(["%.16e" if c in axes else _format(getattr(cfg.params, c))
-                         for c in PARAM_COLUMNS] + ["%.16e"] * len(values))
-    columns = [grid[c].tolist() for c in PARAM_COLUMNS if c in axes]
-    columns += [v.tolist() for v in values.values()]
-    _write_csv(cfg.out, PARAM_COLUMNS + tuple(values), template, zip(*columns))
+    n = len(grid["B"])
+    columns = [grid[c] if c in axes else np.full(n, _format(getattr(cfg.params, c)).encode())
+               for c in PARAM_COLUMNS]
+    _write_csv(cfg.out, PARAM_COLUMNS + tuple(values), columns + list(values.values()))
     _write_manifest(cfg)
     return cfg.out
 
@@ -459,14 +553,15 @@ def _write_thresholds(jobs, axis, scan) -> list[str]:
     bracket count at every axis value.  The rows of all curves are one
     threshold_temperatures call, in one process."""
     name, start, stop, count = axis
-    values = _axis_values(name, start, stop, count).tolist()
-    rows = [replace(params, **{name: v}) for params, _ in jobs for v in values]
+    values = _axis_values(name, start, stop, count)
+    rows = [replace(params, **{name: v}) for params, _ in jobs for v in values.tolist()]
     thresholds, counts = threshold_temperatures(rows, scan[1:])
-    cells = ["" if t is None else _format(t) for t in thresholds]
+    cells = np.array([b"" if t is None else _format(t).encode() for t in thresholds])
+    counts = np.array(counts).astype(bytes)
     for k, (_, out) in enumerate(jobs):
         part = slice(count * k, count * (k + 1))
-        _write_csv(out, (name, "T_threshold", "n_brackets"), "%.16e,%s,%d",
-                   zip(values, cells[part], counts[part]))
+        _write_csv(out, (name, "T_threshold", "n_brackets"),
+                   [values, cells[part], counts[part]])
     return [out for _, out in jobs]
 
 
@@ -696,8 +791,7 @@ def _cmd_point(args) -> int:
     values = run_point(_with_impurity(params, impurity), quantities, delta_b=delta_b,
                        alt_correlators=args.debug_paper_correlators)
     row = tuple(vars(params).values()) + tuple(values.values())
-    _write_csv(args.out, PARAM_COLUMNS + tuple(values),
-               ",".join(["%.16e"] * len(row)), [row])
+    _write_csv(args.out, PARAM_COLUMNS + tuple(values), [np.array([v]) for v in row])
     return 0
 
 

@@ -49,7 +49,7 @@ class InvalidN(ValueError):
 
 
 class DegenerateGap(ArithmeticError):
-    """Sector weights vanished or disagree; cannot happen for positive weights."""
+    """A degenerate dominant host eigenvalue, or sector weights that vanish or disagree."""
 
 
 class NotAState(ValueError):
@@ -135,13 +135,20 @@ def _projector(x, y, z):
     eigenvalue gap of the symmetric [[x, y], [y, z]] and 2g times its upper
     eigenprojector.  The smaller of g -+ d is 4y^2 / (g + |d|), never a
     difference of close numbers ((2y / (g + |d|)) 2y where 4y^2 underflows);
-    at g = 0 the projector is (1, 0, 0), and nothing is divided by 0.
+    at g = 0 the projector is (1, 0, 0), and nothing is divided by 0.  Where
+    4y^2 overflows, the projector is 2g / max(|d|, |2y|) times P instead.
     """
     d = x - z
     off = 2.0 * y
     gap = np.hypot(d, off)
     big = gap + np.abs(d)
     square = off * off
+    # like the underflow select below, only in batches where 4y^2 overflows
+    if square.max() == np.inf:
+        scale = np.where(square == np.inf, np.maximum(np.abs(d), np.abs(off)), 1.0)
+        d, off = d / scale, off / scale
+        big = np.hypot(d, off) + np.abs(d)
+        square = off * off
     # one-point calls pay per numpy operation, so the selects run only in
     # batches where 4y^2 underflows somewhere (as it does wherever g = 0)
     if square.min() < _TINY:
@@ -242,6 +249,10 @@ def _kernel(args, ring: int | None = None):
             _raise_at(OverflowRisk, "a Zeeman term or dimer level is past the float range",
                       ~(exponents < np.inf), args)
         exponents *= -beta
+        if ring is not None:
+            # log Z's energy terms, both <= 0: past the float range they are
+            # -inf, and log Z is inf, which partition_function raises
+            beta_ref, beta_shift = beta * ref, beta * (ring - 1) * shift[0, 0]
     factors = np.exp(exponents, out=exponents)
     # each sector's Boltzmann sum, outer and central pairs apart, so that
     # mirror sectors (s = +-1 at B = 0) get bit-identical sums
@@ -252,8 +263,10 @@ def _kernel(args, ring: int | None = None):
     if ring is None:
         # the dominant projector, 2Q times: (Q + D, 2 w0, Q - D) with D = w1 - wm
         q, (coef[0], m0, coef[2]) = _projector(w1, w0, wm)
+        # the host's lowest level has weight 1, so g = 0 means w0 = 0 and w1 = w-1 > 0
         if not q.min() > 0.0:
-            _raise_at(DegenerateGap, "all host sector weights vanished", ~(q > 0.0), args)
+            _raise_at(DegenerateGap, "the host's dominant eigenvalue is degenerate, so the "
+                      "infinite chain's limit state depends on the boundary", ~(q > 0.0), args)
     else:
         (coef[0], m0, coef[2]), log_scale = _host_power(w1, w0, wm, ring - 1)
     # the s = 0 sector takes both off-diagonal entries
@@ -272,6 +285,8 @@ def _kernel(args, ring: int | None = None):
     # central pair's projectors are P / tr P and 1 - P / tr P, with P the
     # upper one from _projector (tr P is 2g, and 1 where g = 0)
     p11, p12, p22 = central[0][1], central[1], central[2][1]
+    if p12.ndim == central[0].ndim:  # 2y scaled per element, where 4y^2 overflowed
+        p12 = p12[1]
     trace = p11 + p22
     f00, f_up, f_down, f33 = factors[:, 1]
     cells = np.empty((5,) + f00.shape)
@@ -297,7 +312,7 @@ def _kernel(args, ring: int | None = None):
     # den * e^(top - beta ref) is the sum over sectors of the coefficients
     # times the defect's true sector weights; the host's shift enters once per
     # host cell
-    log_z = np.log(den) + top - beta * ref + log_scale - beta * (ring - 1) * shift[0, 0]
+    log_z = np.log(den) + top - beta_ref + log_scale - beta_shift
     return num / tr_num, log_z
 
 
@@ -322,12 +337,12 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     so its bits do not depend on the batch it is evaluated in.
 
     Raises OverflowRisk (a Zeeman term or level past the float range, or 1/T
-    overflowing), DegenerateGap (vanishing host weights, a degenerate or
-    non-finite sector mixture, or a trace that disagrees with the weight sum)
-    naming the first failing point, and ValueError for a non-positive
-    temperature.  Batches are cut, in order, into kernel calls of at most 601
-    points (a preset sweep), so an error names the first failing point in
-    batch order.
+    overflowing), DegenerateGap (a degenerate dominant host eigenvalue, a
+    degenerate or non-finite sector mixture, or a trace that disagrees with
+    the weight sum) naming the first failing point, and ValueError for a
+    non-positive temperature.  Batches are cut, in order, into kernel calls
+    of at most 601 points (a preset sweep), so an error names the first
+    failing point in batch order.
     """
     args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
     n = np.broadcast(*args).size
@@ -355,10 +370,15 @@ def partition_function(p: ModelParams, N: int) -> float:
     batch of one of the shared kernel: W_h^(N-1) by renormalised binary
     powering, the defect's sector weights mixed in log domain, and the
     energy shifts and scales restored in log domain.  Raises InvalidN for N
-    that is not an integer >= 2.
+    that is not an integer >= 2, and OverflowRisk naming the point where
+    log Z is past the float range.
     """
     _check_length(N)
-    return float(_kernel(tuple(vars(p).values()), N)[1][0])
+    args = tuple(vars(p).values())
+    log_z = float(_kernel(args, N)[1][0])
+    if not math.isfinite(log_z):
+        raise OverflowRisk(f"log Z_{N} is past the float range at {_point_text(args, 0)}")
+    return log_z
 
 
 def finite_n_density_matrix(p: ModelParams, N: int) -> XState:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -318,7 +319,7 @@ class TestRunSweep:
         assert open(cfg_on.out, "rb").read() == open(cfg_off.out, "rb").read()
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
-        # the row-template writer against csv.writer over run_point's columns
+        # the vectorised block writer against csv.writer over run_point's columns
         quantities = list(QUANTITY_ORDER)
         out = str(tmp_path / "all.csv")
         code = cli.main(["sweep", "--set", "J=-1.3", "--set", "gamma=-0.6",
@@ -349,6 +350,69 @@ class TestRunSweep:
         assert "impurity-chain" in manifest
         assert "gamma = -0.8" in manifest
         assert "axis1 = B" in manifest
+
+
+class TestCsvWriter:
+    @staticmethod
+    def formatted(values):
+        """_format_array's rows of `values`, null padding dropped, one per line."""
+        text = cli._format_array(np.asarray(values, dtype=float))
+        lines = np.concatenate([text, np.full((len(text), 1), ord("\n"), np.uint8)], axis=1)
+        return lines[lines != 0].tobytes().decode().splitlines()
+
+    def test_format_array_equals_percent_format(self):
+        rng = np.random.default_rng(20161)
+        bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64).view(np.float64)
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        neighbours = [np.nextafter(np.nextafter(p, side), side) for p in powers
+                      for side in (0.0, np.inf)]
+        neighbours += [np.nextafter(p, side) for p in powers for side in (0.0, np.inf)]
+        # exact ties, which %.16e rounds to even, take the fallback
+        ties = [1.0 + 2.0 ** -17, 1.0 + 3 * 2.0 ** -17, 1.5 + 2.0 ** -17, 0.5 + 2.0 ** -18]
+        special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-100, 1e100]
+        signed = np.array(powers + neighbours + ties + special)
+        values = np.concatenate([bits[np.isfinite(bits)], signed, -signed])
+        got = self.formatted(values)
+        expected = ["%.16e" % v for v in values.tolist()]
+        wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
+        assert len(got) == len(expected) and not wrong, wrong[:5]
+
+    def test_ties_take_the_fallback_and_round_to_even(self, monkeypatch):
+        fallback = []
+        monkeypatch.setattr(cli, "_format", lambda v: fallback.append(v) or f"{v:.16e}")
+        values = [1.0 + 2.0 ** -17, 1.0 + 3 * 2.0 ** -17, 1.0, 0.0, -0.0, 1e-300, 1e20,
+                  float("inf"), float("nan")]
+        assert self.formatted(values) == [
+            "1.0000076293945312e+00", "1.0000228881835938e+00", "1.0000000000000000e+00",
+            "0.0000000000000000e+00", "-0.0000000000000000e+00", "1.0000000000000000e-300",
+            "1.0000000000000000e+20", "inf", "nan"]
+        assert fallback[:2] == values[:2] and len(fallback) == 4
+
+    def test_preset_csvs_equal_csv_writer_over_their_fields(self, tmp_path):
+        # every number re-parsed and re-formatted by _format, the %d counts
+        # and empty cells as they are
+        for name in cli.FIGURE_PRESETS:
+            for path in run_figure(name, str(tmp_path), {}):
+                raw = open(path, "rb").read()
+                rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
+                expected = io.StringIO(newline="")
+                writer = csv.writer(expected)
+                writer.writerow(rows[0])
+                writer.writerows([[cli._format(float(f)) if "e" in f else f for f in row]
+                                  for row in rows[1:]])
+                assert raw == expected.getvalue().encode(), path
+
+    def test_point_row_on_a_text_stdout(self, tmp_path):
+        # a text stream without a byte buffer gets the row that --out writes
+        argv = ["point", "--set", "gamma=-0.8", "--set", "B=1e-300", "--set", "T=1e5",
+                "--debug-paper-correlators"]
+        out = str(tmp_path / "point.csv")
+        assert cli.main(argv + ["--out", out]) == 0
+        stream = io.StringIO(newline="")
+        with contextlib.redirect_stdout(stream):
+            assert cli.main(argv) == 0
+        assert stream.getvalue().encode() == open(out, "rb").read()
+        assert stream.getvalue().endswith("\r\n")
 
 
 class TestThresholdFinder:

@@ -469,13 +469,58 @@ def test_point_bits_do_not_depend_on_a_decoupled_neighbour(rng):
     assert limit_states(**grid, **STANDARD, gamma=-0.8)[:, :50].tobytes() == alone.tobytes()
 
 
+DEGENERATE_HOST = ("the host's dominant eigenvalue is degenerate, so the infinite chain's "
+                   "limit state depends on the boundary at ")
+
+
 def test_host_guard_raises_before_dividing():
     # J = 0, B = 0: the s = +-1 sectors tie and w(0) = 4 e^-1000 underflows, so
     # the host has no dominant eigenvector; the guard names the point, with no
     # numpy warning on the way
-    with pytest.raises(DegenerateGap, match="all host sector weights vanished at J=0.0"):
+    with pytest.raises(DegenerateGap, match=re.escape(DEGENERATE_HOST + "J=0.0")):
         limit_states(J=np.zeros(2), Delta=1.0, J0=10.0, **STANDARD, gamma=0.0, B=0.0,
                      T=0.005)
+
+
+def test_huge_nodal_coupling_names_the_degenerate_host_eigenvalue():
+    # J0 = -1e20: the nodal Zeeman term is lost in the rounding of levels near
+    # 5e19, so the host weights are (2, 0, 2), not vanished
+    p = ModelParams(J0=-1e20, B=1.95)
+    assert boltzmann_weights(p) == {1: 2.0, 0: 0.0, -1: 2.0}
+    with pytest.raises(DegenerateGap, match=re.escape(DEGENERATE_HOST) + ".*J0=-1e\\+20"):
+        impurity_density_matrix(p)
+    # the ring at the same point is well defined
+    finite_n_density_matrix(p, 6).validate()
+
+
+@pytest.mark.parametrize("J, state", [
+    *[(J, (0.0, 0.5, 0.5, 0.0, -0.5)) for J in (1e155, 1e160, 1e200, 1e300, 1.7e308)],
+    (-1e200, (1 / 3, 1 / 6, 1 / 6, 1 / 3, 1 / 6)),
+])
+def test_exchange_past_the_square_root_of_the_float_range(J, state):
+    # 4y^2 overflows past about 1.3e154; the projector is then scaled, with no
+    # numpy warning: the singlet for J > 0, the triplet mixture for J < 0
+    st = impurity_density_matrix(ModelParams(J=J))
+    assert (st.r11, st.r22, st.r33, st.r44, st.r23) == pytest.approx(state, abs=1e-15)
+
+
+def test_an_overflowing_square_leaves_the_other_points_bits(rng):
+    grid = {k: rng.uniform(0.1, 2.0, 50) for k in ("J", "Delta", "J0", "B", "T")}
+    alone = limit_states(**grid, **STANDARD, gamma=-0.8)
+    grid = {k: np.append(v, 1e200 if k == "J" else v[0]) for k, v in grid.items()}
+    batch = limit_states(**grid, **STANDARD, gamma=-0.8)
+    assert batch[:, :50].tobytes() == alone.tobytes()
+    assert batch[:, 50] == pytest.approx([0.0, 0.5, 0.5, 0.0, -0.5], abs=1e-15)
+
+
+def test_log_z_past_the_float_range_raises_overflow_risk():
+    # beta (N - 1) times the host's level shift overflows; the ring's state at
+    # the same point never reads log Z, and returns without a numpy warning
+    p = ModelParams(B=1e306, T=0.005)
+    with pytest.raises(OverflowRisk, match=re.escape("log Z_6 is past the float range at ")
+                       + ".*B=1e\\+306, T=0.005"):
+        partition_function(p, 6)
+    assert finite_n_density_matrix(p, 6).validate().r11 == 1.0
 
 
 @pytest.mark.parametrize("B", [1e308, 3e307, -1e308])

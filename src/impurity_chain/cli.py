@@ -10,10 +10,9 @@ Subcommands:
 Configuration is plain `key = value` text (# comments), overridable with
 repeated --set key=value flags; each subparser declares its handler and the
 keys it accepts, and any other key is an error.  CSV output is RFC-4180 style
-with 17 significant digits, byte-identical across reruns and worker counts:
-numpy formats whole blocks of numbers at once, with exactly the bytes of
-Python's `%.16e` (_format_array).  Library callers import run_point,
-run_sweep and the finders from here.
+with 17 significant digits in numpy's exact `%.16e` (_format_array),
+byte-identical across reruns and worker counts.  Library callers import
+run_point, run_sweep and the finders from here.
 
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path), 3 numerical failure (a non-finite result or a solver
@@ -186,26 +185,26 @@ def _format(v: float) -> str:
 
 
 def _decimal_tables():
-    """_format_array's tables at p = -324..340, from exact integers: 10^p =
-    (H + L) 2^E, H the double nearest 10^p 2^-E in [0.5, 1] with its upper
-    26 bits (Veltkamp's split), and the smallest double >= 10^p."""
-    rows = []  # (H, L, E, the smallest double >= 10^p)
+    """_format_array's tables for 10^p, p = -324..340, from exact integers:
+    (H + L) 2^E = 10^p with H in [0.5, 1], H's upper 26 bits and the rest
+    (Veltkamp's split), and the smallest double >= 10^p."""
+    rows = []
     for p in range(-324, 341):
         num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
         shift = 130 - num.bit_length() + den.bit_length()
-        w = (num << max(shift, 0)) // (den << max(-shift, 0))
+        w = (num << max(shift, 0)) // (den << max(-shift, 0))  # 10^p 2^shift, 130 bits
         bits, high = w.bit_length(), float(w)
-        ceiling = num / den if p <= 308 else math.inf
-        n, d = ceiling.as_integer_ratio() if p <= 308 else (1, 0)
+        near = num / den if p <= 308 else math.inf
+        n, d = near.as_integer_ratio() if p <= 308 else (1, 0)
         rows.append((math.ldexp(high, -bits), math.ldexp(float(w - int(high)), -bits),
-                     bits - shift, math.nextafter(ceiling, math.inf) if n * den < num * d
-                     else ceiling))
+                     bits - shift, near if n * den >= num * d else math.nextafter(near, math.inf)))
     high, low, exponent, ceiling = (np.array(column) for column in zip(*rows))
     t = high * (2.0 ** 27 + 1.0)
-    return high, t - (t - high), low, exponent.astype(np.int32), ceiling
+    high1 = t - (t - high)
+    return high, high1, high - high1, low, exponent.astype(np.int32), ceiling
 
 
-_HIGH, _HIGH1, _LOW, _EXPONENT, _CEILING = _decimal_tables()
+_HIGH, _HIGH1, _HIGH2, _LOW, _EXPONENT, _CEILING = _decimal_tables()
 # uint32 words of text: "0000" .. "9999" at i; "\0-d." or "\0\0d." (sign, lead
 # digit d) at 10000 + 10 sign + d; "e-324" .. "e+308" null-padded to two words
 # at 10020 + 2 (k + 324)
@@ -218,14 +217,13 @@ _BLOCK_NUMBERS = 4096  # numbers per _format_array call of _write_csv
 
 
 def _format_array(x: np.ndarray) -> np.ndarray:
-    """`'%.16e' % v` for every v of the float array x: rows of (len(x), 28)
-    bytes padded with nulls.  k = floor(log10 |v|) is corrected against the
-    smallest double >= 10^k; the 17 digits N = round(|v| 10^(16 - k)) are
-    frexp's mantissa times a double-double 10^(16 - k), the high product
-    exact by Dekker (Numer. Math. 18 (1971) 224), with an error below about
-    2^-47 of a unit of N.  A fraction of N within 2^-36 of 1/2 (as an exact
-    tie, which %.16e rounds to even) or a v that is not finite is _format's.
-    """
+    """`'%.16e' % v` for every v of the float array x, as (len(x), 28) bytes
+    padded with nulls.  k = floor(log10 |v|) is corrected against the
+    smallest double >= 10^k; N = round(|v| 10^(16 - k)) is frexp's mantissa
+    times a double-double 10^(16 - k), with Dekker's exact product (Numer.
+    Math. 18 (1971) 224), to within about 2^-47.  A v whose N has a fraction
+    within 2^-36 of 1/2 (a tie %.16e rounds to even) or that is not finite
+    is _format's."""
     a = np.abs(x)
     zero = a == 0.0
     finite = a < np.inf
@@ -237,18 +235,15 @@ def _format_array(x: np.ndarray) -> np.ndarray:
     t = m * (2.0 ** 27 + 1.0)
     m1 = t - (t - m)
     m2 = m - m1
-    h, h1 = _HIGH.take(i), _HIGH1.take(i)
-    h2 = h - h1
+    h, h1, h2 = _HIGH.take(i), _HIGH1.take(i), _HIGH2.take(i)
     high = m * h
     rest = (((m1 * h1 - high) + m1 * h2 + m2 * h1) + m2 * h2) + m * _LOW.take(i)
     e += _EXPONENT.take(i)
     # high is an integer, as N >= 10^16 > 2^53, and N - high is small
-    high = np.ldexp(high, e)
-    rest = np.ldexp(rest, e)
+    high, rest = np.ldexp(high, e), np.ldexp(rest, e)
     whole = np.floor(rest)
     frac = rest - whole
-    n = high.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    n[zero] = 0
+    n = np.where(zero, 0, high.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5))
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
     k += carry
@@ -263,35 +258,30 @@ def _format_array(x: np.ndarray) -> np.ndarray:
 
 
 def _write_csv(path, header, columns) -> None:
-    """A header line, then one row per element of the `columns` (float
-    arrays, or numpy bytes arrays of text), with \\r\\n endings, to `path`
-    in a directory that _make_dir made, or to stdout when path is None.
-
-    Rows are built in blocks of about _BLOCK_NUMBERS numbers as one byte
-    matrix, with one _format_array call, and written without its null
-    padding.  No field (a name, an empty string, a finite number or `%d`
-    text) needs quoting, so these are the bytes csv.writer would write.
+    """A header line, then a row per element of `columns` (float arrays, or
+    numpy bytes arrays of text) with \\r\\n endings, to `path` in a directory
+    that _make_dir made, or to stdout when path is None.  Blocks of about
+    _BLOCK_NUMBERS numbers are one _format_array call and one byte matrix,
+    written without its null padding.  No field (a name, an empty string, a
+    finite number or `%d` text) needs quoting: these are csv.writer's bytes.
     """
     widths = [_WIDTH if c.dtype.kind == "f" else c.itemsize for c in columns]
     starts = np.cumsum([0] + [w + 1 for w in widths])  # each field, then its separator
     line = np.frombuffer(b",".join(b"\0" * w for w in widths) + b"\r\n", np.uint8)
     numbers = [c for c in columns if c.dtype.kind == "f"]
-    step, count = max(1, _BLOCK_NUMBERS // len(numbers)), len(columns[0])
-    if path is None:
-        sys.stdout.flush()  # the rows go to its byte buffer, or as text without one
-    stdout = getattr(sys.stdout, "buffer", None)
-    with _create(path, "wb") if path is not None else contextlib.nullcontext(stdout) as fh:
+    step = max(1, _BLOCK_NUMBERS // len(numbers))
+    with contextlib.nullcontext() if path is None else _create(path, "wb") as fh:
+        # the CSV is ASCII, and sys.stdout may be a text stream without a byte buffer
         write = fh.write if fh is not None else lambda data: sys.stdout.write(bytes(data).decode())
         write((",".join(header) + "\r\n").encode())
-        for start in range(0, count, step):
-            rows = min(step, count - start)
-            text = _format_array(np.concatenate([c[start:start + step] for c in numbers]))
-            text = iter(text.reshape(len(numbers), rows, _WIDTH))
-            block = np.tile(line, (rows, 1))
-            for c, at, width in zip(columns, starts, widths):
-                block[:, at:at + width] = (
-                    next(text) if c.dtype.kind == "f"
-                    else c[start:start + step].view(np.uint8).reshape(rows, width))
+        for start in range(0, len(columns[0]), step):
+            part = [c[start:start + step] for c in columns]
+            text = iter(_format_array(np.concatenate([c for c in part if c.dtype.kind == "f"]))
+                        .reshape(len(numbers), len(part[0]), _WIDTH))
+            block = np.tile(line, (len(part[0]), 1))
+            for c, at, width in zip(part, starts, widths):
+                block[:, at:at + width] = (next(text) if c.dtype.kind == "f"
+                                           else c.view(np.uint8).reshape(-1, width))
             write(block[block != 0])
 
 

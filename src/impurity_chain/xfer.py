@@ -135,20 +135,13 @@ def _projector(x, y, z):
     eigenvalue gap of the symmetric [[x, y], [y, z]] and 2g times its upper
     eigenprojector.  The smaller of g -+ d is 4y^2 / (g + |d|), never a
     difference of close numbers ((2y / (g + |d|)) 2y where 4y^2 underflows);
-    at g = 0 the projector is (1, 0, 0), and nothing is divided by 0.  Where
-    4y^2 overflows, the projector is 2g / max(|d|, |2y|) times P instead.
+    at g = 0 the projector is (1, 0, 0), and nothing is divided by 0.
     """
     d = x - z
     off = 2.0 * y
     gap = np.hypot(d, off)
     big = gap + np.abs(d)
     square = off * off
-    # like the underflow select below, only in batches where 4y^2 overflows
-    if square.max() == np.inf:
-        scale = np.where(square == np.inf, np.maximum(np.abs(d), np.abs(off)), 1.0)
-        d, off = d / scale, off / scale
-        big = np.hypot(d, off) + np.abs(d)
-        square = off * off
     # one-point calls pay per numpy operation, so the selects run only in
     # batches where 4y^2 underflows somewhere (as it does wherever g = 0)
     if square.min() < _TINY:
@@ -245,13 +238,19 @@ def _kernel(args, ring: int | None = None):
         shift = sector_min.copy()
         shift[0] = np.minimum(np.minimum(shift[0, 0], shift[0, 1]), shift[0, 2])
         exponents = np.subtract(levels, shift, out=levels)
-        if not exponents.max() < np.inf:
+        peak = exponents.max()
+        if not peak < np.inf:
             _raise_at(OverflowRisk, "a Zeeman term or dimer level is past the float range",
                       ~(exponents < np.inf), args)
+        # an exponent, levels[1] - shift, is at least the central gap g >= |2c|:
+        # where (2c)^2 overflows, P is taken again from the block divided by
+        # |2c| (by 1 elsewhere), which leaves P / tr P as it is
+        if not peak < 2.0 ** 500:
+            scale = np.where(np.abs(c) < 2.0 ** 510, 1.0, 2.0 * np.abs(c))
+            central = _projector(a / scale, c / scale, b / scale)[1]
         exponents *= -beta
         if ring is not None:
-            # log Z's energy terms, both <= 0: past the float range they are
-            # -inf, and log Z is inf, which partition_function raises
+            # log Z's energy terms, <= 0; past the float range, partition_function raises
             beta_ref, beta_shift = beta * ref, beta * (ring - 1) * shift[0, 0]
     factors = np.exp(exponents, out=exponents)
     # each sector's Boltzmann sum, outer and central pairs apart, so that
@@ -285,8 +284,6 @@ def _kernel(args, ring: int | None = None):
     # central pair's projectors are P / tr P and 1 - P / tr P, with P the
     # upper one from _projector (tr P is 2g, and 1 where g = 0)
     p11, p12, p22 = central[0][1], central[1], central[2][1]
-    if p12.ndim == central[0].ndim:  # 2y scaled per element, where 4y^2 overflowed
-        p12 = p12[1]
     trace = p11 + p22
     f00, f_up, f_down, f33 = factors[:, 1]
     cells = np.empty((5,) + f00.shape)

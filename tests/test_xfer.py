@@ -513,6 +513,17 @@ def test_an_overflowing_square_leaves_the_other_points_bits(rng):
     assert batch[:, 50] == pytest.approx([0.0, 0.5, 0.5, 0.0, -0.5], abs=1e-15)
 
 
+@pytest.mark.parametrize("Delta", [-1e20, 0.0, 1e20])
+@pytest.mark.parametrize("J", [1.5 * 2.0 ** 512, -1.5 * 2.0 ** 512])
+def test_every_anisotropy_reaches_the_overflow_select(J, Delta):
+    # the kernel re-takes the central projector where the largest Boltzmann
+    # exponent, which bounds the central gap >= |J|, reaches 2^500; a huge
+    # anisotropy moves the levels but must not hide an overflowing J^2
+    p = ModelParams(J=J, Delta=Delta)
+    impurity_density_matrix(p).validate()
+    finite_n_density_matrix(p, 6).validate()
+
+
 def test_log_z_past_the_float_range_raises_overflow_risk():
     # beta (N - 1) times the host's level shift overflows; the ring's state at
     # the same point never reads log Z, and returns without a numpy warning

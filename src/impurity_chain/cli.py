@@ -9,10 +9,11 @@ Subcommands:
 
 Configuration is plain `key = value` text (# comments), overridable with
 repeated --set key=value flags; each subparser declares its handler and the
-keys it accepts, and any other key is an error.  CSV output is RFC-4180 style
-with 17 significant digits in numpy's exact `%.16e` (_format_array),
-byte-identical across reruns and worker counts.  Library callers import
-run_point, run_sweep and the finders from here.
+keys it accepts, and any other key is an error.  The parser is built once,
+when this module is imported, and every `main` call parses with it.  CSV
+output is RFC-4180 style with 17 significant digits in numpy's exact `%.16e`
+(_format_array), byte-identical across reruns and worker counts.  Library
+callers import run_point, run_sweep and the finders from here.
 
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path), 3 numerical failure (a non-finite result or a solver
@@ -824,8 +825,13 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+# built once, when cli is imported: parse_args returns a new Namespace each
+# call and holds nothing of the previous one
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except ConfigError as exc:

@@ -250,8 +250,9 @@ def _kernel(args, ring: int | None = None):
             central = _projector(a / scale, c / scale, b / scale)[1]
         exponents *= -beta
         if ring is not None:
-            # log Z's energy terms, <= 0; past the float range, partition_function raises
-            beta_ref, beta_shift = beta * ref, beta * (ring - 1) * shift[0, 0]
+            # log Z's energy terms, both <= 0, summed here: past the float
+            # range the sum is -inf, log Z inf, and partition_function raises
+            energy = beta * ref + beta * (ring - 1) * shift[0, 0]
     factors = np.exp(exponents, out=exponents)
     # each sector's Boltzmann sum, outer and central pairs apart, so that
     # mirror sectors (s = +-1 at B = 0) get bit-identical sums
@@ -308,8 +309,9 @@ def _kernel(args, ring: int | None = None):
         return num / tr_num, None
     # den * e^(top - beta ref) is the sum over sectors of the coefficients
     # times the defect's true sector weights; the host's shift enters once per
-    # host cell
-    log_z = np.log(den) + top - beta_ref + log_scale - beta_shift
+    # host cell.  log(den) + top is at most log 24 and log_scale is moderate,
+    # so adding -energy >= 0 (inf past the float range) cannot overflow
+    log_z = np.log(den) + top + log_scale - energy
     return num / tr_num, log_z
 
 

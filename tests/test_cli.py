@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -945,6 +946,71 @@ class TestMainEntry:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "--workers" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+
+# one run of each subcommand through main, each exiting 0
+EVERY_COMMAND = [
+    ["point", "--set", "B=0.5", "--set", "T=0.5", "--set", "quantities=concurrence"],
+    ["sweep", "--set", "axis=B 0 1 3", "--set", "quantities=qfi", "--out", "s.csv"],
+    ["figure", "fig-qfi", "--out", "figures"],
+    ["threshold", "--set", "B=1.0", "--set", "gamma=-0.8", "--t-min", "0.02", "--t-max", "2.0"],
+    ["critical", "--set", "gamma=-0.8", "--set", "T=0.01"],
+]
+
+# (COLUMNS, argv) of main calls that could see state left by an earlier
+# call on the same parser: --set lists, a store_true flag, an error, help
+IN_ONE_PROCESS = [
+    ("80", ["sweep", "--set", "axis=B 0 1 3", "--set", "quantities=concurrence,sxsx",
+            "--debug-paper-correlators", "--out", "a.csv"]),
+    ("80", ["point"]),
+    ("80", ["sweep", "--set", "axis=T 0.1 1 3", "--out", "b.csv"]),
+    ("80", ["point", "--set", "axis=B 0 1 3"]),
+    *[(columns, command + ["--help"]) for columns in ("60", "120")
+      for command in ([], ["point"], ["sweep"], ["threshold"], ["critical"], ["figure"])],
+]
+
+
+class TestParserReuse:
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert [cli.main(argv) for argv in EVERY_COMMAND] == [0] * len(EVERY_COMMAND)
+        assert built == []
+
+    def test_calls_leave_no_state_in_the_parser(self, tmp_path, monkeypatch, capsys):
+        def run_all(directory, fresh):
+            """Exit code, stdout, stderr and every file's bytes after each call,
+            on the module's parser or on a freshly built one per call."""
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            results = []
+            for columns, argv in IN_ONE_PROCESS:
+                monkeypatch.setenv("COLUMNS", columns)
+                if fresh:
+                    monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                files = {name: (directory / name).read_bytes()
+                         for name in sorted(os.listdir(directory))}
+                results.append((code, out, err, files))
+            return results
+
+        shared = run_all(tmp_path / "shared", fresh=False)
+        assert shared == run_all(tmp_path / "fresh", fresh=True)
+        assert [code for code, *_ in shared[:4]] == [0, 0, 0, 2]
+        # each help text follows the COLUMNS of its own call
+        helps = [out for _, out, _, _ in shared[4:]]
+        assert all(narrow != wide for narrow, wide in zip(helps[:6], helps[6:]))
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -1,0 +1,125 @@
+"""The whole-range contract: every documented entry point, at any finite
+parameters, returns a valid state (and a finite log Z) or raises a
+documented error naming its point, with no numpy warning on the way."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from impurity_chain import cli
+from impurity_chain.model import ModelParams, OverflowRisk
+from impurity_chain.xfer import (
+    DegenerateGap,
+    NotAState,
+    XState,
+    finite_n_density_matrix,
+    impurity_density_matrix,
+    limit_states,
+    partition_function,
+)
+
+DOCUMENTED = (OverflowRisk, DegenerateGap, NotAState)
+HUGE_KEYS = ("J", "Delta", "J0", "gamma", "B")
+RING = 6
+
+# points where the ring's two energy terms of log Z are finite but their sum
+# is not: log Z overflowed outside the kernel's errstate, with a warning
+LOG_Z_SUM_OVERFLOWS = [
+    ModelParams(J=-1.66308344062015, Delta=1.1809961054560133e307, J0=-0.20601851711945995,
+                g1=1.6874920556666968, g2=5.720586066403008, g3=5.225172278345592,
+                gamma=-1.8487226099381346, B=4.090653562881672, T=0.16376675552272207),
+    ModelParams(J=-1.5109408878729376, Delta=-1.5923504793347756e146, J0=3.664741509683516e307,
+                g1=1.3262463007827345, g2=3.3355536998154647, g3=3.2170232197726727,
+                gamma=-0.5046431688542574, B=4.999111698219604, T=0.5192884118883015),
+    ModelParams(J=6.223886883198952e305, Delta=-1.3107136659374032, J0=-0.5143394725612982,
+                g1=1.9250807473411995, g2=2.250154452310867, g3=5.931775261707155,
+                gamma=8.179144337876409e95, B=3.1635802861701112, T=0.005836260870588145),
+]
+
+
+def whole_range_draws(seed: int, n: int) -> list[ModelParams]:
+    """Ordinary points with one or two of J, Delta, J0, gamma and B set to
+    +-10^U(0, 308), and T log-uniform in [0.005, 3]."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        p = dict(J=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), Delta=rng.uniform(0.0, 3.0),
+                 J0=rng.uniform(-2.0, 2.0), g1=rng.uniform(0.5, 2.0), g2=rng.uniform(0.5, 6.0),
+                 g3=rng.uniform(0.5, 6.0), gamma=rng.uniform(-2.0, 2.0), B=rng.uniform(0.0, 5.0),
+                 T=math.exp(rng.uniform(math.log(0.005), math.log(3.0))))
+        for key in rng.choice(HUGE_KEYS, rng.integers(1, 3), replace=False):
+            p[key] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 308.0)
+        draws.append(ModelParams(**{k: float(v) for k, v in p.items()}))
+    return draws
+
+
+def outcome(p: ModelParams, call):
+    """`call()`'s value, or the documented error it raised naming `p`; any
+    warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except DOCUMENTED as exc:
+            assert f"J={p.J!r}" in str(exc), (p, exc)
+            return exc
+
+
+def check_point(p: ModelParams):
+    """The limit state (or its error) at `p`, after checking the ring and log Z."""
+    ring = outcome(p, lambda: finite_n_density_matrix(p, RING))
+    limit = outcome(p, lambda: impurity_density_matrix(p))
+    for state in (ring, limit):
+        assert isinstance(state, Exception) or state.validate() is state, p
+    log_z = outcome(p, lambda: partition_function(p, RING))
+    assert isinstance(log_z, Exception) or math.isfinite(log_z), p
+    return limit
+
+
+def limit_batch(points):
+    return limit_states(*(np.array([getattr(p, k) for p in points])
+                          for k in vars(points[0])))
+
+
+@pytest.mark.parametrize("p", LOG_Z_SUM_OVERFLOWS, ids=["Delta", "J0", "J-gamma"])
+def test_log_z_energy_sum_past_the_float_range(p):
+    check_point(p)
+    with pytest.raises(OverflowRisk, match=f"log Z_{RING} is past the float range at J="):
+        partition_function(p, RING)
+
+
+def test_whole_range_draws():
+    draws = whole_range_draws(20261019, 2000)
+    states = [check_point(p) for p in draws]
+    valid = [(p, st) for p, st in zip(draws, states) if isinstance(st, XState)]
+    # a batch of limit_states gives each valid point the bits it has alone
+    batch = limit_batch([p for p, _ in valid])
+    alone = np.array([list(vars(st).values()) for _, st in valid]).T
+    assert batch.tobytes() == alone.tobytes()
+    # and raises the one-point error of a failing point, naming it
+    for p, st in zip(draws, states):
+        if isinstance(st, Exception):
+            error = outcome(p, lambda: limit_batch([p]))
+            assert type(error) is type(st) and str(error) == str(st)
+    # the draws reach both documented errors and valid states
+    kinds = {type(st) for st in states}
+    assert {XState, OverflowRisk, DegenerateGap} <= kinds
+
+
+@pytest.mark.parametrize("p", LOG_Z_SUM_OVERFLOWS + [
+    ModelParams(J=1e160), ModelParams(J=-1.7e308, B=1.0), ModelParams(B=1e308, T=0.005),
+    ModelParams(J0=-1e20, B=1.95), ModelParams(Delta=-1e300, gamma=1e200, T=0.005),
+])
+def test_point_exits_cleanly_over_the_whole_range(p, capsys):
+    argv = ["point"] + [f"--set={k}={v!r}" for k, v in vars(p).items()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.count("\r\n") == 2 and err == ""
+    else:
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and f"J={p.J!r}" in err

@@ -35,7 +35,6 @@ from .measures import (
     MeasureBundle,
     coherence_batch,
     concurrence_batch,
-    correlators_batch,
     measure_bundle,
     measure_columns,
     qfi,
@@ -58,9 +57,8 @@ __all__ = [
     "XState", "InvalidN", "DegenerateGap", "NotAState", "partition_function",
     "limit_states", "impurity_density_matrix", "finite_n_density_matrix",
     "TooLarge", "brute_force_density_matrix", "wootters_concurrence",
-    "MeasureBundle", "measure_bundle", "spin_correlators", "qfi",
-    "qfi_field_derivative", "concurrence_batch", "coherence_batch",
-    "correlators_batch", "qfi_batch", "measure_columns",
+    "MeasureBundle", "measure_bundle", "spin_correlators", "qfi", "qfi_field_derivative",
+    "concurrence_batch", "coherence_batch", "qfi_batch", "measure_columns",
     "InputState", "TeleportOutput", "teleport_output",
     "output_concurrence_batch", "average_fidelity_batch",
 ]

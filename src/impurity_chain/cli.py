@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .measures import QUANTITY_COLUMNS, measure_columns
-from .model import ModelParams, OverflowRisk
+from .model import DELTA_B, ModelParams, OverflowRisk
 from .xfer import DegenerateGap, InvalidN, NotAState
 
 __all__ = [
@@ -71,6 +71,12 @@ PARAM_COLUMNS = tuple(f.name for f in fields(ModelParams))
 SWEEPABLE = ("B", "T", "Delta", "J0", "gamma")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the finders' defaults: temperatures or fields in a coarse scan, and the
+# bracket width where the threshold bisection and the critical field's
+# golden section stop
+_SCAN_POINTS = 64
+_THRESHOLD_TOL = 1e-6
+_CRITICAL_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +94,10 @@ def _check_quantities(quantities) -> None:
             raise ConfigError(f"quantity {q!r} requested twice")
 
 
-def _check_finite(values: dict, point_at) -> None:
-    """Raise NonFiniteError naming the first point with a non-finite column."""
-    finite = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
-        bad = [k for k, v in values.items() if not math.isfinite(v[i])]
-        raise NonFiniteError(f"non-finite {bad} at {point_at(i)}")
-
-
 # ---------------------------------------------------------------------------
 # single point
 
-def run_point(p: ModelParams, quantities, delta_b: float = 1e-3,
+def run_point(p: ModelParams, quantities, delta_b: float = DELTA_B,
               alt_correlators: bool = False) -> dict[str, float]:
     """Every column of the requested quantities at one parameter point.
 
@@ -126,7 +123,7 @@ class SweepConfig:
     axes: tuple[tuple[str, float, float, int], ...]
     quantities: tuple[str, ...]
     out: str
-    delta_b: float = 1e-3
+    delta_b: float = DELTA_B
     impurity: bool = True
     alt_correlators: bool = False
 
@@ -161,10 +158,16 @@ class SweepConfig:
 
 def _sweep_chunk(columns: dict, quantities, delta_b: float, alt: bool) -> dict:
     """Every column of the grid points in `columns`, in one evaluator call;
-    with `alt`, the shortcut correlators sxsx_alt and szsz_alt last."""
+    with `alt`, the shortcut correlators sxsx_alt and szsz_alt last.  Raises
+    NonFiniteError naming the first point with a non-finite column."""
     requested = tuple(quantities) + (("sxsx_alt", "szsz_alt") if alt else ())
     values = measure_columns(columns, requested, delta_b)
-    _check_finite(values, lambda i: ModelParams(**{k: float(v[i]) for k, v in columns.items()}))
+    finite = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        bad = [k for k, v in values.items() if not math.isfinite(v[i])]
+        point = ModelParams(**{k: float(v[i]) for k, v in columns.items()})
+        raise NonFiniteError(f"non-finite {bad} at {point}")
     return values
 
 
@@ -358,7 +361,7 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
-def concurrence_sign_brackets(p: ModelParams, t_range, points: int = 64) -> int:
+def concurrence_sign_brackets(p: ModelParams, t_range, points: int = _SCAN_POINTS) -> int:
     """(C > 0) sign changes of C(T) on threshold_temperatures' scan, same ConfigErrors."""
     return int(_coarse_scan([p], t_range, points)[2].sum())
 
@@ -377,7 +380,8 @@ def _coarse_scan(points: list, t_range, count: int):
     return temps, positive, positive[:, :-1] != positive[:, 1:], params
 
 
-def threshold_temperatures(points, t_range, points_per_scan: int = 64, tol: float = 1e-6):
+def threshold_temperatures(points, t_range, points_per_scan: int = _SCAN_POINTS,
+                           tol: float = _THRESHOLD_TOL):
     """Largest temperature where the concurrence changes between zero and
     positive, for each parameter point (its own T is not used).
 
@@ -419,7 +423,8 @@ def threshold_temperatures(points, t_range, points_per_scan: int = 64, tol: floa
     return thresholds, counts.tolist()
 
 
-def find_threshold_temperature(p: ModelParams, t_range, points: int = 64, tol: float = 1e-6):
+def find_threshold_temperature(p: ModelParams, t_range, points: int = _SCAN_POINTS,
+                               tol: float = _THRESHOLD_TOL):
     """Largest temperature where the concurrence changes between zero and positive.
 
     A batch of one of threshold_temperatures: coarse scan with `points`
@@ -434,8 +439,8 @@ _TARGETS = {"max_concurrence": ("concurrence", -1.0), "qfi_min": ("qfi", 1.0),
             "dqfi_peak": ("qfi_dB", -1.0)}
 
 
-def find_critical_field(p: ModelParams, b_range, target: str, points: int = 64,
-                        tol: float = 1e-4, delta_b: float = 1e-3) -> float:
+def find_critical_field(p: ModelParams, b_range, target: str, points: int = _SCAN_POINTS,
+                        tol: float = _CRITICAL_TOL, delta_b: float = DELTA_B) -> float:
     """Field value extremizing the chosen functional inside b_range.
 
     target: 'max_concurrence' (maximize C), 'qfi_min' (minimize F) or
@@ -525,10 +530,7 @@ def _owned_keys(name: str) -> set[str]:
 def _preset_jobs(name: str, outdir: str, overrides: dict) -> list:
     """(parameters, CSV path) of every curve of a preset, in file order."""
     stem, defaults, curves, _, _ = FIGURE_PRESETS[name]
-    try:
-        base = ModelParams(**dict(defaults, **overrides))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    base = _model_params(dict(defaults, **overrides))
     combos = [{}]
     for key, values in curves:
         combos = [dict(c, **{key: v}) for c in combos for v in values]
@@ -639,37 +641,39 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
         raise ConfigError(f"bad axis {text!r}: {exc}") from exc
 
 
-def _parse_delta_b(mapping: dict[str, str]) -> float:
-    text = mapping.get("delta_b", "1e-3")
+def _number(key: str, text: str) -> float:
+    """The value of a number key; text that is not a number raises ConfigError."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError as exc:
-        raise ConfigError(f"delta_b: not a number: {text!r}") from exc
+        raise ConfigError(f"{key}: not a number: {text!r}") from exc
+
+
+def _parse_delta_b(mapping: dict[str, str]) -> float:
+    value = _number("delta_b", mapping["delta_b"]) if "delta_b" in mapping else DELTA_B
     _check_positive("delta_b", value)
     return value
 
 
 def _parse_params(mapping: dict[str, str]) -> dict[str, float]:
     """The parameter keys of a mapping, in its order, as floats."""
-    values = {}
-    for key, text in mapping.items():
-        if key in PARAM_COLUMNS:
-            try:
-                values[key] = float(text)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: not a number: {text!r}") from exc
-    return values
+    return {key: _number(key, text) for key, text in mapping.items() if key in PARAM_COLUMNS}
 
 
 def _parse_quantities(mapping: dict[str, str], default: str) -> tuple[str, ...]:
     return tuple(q.strip() for q in mapping.get("quantities", default).split(",") if q.strip())
 
 
-def build_params(mapping: dict[str, str]) -> ModelParams:
+def _model_params(values: dict) -> ModelParams:
+    """ModelParams(**values); a key or value it rejects raises ConfigError."""
     try:
-        return ModelParams(**_parse_params(mapping))
-    except ValueError as exc:
+        return ModelParams(**values)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def build_params(mapping: dict[str, str]) -> ModelParams:
+    return _model_params(_parse_params(mapping))
 
 
 def build_sweep_config(mapping: dict[str, str], alt_correlators: bool = False) -> SweepConfig:
@@ -757,9 +761,9 @@ def _build_parser() -> argparse.ArgumentParser:
                  help="critical field of a chosen functional")
     sp.add_argument("--b-min", type=float, default=0.0)
     sp.add_argument("--b-max", type=float, default=3.0)
-    sp.add_argument("--target", default="max-concurrence",
-                    choices=("max-concurrence", "qfi-min", "dqfi-peak"))
-    sp.add_argument("--tol", type=float, default=1e-4)
+    targets = tuple(name.replace("_", "-") for name in _TARGETS)
+    sp.add_argument("--target", default=targets[0], choices=targets)
+    sp.add_argument("--tol", type=float, default=_CRITICAL_TOL)
 
     sp = command("figure", _cmd_figure, PARAM_COLUMNS, help="write a figure preset's data files")
     sp.add_argument("preset", choices=sorted(FIGURE_PRESETS))

@@ -10,8 +10,11 @@ state's eigenbasis, whose eigenvalues and overlaps are closed forms of the
 five elements too: no matrix is built and no eigensolver runs.
 `measure_columns`, the one evaluator of every column over parameter points,
 takes the states, and those that dF/dB needs, from one `limit_states` call.
-The few one-point functions left (`spin_correlators`, `qfi`,
-`qfi_field_derivative`, `measure_bundle`) are batches of one, same bits.
+Its table `_COLUMNS` is the one place a column's closed form is written: the
+correlators sxsx and szsz, and the paper's shortcut correlators sxsx_alt and
+szsz_alt that the CLI emits under its debug flag.  The few one-point
+functions left (`spin_correlators`, `qfi`, `qfi_field_derivative`,
+`measure_bundle`) are batches of one, same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import DELTA_B, ModelParams
 from .teleport import average_fidelity_batch, output_concurrence_batch
 from .xfer import XState, limit_states
 
@@ -30,8 +33,6 @@ __all__ = [
     "measure_bundle",
     "concurrence_batch",
     "coherence_batch",
-    "correlators_batch",
-    "correlators_shortcut_batch",
     "qfi_batch",
     "spin_correlators",
     "qfi",
@@ -83,21 +84,6 @@ def coherence_batch(states: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(states[4])
 
 
-def correlators_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<Sx Sx>, <Sz Sz>) = (r23/2, (r11 - r22 - r33 + r44)/4): the sxsx and
-    szsz columns of measure_columns."""
-    return _COLUMNS["sxsx"](states), _COLUMNS["szsz"](states)
-
-
-def correlators_shortcut_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate shortcut convention (r22/2, 1/4 - r23), kept for comparison.
-
-    Disagrees with the correlators except on special states; emitted only
-    under the CLI debug flag so the two conventions can be compared.
-    """
-    return states[1] / 2.0, 0.25 - states[4]
-
-
 def qfi_batch(states: np.ndarray) -> np.ndarray:
     """Bipartite quantum Fisher information of X states, in closed form.
 
@@ -136,8 +122,11 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
 
 
 # column -> its array function of (5, n) states, but for qfi, qfi_dB and the
-# rho_elements rows; cout takes C_in = 1, the maximally entangled input, and
-# no quantity names the shortcut correlators sxsx_alt and szsz_alt
+# rho_elements rows; cout takes C_in = 1, the maximally entangled input.
+# sxsx and szsz are <Sx Sx> = r23/2 and <Sz Sz> = (r11 - r22 - r33 + r44)/4;
+# sxsx_alt and szsz_alt are the shortcut convention (r22/2, 1/4 - r23), kept
+# for comparison: it disagrees with the correlators except on special states,
+# so no quantity names it and only the CLI debug flag emits it
 _COLUMNS = {
     "concurrence": concurrence_batch,
     "coherence": coherence_batch,
@@ -145,12 +134,12 @@ _COLUMNS = {
     "szsz": lambda states: (states[0] - states[1] - states[2] + states[3]) / 4.0,
     "favg": average_fidelity_batch,
     "cout": lambda states: output_concurrence_batch(states, 1.0),
-    "sxsx_alt": lambda states: correlators_shortcut_batch(states)[0],
-    "szsz_alt": lambda states: correlators_shortcut_batch(states)[1],
+    "sxsx_alt": lambda states: states[1] / 2.0,
+    "szsz_alt": lambda states: 0.25 - states[4],
 }
 
 
-def measure_columns(params: dict, quantities, delta_b: float = 1e-3) -> dict:
+def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
     """Every column of the requested quantities at a batch of parameter points.
 
     `params` holds the keyword arguments of `limit_states`, B broadcast
@@ -158,10 +147,10 @@ def measure_columns(params: dict, quantities, delta_b: float = 1e-3) -> dict:
     columns sxsx_alt and szsz_alt.  One limit_states call takes the fields
     [B, B + delta_b, B - delta_b]: B if a quantity needs the points' own
     states, the others for qfi_dB, the central difference (F(B + delta_b) -
-    F(B - delta_b)) / (2 delta_b) of one QFI evaluation over them all; the
-    default step resolves the field scales of F here (~0.05).  Returns
-    column -> array in request order; raises ValueError for a delta_b that
-    is not positive and finite when qfi_dB is requested.
+    F(B - delta_b)) / (2 delta_b) of one QFI evaluation over them all, at
+    the default step model.DELTA_B.  Returns column -> array in request
+    order; raises ValueError for a delta_b that is not positive and finite
+    when qfi_dB is requested.
     """
     b = params["B"]
     fields = [] if set(quantities) == {"qfi_dB"} else [b]
@@ -198,9 +187,9 @@ def measure_columns(params: dict, quantities, delta_b: float = 1e-3) -> dict:
 # one state or one parameter point: batches of one
 
 def spin_correlators(st: XState) -> tuple[float, float]:
-    """(<Sx Sx>, <Sz Sz>) of one state."""
-    xx, zz = correlators_batch(st.column())
-    return float(xx[0]), float(zz[0])
+    """(<Sx Sx>, <Sz Sz>) of one state: its sxsx and szsz columns."""
+    states = st.column()
+    return float(_COLUMNS["sxsx"](states)[0]), float(_COLUMNS["szsz"](states)[0])
 
 
 def qfi(st: XState) -> float:
@@ -208,14 +197,14 @@ def qfi(st: XState) -> float:
     return float(qfi_batch(st.column())[0])
 
 
-def qfi_field_derivative(p: ModelParams, delta_b: float = 1e-3) -> float:
+def qfi_field_derivative(p: ModelParams, delta_b: float = DELTA_B) -> float:
     """dF/dB at one parameter point: a batch of one of measure_columns, one
     kernel call of the two points B +- delta_b."""
     return float(measure_columns(vars(p), ("qfi_dB",), delta_b)["qfi_dB"][0])
 
 
 def measure_bundle(p: ModelParams, with_derivative: bool = False,
-                   delta_b: float = 1e-3) -> MeasureBundle:
+                   delta_b: float = DELTA_B) -> MeasureBundle:
     """Every measure of the thermal dimer state at one parameter point.
 
     A batch of one of measure_columns: with the derivative, the states at

@@ -28,12 +28,17 @@ __all__ = [
     "OverflowRisk",
     "ModelParams",
     "SECTOR_VALUES",
+    "DELTA_B",
     "dimer_block",
     "dimer_spectrum",
     "boltzmann_weights",
 ]
 
 SECTOR_VALUES = (1, 0, -1)
+
+# the default central-difference step of dF/dB in B, for the library and the
+# CLI alike; it resolves the field scales of F (~0.05)
+DELTA_B = 1e-3
 
 
 class OverflowRisk(ValueError):

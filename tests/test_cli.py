@@ -1,9 +1,13 @@
 import argparse
+import ast
 import contextlib
 import csv
+import dataclasses
+import inspect
 import io
 import math
 import os
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,7 +35,7 @@ from impurity_chain.cli import (
     threshold_temperatures,
 )
 from impurity_chain.measures import concurrence_batch
-from impurity_chain.model import ModelParams
+from impurity_chain.model import DELTA_B, ModelParams
 from impurity_chain.xfer import XState, impurity_density_matrix
 from conftest import of_state
 
@@ -1011,6 +1015,76 @@ class TestParserReuse:
         # each help text follows the COLUMNS of its own call
         helps = [out for _, out, _, _ in shared[4:]]
         assert all(narrow != wide for narrow, wide in zip(helps[:6], helps[6:]))
+
+
+# each finder's scan-size and tolerance parameters, and the constant that is
+# their default
+FINDER_DEFAULTS = [
+    (concurrence_sign_brackets, dict(points=cli._SCAN_POINTS)),
+    (threshold_temperatures, dict(points_per_scan=cli._SCAN_POINTS, tol=cli._THRESHOLD_TOL)),
+    (find_threshold_temperature, dict(points=cli._SCAN_POINTS, tol=cli._THRESHOLD_TOL)),
+    (find_critical_field, dict(points=cli._SCAN_POINTS, tol=cli._CRITICAL_TOL)),
+]
+
+
+def spelled_defaults(tree):
+    """Every default a module's code spells: function and lambda defaults,
+    class field values, `default=` keywords and the fallback of `.get`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            yield from node.args.defaults + [d for d in node.args.kw_defaults if d]
+        elif isinstance(node, ast.ClassDef):
+            yield from (s.value for s in node.body if isinstance(s, ast.AnnAssign) and s.value)
+        elif isinstance(node, ast.Call):
+            yield from (k.value for k in node.keywords if k.arg == "default")
+            if getattr(node.func, "attr", None) == "get" and len(node.args) == 2:
+                yield node.args[1]
+
+
+def number_of(node):
+    """The number a literal (or a literal's text) spells, else None."""
+    try:
+        return float(node.value) if isinstance(node, ast.Constant) else None
+    except (TypeError, ValueError):
+        return None
+
+
+class TestDefaults:
+    def test_every_delta_b_default_is_the_one_step(self):
+        stepped = []
+        for module in (impurity_chain, cli):
+            for name in module.__all__:
+                value = getattr(module, name)
+                if inspect.isfunction(value) or dataclasses.is_dataclass(value):
+                    parameters = inspect.signature(value).parameters
+                    if "delta_b" in parameters:
+                        stepped.append(name)
+                        assert parameters["delta_b"].default == DELTA_B, name
+        assert sorted(stepped) == ["SweepConfig", "find_critical_field", "measure_bundle",
+                                   "measure_columns", "qfi_field_derivative", "run_point"]
+
+    def test_cli_step_without_a_key_is_the_one_step(self):
+        assert build_sweep_config({"axis": "B 0 1 3"}).delta_b == DELTA_B
+        assert cli._parse_delta_b({}) == DELTA_B
+
+    @pytest.mark.parametrize("finder, defaults", FINDER_DEFAULTS,
+                             ids=[f.__name__ for f, _ in FINDER_DEFAULTS])
+    def test_finder_defaults_are_their_constants(self, finder, defaults):
+        parameters = inspect.signature(finder).parameters
+        assert {k: parameters[k].default for k in defaults} == defaults
+
+    def test_tol_option_defaults_to_the_critical_tolerance(self):
+        tol = inspect.signature(find_critical_field).parameters["tol"].default
+        assert cli._PARSER.parse_args(["critical"]).tol == tol
+
+    def test_no_default_spells_a_shared_value_again(self):
+        # the step, the scan size and the two tolerances are each one constant
+        shared = {DELTA_B, cli._SCAN_POINTS, cli._THRESHOLD_TOL, cli._CRITICAL_TOL}
+        package = pathlib.Path(impurity_chain.__file__).parent
+        spelled = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                   for node in spelled_defaults(ast.parse(path.read_text()))
+                   if number_of(node) in shared]
+        assert not spelled, f"defaults that repeat a shared constant's value: {spelled}"
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -1,6 +1,6 @@
 """The whole-range contract: every documented entry point, at any finite
-parameters, returns a valid state (and a finite log Z) or raises a
-documented error naming its point, with no numpy warning on the way."""
+parameters, returns a valid state (a finite log Z, finite columns) or raises
+a documented error naming its point, with no numpy warning on the way."""
 
 import math
 import warnings
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from impurity_chain import cli
+from impurity_chain.measures import QUANTITY_COLUMNS
 from impurity_chain.model import ModelParams, OverflowRisk
 from impurity_chain.xfer import (
     DegenerateGap,
@@ -55,14 +56,14 @@ def whole_range_draws(seed: int, n: int) -> list[ModelParams]:
     return draws
 
 
-def outcome(p: ModelParams, call):
-    """`call()`'s value, or the documented error it raised naming `p`; any
-    warning is an error."""
+def outcome(p: ModelParams, call, errors=DOCUMENTED):
+    """`call()`'s value, or the documented error (one of `errors`) it raised
+    naming `p`; any warning is an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             return call()
-        except DOCUMENTED as exc:
+        except errors as exc:
             assert f"J={p.J!r}" in str(exc), (p, exc)
             return exc
 
@@ -106,6 +107,20 @@ def test_whole_range_draws():
     # the draws reach both documented errors and valid states
     kinds = {type(st) for st in states}
     assert {XState, OverflowRisk, DegenerateGap} <= kinds
+
+
+def test_evaluator_over_the_whole_range():
+    # every column, the shortcut correlators and qfi_dB's shifted fields
+    # included, is finite or the point raises a documented error naming it
+    quantities = tuple(QUANTITY_COLUMNS)
+    kinds = set()
+    for p in whole_range_draws(20261019, 2000):
+        values = outcome(p, lambda: cli.run_point(p, quantities, alt_correlators=True),
+                         DOCUMENTED + (cli.NonFiniteError,))
+        if isinstance(values, dict):
+            assert len(values) == 15 and all(map(math.isfinite, values.values())), (p, values)
+        kinds.add(type(values))
+    assert {dict, OverflowRisk, DegenerateGap} <= kinds
 
 
 @pytest.mark.parametrize("p", LOG_Z_SUM_OVERFLOWS + [

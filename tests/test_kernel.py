@@ -13,7 +13,6 @@ import pytest
 
 from impurity_chain import xfer
 from impurity_chain.measures import (
-    correlators_batch,
     measure_columns,
     qfi,
     qfi_batch,
@@ -77,7 +76,7 @@ class TestBatchIndependence:
         grid = random_grid(rng, 60)
         states = limit_states(**grid)
         fisher = qfi_batch(states)
-        xx, zz = correlators_batch(states)
+        xx, zz = measure_columns(grid, ("sxsx", "szsz")).values()
         for i in range(60):
             st = impurity_density_matrix(point(grid, i))
             assert st == XState(*states[:, i].tolist())

@@ -5,9 +5,9 @@ import pytest
 
 from impurity_chain import xfer
 from impurity_chain.measures import (
+    _COLUMNS,
     coherence_batch,
     concurrence_batch,
-    correlators_shortcut_batch,
     measure_bundle,
     measure_columns,
     qfi,
@@ -47,6 +47,11 @@ def qfi_direct(rho, observable):
                 continue
             total += 2.0 * (tau[i] - tau[j]) ** 2 / (tau[i] + tau[j]) * abs(elements[i, j]) ** 2
     return total
+
+
+def shortcut_correlators(states):
+    """The shortcut columns (sxsx_alt, szsz_alt) that the CLI debug flag emits."""
+    return _COLUMNS["sxsx_alt"](states), _COLUMNS["szsz_alt"](states)
 
 
 def random_pure_x(rng):
@@ -109,11 +114,11 @@ class TestCorrelators:
 
     def test_shortcut_variant(self):
         st = XState(0.1, 0.4, 0.3, 0.2, -0.15)
-        assert of_state(correlators_shortcut_batch, st) == (0.2, 0.4)
+        assert of_state(shortcut_correlators, st) == (0.2, 0.4)
 
     def test_conventions_differ_generically(self, rng):
         st = draw_xstate(rng)
-        assert spin_correlators(st) != of_state(correlators_shortcut_batch, st)
+        assert spin_correlators(st) != of_state(shortcut_correlators, st)
 
 
 class TestQfi:

@@ -194,3 +194,15 @@ def test_package_does_not_reexport_the_cli():
     assert result["names"] == [], f"impurity_chain re-exports CLI names: {result['names']}"
     cli = importlib.import_module("impurity_chain.cli")
     assert all(hasattr(cli, name) for name in CLI_NAMES)
+
+
+def test_every_exported_name_resolves():
+    # a deleted helper must not leave its name in an __all__ behind
+    package = pathlib.Path(impurity_chain.__file__).parent
+    missing = []
+    for path in sorted(package.glob("*.py")):
+        name = "impurity_chain" + ("" if path.stem == "__init__" else f".{path.stem}")
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, f"exported names missing: {missing}"
+    exec("from impurity_chain import *", {})

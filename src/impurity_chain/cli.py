@@ -18,7 +18,8 @@ callers import run_point, run_sweep and the finders from here.
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path), 3 numerical failure (a non-finite result or a solver
 exception, reported with its parameter point), 4 nothing found (finders).
-Every column, scan and bisection step is one `measures.measure_columns` call.
+One `measures.measure_columns` call evaluates each sweep, all the curves of a
+figure preset together, each finder's coarse scan and each bisection step.
 """
 
 from __future__ import annotations
@@ -143,30 +144,34 @@ class SweepConfig:
         _check_quantities(self.quantities)
         _check_positive("delta_b", self.delta_b)
 
-    def grid(self) -> dict[str, np.ndarray]:
-        """Grid points in row order, last axis fastest like nested loops:
-        one array per ModelParams field."""
-        values = [_axis_values(*axis) for axis in self.axes]
-        if len(values) == 2:
-            values = [np.repeat(values[0], len(values[1])), np.tile(values[1], len(values[0]))]
-        n = len(values[0])
-        grid = {name: np.full(n, getattr(self.params, name)) for name in PARAM_COLUMNS}
-        for (name, *_), column in zip(self.axes, values):
-            grid[name] = column
-        return grid
+
+def _grid(cfgs) -> dict[str, np.ndarray]:
+    """The points of sweeps that share their axes, one array per ModelParams
+    field broadcasting to a (rows, k) grid: a row per sweep and value of its
+    first axis, if it has two, along its last axis."""
+    *outer, (name, *span) = cfgs[0].axes
+    grid = {c: np.array([[getattr(cfg.params, c)] for cfg in cfgs]) for c in PARAM_COLUMNS}
+    for axis in outer:
+        values = _axis_values(*axis)
+        grid = {c: v.repeat(len(values), axis=0) for c, v in grid.items()}
+        grid[axis[0]] = np.tile(values, len(cfgs))[:, None]
+    grid[name] = _axis_values(name, *span)[None, :]
+    return grid
 
 
 def _sweep_chunk(columns: dict, quantities, delta_b: float, alt: bool) -> dict:
-    """Every column of the grid points in `columns`, in one evaluator call;
-    with `alt`, the shortcut correlators sxsx_alt and szsz_alt last.  Raises
-    NonFiniteError naming the first point with a non-finite column."""
+    """Every column of the points in `columns` (a batch or a grid), in one
+    evaluator call; with `alt`, the shortcut correlators sxsx_alt and
+    szsz_alt last.  Raises NonFiniteError naming the first point, in row
+    order, with a non-finite column."""
     requested = tuple(quantities) + (("sxsx_alt", "szsz_alt") if alt else ())
     values = measure_columns(columns, requested, delta_b)
     finite = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
     if not finite.all():
         i = int(np.flatnonzero(~finite)[0])
-        bad = [k for k, v in values.items() if not math.isfinite(v[i])]
-        point = ModelParams(**{k: float(v[i]) for k, v in columns.items()})
+        bad = [k for k, v in values.items() if not math.isfinite(v.flat[i])]
+        point = ModelParams(**{k: float(np.broadcast_to(v, finite.shape).flat[i])
+                               for k, v in columns.items()})
         raise NonFiniteError(f"non-finite {bad} at {point}")
     return values
 
@@ -321,22 +326,34 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     changes no byte.  With the impurity off the kernel sees gamma = 0 and the
     CSV the configured gamma.  An output or manifest path that cannot be
     written raises ConfigError before the grid is computed; the files are
-    written once every value is finite.
+    written once every value is finite.  A batch of one of _write_sweeps.
     """
-    _make_dir(cfg.out)
-    _make_dir(cfg.out + ".manifest.txt")
-    grid = cfg.grid()
-    evaluated = _with_impurity(grid, cfg.impurity)
-    values = _sweep_chunk(evaluated, cfg.quantities, cfg.delta_b, cfg.alt_correlators)
+    return _write_sweeps([cfg])[0]
 
-    # fixed parameters are formatted once, as text columns
-    axes = {name for name, *_ in cfg.axes}
-    n = len(grid["B"])
-    columns = [grid[c] if c in axes else np.full(n, _format(getattr(cfg.params, c)).encode())
-               for c in PARAM_COLUMNS]
-    _write_csv(cfg.out, PARAM_COLUMNS + tuple(values), columns + list(values.values()))
-    _write_manifest(cfg)
-    return cfg.out
+
+def _write_sweeps(cfgs) -> list[str]:
+    """run_sweep of sweeps that differ only in fixed parameters and output
+    paths, with one evaluator call over all their points (_grid)."""
+    for cfg in cfgs:
+        _make_dir(cfg.out)
+        _make_dir(cfg.out + ".manifest.txt")
+    first = cfgs[0]
+    grid = _grid(cfgs)
+    values = _sweep_chunk(_with_impurity(grid, first.impurity), first.quantities,
+                          first.delta_b, first.alt_correlators)
+    shape = next(iter(values.values())).shape
+    rows = shape[0] // len(cfgs)
+    axes = {name for name, *_ in first.axes}
+    for i, cfg in enumerate(cfgs):
+        part = slice(rows * i, rows * (i + 1))
+        # fixed parameters are formatted once, as text columns
+        columns = [np.broadcast_to(grid[c], shape)[part].ravel() if c in axes
+                   else np.full(rows * shape[1], _format(getattr(cfg.params, c)).encode())
+                   for c in PARAM_COLUMNS]
+        _write_csv(cfg.out, PARAM_COLUMNS + tuple(values),
+                   columns + [v[part].ravel() for v in values.values()])
+        _write_manifest(cfg)
+    return [cfg.out for cfg in cfgs]
 
 
 def _write_manifest(cfg: SweepConfig) -> None:
@@ -374,9 +391,8 @@ def _coarse_scan(points: list, t_range, count: int):
     temps = _axis_values("temperature", *t_range, count, floor=0.0)
     params = {name: np.array([getattr(p, name) for p in points], dtype=float)
               for name in PARAM_COLUMNS if name != "T"}
-    scan = {k: np.repeat(v, count) for k, v in params.items()}
-    concurrence = measure_columns(dict(scan, T=np.tile(temps, len(points))), ("concurrence",))
-    positive = (concurrence["concurrence"] > 0.0).reshape(-1, count)
+    scan = {k: v[:, None] for k, v in params.items()}
+    positive = measure_columns(dict(scan, T=temps[None, :]), ("concurrence",))["concurrence"] > 0.0
     return temps, positive, positive[:, :-1] != positive[:, 1:], params
 
 
@@ -563,8 +579,10 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 
     `overrides` may set any parameter the preset holds fixed; one it sets
     per curve, axis value or scan point raises ConfigError before any file
-    is written, as does a bad output path.  Every preset runs in this
-    process; `workers` is accepted as in run_sweep and changes no byte.
+    is written, as does a bad output path.  A sweep preset's curves are one
+    (curves, axis) grid of one evaluator call, so no file is written unless
+    the whole preset is finite.  Every preset runs in this process;
+    `workers` is accepted as in run_sweep and changes no byte.
     """
     if name not in FIGURE_PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid: {sorted(FIGURE_PRESETS)}")
@@ -575,14 +593,12 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
                               f"so it cannot be overridden")
     _, _, _, axis, output = FIGURE_PRESETS[name]
     jobs = _preset_jobs(name, outdir, overrides)
+    if output[0] not in PARAM_COLUMNS:
+        return _write_sweeps([SweepConfig(params=params, axes=(axis,), quantities=output, out=out)
+                              for params, out in jobs])
     for _, out in jobs:
         _make_dir(out)
-        if output[0] not in PARAM_COLUMNS:
-            _make_dir(out + ".manifest.txt")
-    if output[0] in PARAM_COLUMNS:
-        return _write_thresholds(jobs, axis, output)
-    return [run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out))
-            for params, out in jobs]
+    return _write_thresholds(jobs, axis, output)
 
 
 # ---------------------------------------------------------------------------

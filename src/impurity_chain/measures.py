@@ -8,8 +8,9 @@ information is the bipartite sum over the local orthonormal observable set
 sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, written in the X
 state's eigenbasis, whose eigenvalues and overlaps are closed forms of the
 five elements too: no matrix is built and no eigensolver runs.
-`measure_columns`, the one evaluator of every column over parameter points,
-takes the states, and those that dF/dB needs, from one `limit_states` call.
+`measure_columns`, the one evaluator of every column over a batch or a grid of
+parameter points, takes the states, and those that dF/dB needs, from one
+`limit_states` call.
 Its table `_COLUMNS` is the one place a column's closed form is written: the
 correlators sxsx and szsz, and the paper's shortcut correlators sxsx_alt and
 szsz_alt that the CLI emits under its debug flag.  The few one-point
@@ -143,14 +144,16 @@ def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
     """Every column of the requested quantities at a batch of parameter points.
 
     `params` holds the keyword arguments of `limit_states`, B broadcast
-    against the others; `quantities` are keys of QUANTITY_COLUMNS, or the
-    columns sxsx_alt and szsz_alt.  One limit_states call takes the fields
-    [B, B + delta_b, B - delta_b]: B if a quantity needs the points' own
-    states, the others for qfi_dB, the central difference (F(B + delta_b) -
-    F(B - delta_b)) / (2 delta_b) of one QFI evaluation over them all, at
-    the default step model.DELTA_B.  Returns column -> array in request
-    order; raises ValueError for a delta_b that is not positive and finite
-    when qfi_dB is requested.
+    against the others, for a batch or a (rows, k) grid; `quantities` are
+    keys of QUANTITY_COLUMNS, or the columns sxsx_alt and szsz_alt.  One
+    limit_states call takes the fields [B, B + delta_b, B - delta_b]: B if
+    a quantity needs the points' own states, the others for qfi_dB, the
+    central difference (F(B + delta_b) - F(B - delta_b)) / (2 delta_b) of
+    one QFI evaluation over them all, at the default step model.DELTA_B (a
+    grid runs them as its flattened batch).  Returns column -> array of the
+    points' shape, in request order; raises ValueError for a delta_b that is
+    not positive and finite when qfi_dB is requested, and FloatingPointError
+    naming the first point where B + delta_b or B - delta_b is B.
     """
     b = params["B"]
     fields = [] if set(quantities) == {"qfi_dB"} else [b]
@@ -158,21 +161,36 @@ def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
         if not 0.0 < delta_b < np.inf:
             raise ValueError(f"step must be positive and finite, got {delta_b}")
         fields += [b + delta_b, b - delta_b]
+    given = params
     if len(fields) > 1:
+        points = np.broadcast(*params.values())
+        if points.ndim == 2:
+            flat = dict(zip(params, (a.ravel() for a in np.broadcast_arrays(*params.values()))))
+            return {k: v.reshape(points.shape)
+                    for k, v in measure_columns(flat, quantities, delta_b).items()}
         # the parameters that vary repeat once per field, B takes each field
         # broadcast to the n points in turn
-        n = np.broadcast(*params.values()).size
+        n = points.size
         if n > 1:
             params = {k: np.tile(v, len(fields)) if getattr(v, "size", 1) > 1 else v
                       for k, v in params.items()}
         params = dict(params, B=np.array(fields).ravel().repeat(
             1 if getattr(b, "size", 1) == n else n))
     states = limit_states(**params)
+    # the fields' states follow each other along the first point axis
     n = states.shape[1] // len(fields)
     fisher = qfi_batch(states) if "qfi" in quantities or "qfi_dB" in quantities else None
     at, columns = states[:, :n], {}
     for q in quantities:
         if q == "qfi_dB":
+            lost = (fields[-2] == b) | (fields[-1] == b)
+            # a point of floats, as from measure_bundle, pays no numpy call
+            if lost is not False and np.any(lost):
+                lost, *arrays = np.broadcast_arrays(lost, *given.values())
+                i = int(np.flatnonzero(lost)[0])
+                point = ", ".join(f"{k}={float(v.flat[i])!r}" for k, v in zip(given, arrays))
+                raise FloatingPointError(f"the step delta_b={delta_b!r} is lost against B "
+                                         f"(B +- delta_b == B: dF/dB would read 0) at {point}")
             columns[q] = (fisher[-2 * n:-n] - fisher[-n:]) / (2.0 * delta_b)
         elif q == "qfi":
             columns[q] = fisher[:n]

@@ -20,7 +20,9 @@ angle, so the kernel takes no trigonometric function; the ring's come from
 binary powering over nonnegative entries.  Nothing is divided by w0; the
 ring's coefficients involve no subtraction and the limit's only
 D = w(+1) - w(-1), so no state loses digits when host and defect favour
-different nodal sectors at low T.  limit_states runs at most 601 points a call.
+different nodal sectors at low T.  limit_states runs at most 601 points a call,
+and a (rows, k) grid in whole rows: on rows of parameters over a temperature
+axis the kernel takes each row's levels, shifts and projectors once.
 """
 
 from __future__ import annotations
@@ -104,10 +106,11 @@ class XState:
 
 
 _PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
-# the sector axis of the kernel: nodal sums s = +1, 0, -1
-_SECTORS = np.array(SECTOR_VALUES, dtype=float)[:, None]
-# the family axis: host cells keep their fields, the defect's are scaled by 1 + gamma
-_DEFECT_FAMILY = np.array([0.0, 1.0])[:, None, None]
+# the sector axis of the kernel, nodal sums s = +1, 0, -1, and the family axis
+# (host cells keep their fields, the defect's are scaled by 1 + gamma), ahead
+# of a batch's one point axis or a grid's two
+_SECTORS = {n: np.array(SECTOR_VALUES, dtype=float).reshape((3,) + (1,) * n) for n in (1, 2)}
+_DEFECT_FAMILY = {n: np.array([0.0, 1.0]).reshape((2, 1) + (1,) * n) for n in (1, 2)}
 # the smallest normal float: below it 1/T overflows, and 4 w0^2 underflows
 _TINY = float(np.finfo(float).tiny)
 # most points per kernel call of limit_states
@@ -118,15 +121,18 @@ _PSD_TOL = 1e-12
 
 
 def _point_text(args, index: int) -> str:
-    """The parameter point at `index` of broadcast kernel arguments."""
+    """The parameter point at `index`, in row order, of broadcast kernel arguments."""
     columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
-    return ", ".join(f"{name}={float(col[index])!r}"
+    return ", ".join(f"{name}={float(col.flat[index])!r}"
                      for name, col in zip(_PARAM_NAMES, columns))
 
 
 def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
-    """Raise `error` naming the first point flagged in `bad` (points on the last axis)."""
-    i = int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
+    """Raise `error` naming the first point, in row order, flagged in `bad`,
+    whose last axes are the points' one or two or broadcast to them."""
+    shape = np.broadcast(*args[:-1], np.atleast_1d(args[-1])).shape
+    flagged = bad.reshape((-1,) + bad.shape[bad.ndim - len(shape):]).any(axis=0)
+    i = int(np.flatnonzero(np.broadcast_to(flagged, shape))[0])
     raise error(f"{message} at {_point_text(args, i)}")
 
 
@@ -188,10 +194,13 @@ def _kernel(args, ring: int | None = None):
     """States (5, n) of the defect dimer, and log Z of the ring.
 
     `args` are the ModelParams fields as scalars or arrays broadcasting to
-    one dimension.  With ring=None the host coefficients are the infinite
-    chain's dominant projector and log Z is None; with ring=N they are
-    those of W_h^(N-1) in the N-cell ring, and log Z_N is returned as an
-    (n,) array.  See limit_states for the guards.
+    one dimension, or to a (rows, k) grid with T two-dimensional.  Levels,
+    shifts and projectors take the shape of the arguments but T, so a
+    (rows, 1) x (1, k) grid takes them once per row.  With ring=None the
+    host coefficients are the infinite chain's dominant projector and log Z
+    is None; with ring=N they are those of W_h^(N-1) in the N-cell ring,
+    and log Z_N is returned as an (n,) array.  See limit_states for the
+    guards.
     """
     J, Delta, J0, g1, g2, g3, gamma, B = (np.asarray(a, dtype=float) for a in args[:-1])
     T = np.atleast_1d(np.asarray(args[-1], dtype=float))
@@ -201,6 +210,7 @@ def _kernel(args, ring: int | None = None):
     if t_min < _TINY:
         _raise_at(OverflowRisk, "1/T overflows", T < _TINY, args)
     beta = 1.0 / T
+    sectors, family = _SECTORS[T.ndim], _DEFECT_FAMILY[T.ndim]
 
     # dimer blocks, shape (family, sector, point).  A Zeeman term or exchange
     # past the float range leaves a level, or its height above its shift, inf
@@ -209,9 +219,9 @@ def _kernel(args, ring: int | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         zz = J * Delta / 4.0
         c = J / 2.0
-        nodal = J0 * _SECTORS / 2.0
-        f1 = g1 * B * _SECTORS / 2.0
-        scale = 1.0 + _DEFECT_FAMILY * gamma
+        nodal = J0 * sectors / 2.0
+        f1 = g1 * B * sectors / 2.0
+        scale = 1.0 + family * gamma
         b2 = g2 * B * scale
         b3 = g3 * B * scale
         outer = (b2 + b3) / 2.0
@@ -222,7 +232,7 @@ def _kernel(args, ring: int | None = None):
         mean = 0.5 * (a + b)
         gap, central = _projector(a, c, b)
         half_gap = 0.5 * gap
-        levels = np.empty((4,) + np.broadcast(e00, beta).shape)
+        levels = np.empty((4,) + e00.shape)
         levels[0] = e00
         levels[1] = mean + half_gap
         levels[2] = mean - half_gap
@@ -234,7 +244,7 @@ def _kernel(args, ring: int | None = None):
         # Boltzmann factors: host levels against the host family's minimum,
         # defect cells against their own sector minimum, so no exponent is
         # positive; in place over the levels, which nothing reads afterwards,
-        # to allocate no array their size
+        # until -beta gives them every point
         shift = sector_min.copy()
         shift[0] = np.minimum(np.minimum(shift[0, 0], shift[0, 1]), shift[0, 2])
         exponents = np.subtract(levels, shift, out=levels)
@@ -248,7 +258,7 @@ def _kernel(args, ring: int | None = None):
         if not peak < 2.0 ** 500:
             scale = np.where(np.abs(c) < 2.0 ** 510, 1.0, 2.0 * np.abs(c))
             central = _projector(a / scale, c / scale, b / scale)[1]
-        exponents *= -beta
+        exponents = np.multiply(exponents, -beta)
         if ring is not None:
             # log Z's energy terms, both <= 0, summed here: past the float
             # range the sum is -inf, log Z inf, and partition_function raises
@@ -319,9 +329,10 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     """Thermodynamic-limit defect-dimer states over broadcast parameter arrays.
 
     The arguments are the ModelParams fields as scalars or arrays that
-    broadcast to one dimension of length n.  Returns a (5, n) array whose
-    rows are the X-state elements r11, r22, r33, r44 and r23 of each point.
-    The homogeneous chain, whose defect cell is a host cell, is gamma = 0.
+    broadcast to one dimension of length n, or to a (rows, k) grid.
+    Returns a (5, n) or (5, rows, k) array whose rows are the X-state
+    elements r11, r22, r33, r44 and r23 of each point.  The homogeneous
+    chain, whose defect cell is a host cell, is gamma = 0.
 
     Per point: the closed-form spectra of the host and defect dimer blocks
     in all three nodal sectors; host sector weights referenced to the host
@@ -340,16 +351,26 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     degenerate or non-finite sector mixture, or a trace that disagrees with
     the weight sum) naming the first failing point, and ValueError for a
     non-positive temperature.  Batches are cut, in order, into kernel calls
-    of at most 601 points (a preset sweep), so an error names the first
-    failing point in batch order.
+    of at most 601 points (a preset sweep), grids into calls of whole rows
+    (a row longer than that runs flattened), so an error names the first
+    failing point in row order.
     """
     args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
-    n = np.broadcast(*args).size
-    if 0 < n <= _BLOCK:
+    points = np.broadcast(*args)
+    if points.ndim == 2 and np.ndim(T) < 2:
+        args = args[:-1] + (np.reshape(T, (1, -1)),)
+    if 0 < points.size <= _BLOCK:
         return _kernel(args)[0]
-    args = np.broadcast_arrays(*args)
-    blocks = [_kernel([a[i:i + _BLOCK] for a in args])[0] for i in range(0, n, _BLOCK)]
-    return np.concatenate(blocks, axis=1) if blocks else np.empty((5, 0))
+    if not points.size:
+        return np.empty((5,) + points.shape)
+    width = points.size // points.shape[0]  # points per row: 1 in a batch
+    if width > _BLOCK:
+        flat = limit_states(*(a.ravel() for a in np.broadcast_arrays(*args)))
+        return flat.reshape((5,) + points.shape)
+    step = _BLOCK // width
+    blocks = [_kernel([a[i:i + step] if np.ndim(a) == points.ndim and np.shape(a)[0] > 1 else a
+                       for a in args])[0] for i in range(0, points.shape[0], step)]
+    return np.concatenate(blocks, axis=1)
 
 
 def impurity_density_matrix(p: ModelParams) -> XState:

@@ -643,14 +643,61 @@ class TestFigurePresets:
 
         monkeypatch.setattr(xfer, "_kernel", recording)
         run_figure("fig22-threshold", str(tmp_path), {})
-        # 162 rows of 64 temperatures in kernel calls of 601 points, then 15
-        # lockstep bisection steps from a bracket of 1.19/63 down to 1e-6
-        assert sizes[:18] == [601] * 17 + [151]
+        # 162 rows of 64 temperatures in kernel calls of 9 whole rows, then
+        # 15 lockstep bisection steps from a bracket of 1.19/63 down to 1e-6
+        assert sizes[:18] == [9 * 64] * 18
         assert len(sizes) == 33
         assert max(sizes) <= 601
 
+    def test_batched_presets_match_per_curve_sweeps(self, tmp_path):
+        # every curve of a sweep preset comes from one evaluator call over all
+        # of them, with the bytes of a sweep of that curve alone
+        for name, (_, _, _, axis, output) in cli.FIGURE_PRESETS.items():
+            if name == "fig22-threshold":
+                continue
+            paths = run_figure(name, str(tmp_path / name), {})
+            files = sorted(os.listdir(tmp_path / name))
+            assert files == sorted(f for p in paths for f in (os.path.basename(p),
+                                   os.path.basename(p) + ".manifest.txt"))
+            batched = {f: (tmp_path / name / f).read_bytes() for f in files}
+            for f in files:
+                os.remove(tmp_path / name / f)
+            for params, out in cli._preset_jobs(name, str(tmp_path / name), {}):
+                run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out))
+            assert {f: (tmp_path / name / f).read_bytes() for f in files} == batched, name
+
+    @pytest.mark.parametrize("name, overrides", [("fig5", {"g1": 1e308}),
+                                                 ("fig-dbqfi", {"J": 1e308})])
+    def test_failing_preset_writes_no_file(self, tmp_path, name, overrides):
+        # a later curve overflows: the preset writes nothing, and names the
+        # point that the curve's own sweep names
+        with pytest.raises(cli.OverflowRisk) as batched:
+            run_figure(name, str(tmp_path / "batched"), overrides)
+        assert os.listdir(tmp_path / "batched") == []
+        _, _, _, axis, output = cli.FIGURE_PRESETS[name]
+        for k, (params, out) in enumerate(cli._preset_jobs(name, str(tmp_path), overrides)):
+            try:
+                run_sweep(SweepConfig(params=params, axes=(axis,), quantities=output, out=out))
+            except cli.OverflowRisk as exc:
+                assert k > 0 and str(exc) == str(batched.value)
+                break
+        else:
+            pytest.fail("no curve failed alone")
+
 
 class TestMainEntry:
+    @pytest.mark.parametrize("point, step", [(["--set", "B=1e20"], "0.001"),
+                                             (["--set", "B=0.3", "--set", "delta_b=5e-324"],
+                                              "5e-324")])
+    def test_a_step_lost_against_b_exits_3(self, capsys, point, step):
+        # B +- delta_b == B would make qfi_dB an exact, meaningless 0
+        code = cli.main(["point", *point, "--set", "gamma=-0.8", "--set", "T=0.05",
+                         "--set", "quantities=qfi_dB"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith(f"numerical failure: the step delta_b={step} is lost against B")
+        assert err.rstrip().endswith(f"B={float(point[1][2:])!r}, T=0.05")
+
     def test_point_to_stdout(self, capsys):
         code = cli.main(["point", "--set", "B=1.282051282051282", "--set", "T=0.01",
                          "--set", "gamma=-0.8", "--set", "quantities=concurrence"])

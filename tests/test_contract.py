@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from impurity_chain import cli
-from impurity_chain.measures import QUANTITY_COLUMNS
-from impurity_chain.model import ModelParams, OverflowRisk
+from impurity_chain.measures import QUANTITY_COLUMNS, measure_columns
+from impurity_chain.model import DELTA_B, ModelParams, OverflowRisk
 from impurity_chain.xfer import (
     DegenerateGap,
     NotAState,
@@ -111,16 +111,21 @@ def test_whole_range_draws():
 
 def test_evaluator_over_the_whole_range():
     # every column, the shortcut correlators and qfi_dB's shifted fields
-    # included, is finite or the point raises a documented error naming it
+    # included, is finite or the point raises a documented error naming it;
+    # FloatingPointError exactly where a valid point's B +- delta_b is B
     quantities = tuple(QUANTITY_COLUMNS)
     kinds = set()
     for p in whole_range_draws(20261019, 2000):
         values = outcome(p, lambda: cli.run_point(p, quantities, alt_correlators=True),
-                         DOCUMENTED + (cli.NonFiniteError,))
+                         DOCUMENTED + (cli.NonFiniteError, FloatingPointError))
+        lost = p.B + DELTA_B == p.B or p.B - DELTA_B == p.B
         if isinstance(values, dict):
             assert len(values) == 15 and all(map(math.isfinite, values.values())), (p, values)
+        # the kernel's errors come first
+        lost_only = lost and not isinstance(values, DOCUMENTED)
+        assert isinstance(values, FloatingPointError) == lost_only, p
         kinds.add(type(values))
-    assert {dict, OverflowRisk, DegenerateGap} <= kinds
+    assert {dict, OverflowRisk, DegenerateGap, FloatingPointError} <= kinds
 
 
 @pytest.mark.parametrize("p", LOG_Z_SUM_OVERFLOWS + [
@@ -138,3 +143,76 @@ def test_point_exits_cleanly_over_the_whole_range(p, capsys):
     else:
         assert code == 3 and out == ""
         assert err.startswith("numerical failure: ") and f"J={p.J!r}" in err
+
+
+# ---------------------------------------------------------------------------
+# (rows, 1) x (1, k) grids: each kernel call takes whole rows, and every point
+# keeps the bits and errors of the flattened batch
+
+GRID_ROWS = 40
+TEMPS = np.geomspace(0.005, 3.0, 700)
+FIELDS = tuple(f for f in vars(ModelParams()) if f != "T")
+
+
+@pytest.fixture(scope="module")
+def grid_rows():
+    """Whole-range draws that every quantity evaluates at every temperature
+    of TEMPS without an error, and a draw whose Zeeman term overflows."""
+    valid, overflow = [], None
+    for p in whole_range_draws(20261020, 400):
+        params = {k: getattr(p, k) for k in FIELDS}
+        try:
+            measure_columns(dict(params, T=TEMPS), tuple(QUANTITY_COLUMNS))
+            valid.append(params)
+        except OverflowRisk as exc:
+            if overflow is None and "Zeeman term" in str(exc):
+                overflow = params
+        except (DegenerateGap, NotAState, FloatingPointError):
+            pass
+    assert len(valid) >= GRID_ROWS and overflow is not None
+    return valid[:GRID_ROWS], overflow
+
+
+def grid_and_batch(rows, temps):
+    """limit_states' arguments as a (rows, 1) x (1, k) grid and flattened."""
+    columns = {k: np.array([row[k] for row in rows]) for k in FIELDS}
+    grid = dict({k: v[:, None] for k, v in columns.items()}, T=temps[None, :])
+    batch = dict({k: np.repeat(v, len(temps)) for k, v in columns.items()},
+                 T=np.tile(temps, len(rows)))
+    return grid, batch
+
+
+@pytest.mark.parametrize("k", [1, 7, 64, 601, 700])
+def test_grid_is_its_flattened_batch(grid_rows, k):
+    # 64 leaves 601 - 9 * 64 points of a call unused; a 700-point row is
+    # longer than a call and runs flattened
+    temps = TEMPS[np.linspace(0, len(TEMPS) - 1, k).astype(int)]
+    grid, batch = grid_and_batch(grid_rows[0], temps)
+    states = limit_states(**grid)
+    assert states.shape == (5, GRID_ROWS, k)
+    assert states.tobytes() == limit_states(**batch).tobytes()
+    # the evaluator too, qfi_dB's flattened stack included
+    columns, flat = (measure_columns(g, tuple(QUANTITY_COLUMNS)) for g in (grid, batch))
+    assert list(columns) == list(flat)
+    for name, values in columns.items():
+        assert values.shape == (GRID_ROWS, k) and values.tobytes() == flat[name].tobytes()
+
+
+def test_empty_grid():
+    grid, _ = grid_and_batch([], TEMPS[:64])
+    assert limit_states(**grid).shape == (5, 0, 64)
+    assert cli.threshold_temperatures([], (0.01, 1.2)) == ([], [])
+
+
+def test_grid_errors_name_the_flattened_batch_point(grid_rows):
+    valid, overflow = grid_rows
+    temps = TEMPS[:64].copy()
+    temps[37] = 0.0
+    bad_rows = valid[:23] + [overflow] + valid[23:]
+    for rows, t, error in ((valid, temps, ValueError), (bad_rows, TEMPS[:64], OverflowRisk)):
+        grid, batch = grid_and_batch(rows, t)
+        with pytest.raises(error) as flat:
+            limit_states(**batch)
+        with pytest.raises(error, match="at J=") as named:
+            limit_states(**grid)
+        assert str(named.value) == str(flat.value)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .measures import QUANTITY_COLUMNS, measure_columns
-from .model import DELTA_B, ModelParams, OverflowRisk
+from .model import DELTA_B, ModelParams, OverflowRisk, _point_text
 from .xfer import DegenerateGap, InvalidN, NotAState
 
 __all__ = [
@@ -108,8 +108,7 @@ def run_point(p: ModelParams, quantities, delta_b: float = DELTA_B,
     fails to be finite.
     """
     _check_quantities(quantities)
-    columns = {name: np.array([value]) for name, value in vars(p).items()}
-    values = _sweep_chunk(columns, quantities, delta_b, alt_correlators)
+    values = _sweep_chunk(vars(p), quantities, delta_b, alt_correlators)
     return {k: float(v[0]) for k, v in values.items()}
 
 
@@ -147,31 +146,28 @@ class SweepConfig:
 
 def _grid(cfgs) -> dict[str, np.ndarray]:
     """The points of sweeps that share their axes, one array per ModelParams
-    field broadcasting to a (rows, k) grid: a row per sweep and value of its
-    first axis, if it has two, along its last axis."""
-    *outer, (name, *span) = cfgs[0].axes
-    grid = {c: np.array([[getattr(cfg.params, c)] for cfg in cfgs]) for c in PARAM_COLUMNS}
-    for axis in outer:
-        values = _axis_values(*axis)
-        grid = {c: v.repeat(len(values), axis=0) for c, v in grid.items()}
-        grid[axis[0]] = np.tile(values, len(cfgs))[:, None]
-    grid[name] = _axis_values(name, *span)[None, :]
+    field broadcasting to (sweeps, axis1[, axis2]): each sweep, and each of
+    its axes, on its own array axis."""
+    axes = cfgs[0].axes
+    grid = {c: np.array([getattr(cfg.params, c) for cfg in cfgs]).reshape((-1,) + (1,) * len(axes))
+            for c in PARAM_COLUMNS}
+    for k, axis in enumerate(axes, start=1):
+        grid[axis[0]] = _axis_values(*axis).reshape((1,) * k + (-1,) + (1,) * (len(axes) - k))
     return grid
 
 
 def _sweep_chunk(columns: dict, quantities, delta_b: float, alt: bool) -> dict:
-    """Every column of the points in `columns` (a batch or a grid), in one
-    evaluator call; with `alt`, the shortcut correlators sxsx_alt and
-    szsz_alt last.  Raises NonFiniteError naming the first point, in row
-    order, with a non-finite column."""
+    """Every column of the points in `columns` (scalars or arrays broadcasting
+    to the points' shape), in one evaluator call; with `alt`, the shortcut
+    correlators sxsx_alt and szsz_alt last.  Raises NonFiniteError naming
+    the first point, in row order, with a non-finite column."""
     requested = tuple(quantities) + (("sxsx_alt", "szsz_alt") if alt else ())
     values = measure_columns(columns, requested, delta_b)
     finite = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
     if not finite.all():
         i = int(np.flatnonzero(~finite)[0])
         bad = [k for k, v in values.items() if not math.isfinite(v.flat[i])]
-        point = ModelParams(**{k: float(np.broadcast_to(v, finite.shape).flat[i])
-                               for k, v in columns.items()})
+        point = _point_text([columns[c] for c in PARAM_COLUMNS], i)
         raise NonFiniteError(f"non-finite {bad} at {point}")
     return values
 
@@ -341,17 +337,18 @@ def _write_sweeps(cfgs) -> list[str]:
     grid = _grid(cfgs)
     values = _sweep_chunk(_with_impurity(grid, first.impurity), first.quantities,
                           first.delta_b, first.alt_correlators)
-    shape = next(iter(values.values())).shape
-    rows = shape[0] // len(cfgs)
-    axes = {name for name, *_ in first.axes}
+    # the axes and values over the whole grid (with the impurity off, no
+    # value varies along gamma)
+    arrays = dict({name: grid[name] for name, *_ in first.axes}, **values)
+    arrays = dict(zip(arrays, np.broadcast_arrays(*arrays.values())))
+    rows = arrays[first.axes[0][0]][0].size  # of each sweep
     for i, cfg in enumerate(cfgs):
-        part = slice(rows * i, rows * (i + 1))
         # fixed parameters are formatted once, as text columns
-        columns = [np.broadcast_to(grid[c], shape)[part].ravel() if c in axes
-                   else np.full(rows * shape[1], _format(getattr(cfg.params, c)).encode())
+        columns = [arrays[c][i].ravel() if c in arrays
+                   else np.full(rows, _format(getattr(cfg.params, c)).encode())
                    for c in PARAM_COLUMNS]
         _write_csv(cfg.out, PARAM_COLUMNS + tuple(values),
-                   columns + [v[part].ravel() for v in values.values()])
+                   columns + [arrays[k][i].ravel() for k in values])
         _write_manifest(cfg)
     return [cfg.out for cfg in cfgs]
 
@@ -643,7 +640,7 @@ def _with_impurity(params, impurity: bool):
         return params
     if isinstance(params, ModelParams):
         return replace(params, gamma=0.0)
-    return dict(params, gamma=np.zeros_like(params["gamma"]))
+    return dict(params, gamma=0.0)
 
 
 def _parse_axis(text: str) -> tuple[str, float, float, int]:

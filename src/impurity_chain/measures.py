@@ -1,15 +1,15 @@
 """Quantum-information measures of two-qubit X states.
 
 Every measure is an array function of the five X-state elements: it takes a
-(5, n) array whose rows are r11, r22, r33, r44 and r23 (as returned by
-`xfer.limit_states`) and returns one value per column.  Concurrence, l1
+(5, *points) array whose rows are r11, r22, r33, r44 and r23 (as returned by
+`xfer.limit_states`) and returns one value per point.  Concurrence, l1
 coherence and the correlators are closed forms; the quantum Fisher
 information is the bipartite sum over the local orthonormal observable set
 sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, written in the X
 state's eigenbasis, whose eigenvalues and overlaps are closed forms of the
 five elements too: no matrix is built and no eigensolver runs.
-`measure_columns`, the one evaluator of every column over a batch or a grid of
-parameter points, takes the states, and those that dF/dB needs, from one
+`measure_columns`, the one evaluator of every column over parameter points of
+any shape, takes the states, and those that dF/dB needs, from one
 `limit_states` call.
 Its table `_COLUMNS` is the one place a column's closed form is written: the
 correlators sxsx and szsz, and the paper's shortcut correlators sxsx_alt and
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DELTA_B, ModelParams
+from .model import DELTA_B, ModelParams, _PARAM_NAMES, _raise_at
 from .teleport import average_fidelity_batch, output_concurrence_batch
 from .xfer import XState, limit_states
 
@@ -71,7 +71,7 @@ class MeasureBundle:
 
 
 # ---------------------------------------------------------------------------
-# array functions of (5, n) state batches
+# array functions of (5, *points) states
 
 def concurrence_batch(states: np.ndarray) -> np.ndarray:
     """Wootters concurrence of X states: 2*max(|r23| - sqrt(r11*r44), 0)."""
@@ -106,15 +106,17 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
     """
     r11, r22, r33, r44, r23 = states
     h = np.hypot(0.5 * (r22 - r33), r23)
-    ratio = np.where(h > 0.0, r23 / np.where(h > 0.0, h, 1.0), 0.0)
+    split = h > 0.0
+    ratio = np.where(split, r23 / np.where(split, h, 1.0), 0.0)
     mean = 0.5 * (r22 + r33)
     upper = np.maximum(mean + h, 0.0)
     lower = np.maximum(mean - h, 0.0)
     outer = (np.maximum(r11, 0.0), np.maximum(r44, 0.0))
     cutoff = _SUPPORT_TOL * np.maximum(np.maximum(outer[0], outer[1]), upper)
+    centrals = ((upper, 1.0 + ratio), (lower, 1.0 - ratio))
     total = 0.0
     for a in outer:
-        for central, overlap in ((upper, 1.0 + ratio), (lower, 1.0 - ratio)):
+        for central, overlap in centrals:
             pair = a + central
             keep = pair > cutoff
             diff = a - central
@@ -122,7 +124,7 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
     return 4.0 * total
 
 
-# column -> its array function of (5, n) states, but for qfi, qfi_dB and the
+# column -> its array function of (5, *points) states, but for qfi, qfi_dB and the
 # rho_elements rows; cout takes C_in = 1, the maximally entangled input.
 # sxsx and szsz are <Sx Sx> = r23/2 and <Sz Sz> = (r11 - r22 - r33 + r44)/4;
 # sxsx_alt and szsz_alt are the shortcut convention (r22/2, 1/4 - r23), kept
@@ -141,19 +143,19 @@ _COLUMNS = {
 
 
 def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
-    """Every column of the requested quantities at a batch of parameter points.
+    """Every column of the requested quantities at parameter points of any shape.
 
-    `params` holds the keyword arguments of `limit_states`, B broadcast
-    against the others, for a batch or a (rows, k) grid; `quantities` are
-    keys of QUANTITY_COLUMNS, or the columns sxsx_alt and szsz_alt.  One
-    limit_states call takes the fields [B, B + delta_b, B - delta_b]: B if
-    a quantity needs the points' own states, the others for qfi_dB, the
-    central difference (F(B + delta_b) - F(B - delta_b)) / (2 delta_b) of
-    one QFI evaluation over them all, at the default step model.DELTA_B (a
-    grid runs them as its flattened batch).  Returns column -> array of the
-    points' shape, in request order; raises ValueError for a delta_b that is
-    not positive and finite when qfi_dB is requested, and FloatingPointError
-    naming the first point where B + delta_b or B - delta_b is B.
+    `params` holds the keyword arguments of `limit_states`, broadcasting to
+    the points' shape; `quantities` are keys of QUANTITY_COLUMNS, or the
+    columns sxsx_alt and szsz_alt.  The fields [B, B + delta_b, B - delta_b]
+    are a leading axis of B in one limit_states call: B if a quantity needs
+    the points' own states, the others for qfi_dB, the central difference
+    (F(B + delta_b) - F(B - delta_b)) / (2 delta_b) of one QFI evaluation
+    over them all, at the default step model.DELTA_B.  Returns column ->
+    array of the points' shape ((1,) for floats), in request order; raises
+    ValueError for a delta_b that is not positive and finite when qfi_dB is
+    requested, and FloatingPointError naming the first point where
+    B + delta_b or B - delta_b is B.
     """
     b = params["B"]
     fields = [] if set(quantities) == {"qfi_dB"} else [b]
@@ -161,39 +163,27 @@ def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
         if not 0.0 < delta_b < np.inf:
             raise ValueError(f"step must be positive and finite, got {delta_b}")
         fields += [b + delta_b, b - delta_b]
-    given = params
-    if len(fields) > 1:
-        points = np.broadcast(*params.values())
-        if points.ndim == 2:
-            flat = dict(zip(params, (a.ravel() for a in np.broadcast_arrays(*params.values()))))
-            return {k: v.reshape(points.shape)
-                    for k, v in measure_columns(flat, quantities, delta_b).items()}
-        # the parameters that vary repeat once per field, B takes each field
-        # broadcast to the n points in turn
-        n = points.size
-        if n > 1:
-            params = {k: np.tile(v, len(fields)) if getattr(v, "size", 1) > 1 else v
-                      for k, v in params.items()}
-        params = dict(params, B=np.array(fields).ravel().repeat(
-            1 if getattr(b, "size", 1) == n else n))
-    states = limit_states(**params)
-    # the fields' states follow each other along the first point axis
-    n = states.shape[1] // len(fields)
+    # the fields lead B, padded to the points' rank: states (5, fields, *points)
+    rank = max([np.ndim(v) for v in params.values() if not isinstance(v, float)], default=0)
+    stacked = np.array(fields)
+    if stacked.ndim <= rank:
+        stacked = np.expand_dims(stacked, tuple(range(1, rank + 2 - stacked.ndim)))
+    states = limit_states(**dict(params, B=stacked))
     fisher = qfi_batch(states) if "qfi" in quantities or "qfi_dB" in quantities else None
-    at, columns = states[:, :n], {}
+    # a point of floats is a batch of one, its fields the states' one axis
+    own, plus, minus = (0, -2, -1) if rank else (slice(1), slice(-2, -1), slice(-1, None))
+    at, columns = states[:, own], {}
     for q in quantities:
         if q == "qfi_dB":
             lost = (fields[-2] == b) | (fields[-1] == b)
             # a point of floats, as from measure_bundle, pays no numpy call
             if lost is not False and np.any(lost):
-                lost, *arrays = np.broadcast_arrays(lost, *given.values())
-                i = int(np.flatnonzero(lost)[0])
-                point = ", ".join(f"{k}={float(v.flat[i])!r}" for k, v in zip(given, arrays))
-                raise FloatingPointError(f"the step delta_b={delta_b!r} is lost against B "
-                                         f"(B +- delta_b == B: dF/dB would read 0) at {point}")
-            columns[q] = (fisher[-2 * n:-n] - fisher[-n:]) / (2.0 * delta_b)
+                _raise_at(FloatingPointError, f"the step delta_b={delta_b!r} is lost against B "
+                          "(B +- delta_b == B: dF/dB would read 0)", np.asarray(lost),
+                          [params[k] for k in _PARAM_NAMES])
+            columns[q] = (fisher[plus] - fisher[minus]) / (2.0 * delta_b)
         elif q == "qfi":
-            columns[q] = fisher[:n]
+            columns[q] = fisher[own]
         elif q == "rho_elements":
             columns.update(zip(QUANTITY_COLUMNS[q], at))
         else:

@@ -20,7 +20,7 @@ energies as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,6 +82,25 @@ class ModelParams:
         return 1.0 / self.T
 
 
+_PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
+
+
+def _point_text(args, index: int) -> str:
+    """The point at `index`, in row order, of the ModelParams fields `args` broadcast."""
+    columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+    return ", ".join(f"{name}={float(col.flat[index])!r}"
+                     for name, col in zip(_PARAM_NAMES, columns))
+
+
+def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
+    """Raise `error` naming the first point, in row order, flagged in `bad`,
+    whose last axes are the points' or broadcast to them."""
+    shape = np.broadcast(*args[:-1], np.atleast_1d(args[-1])).shape
+    flagged = bad.reshape((-1,) + bad.shape[bad.ndim - len(shape):]).any(axis=0)
+    i = int(np.flatnonzero(np.broadcast_to(flagged, shape))[0])
+    raise error(f"{message} at {_point_text(args, i)}")
+
+
 def _sector_value(sector) -> int:
     s = int(sector)
     if s not in SECTOR_VALUES:
@@ -130,7 +149,7 @@ def boltzmann_weights(p: ModelParams, impurity: bool = False) -> dict[int, float
     OverflowRisk where 1/T overflows, as the kernel does.
     """
     if math.isinf(p.beta):
-        raise OverflowRisk(f"1/T overflows at {p}")
+        raise OverflowRisk(f"1/T overflows at {_point_text(tuple(vars(p).values()), 0)}")
     energies = {s: dimer_spectrum(dimer_block(p, s, impurity))[0] for s in SECTOR_VALUES}
     shift = min(float(e[0]) for e in energies.values())
     return {s: float(np.exp(-p.beta * (e - shift)).sum()) for s, e in energies.items()}

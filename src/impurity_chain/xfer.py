@@ -20,19 +20,21 @@ angle, so the kernel takes no trigonometric function; the ring's come from
 binary powering over nonnegative entries.  Nothing is divided by w0; the
 ring's coefficients involve no subtraction and the limit's only
 D = w(+1) - w(-1), so no state loses digits when host and defect favour
-different nodal sectors at low T.  limit_states runs at most 601 points a call,
-and a (rows, k) grid in whole rows: on rows of parameters over a temperature
-axis the kernel takes each row's levels, shifts and projectors once.
+different nodal sectors at low T.  limit_states takes points of any shape in
+kernel calls of whole slices of the first axis, at most 601 points each: on
+rows of parameters over a temperature axis the kernel takes each row's
+levels, shifts and projectors once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, OverflowRisk, SECTOR_VALUES
+from .model import ModelParams, OverflowRisk, SECTOR_VALUES, _point_text, _raise_at
 
 __all__ = [
     "InvalidN",
@@ -105,12 +107,6 @@ class XState:
         return self
 
 
-_PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
-# the sector axis of the kernel, nodal sums s = +1, 0, -1, and the family axis
-# (host cells keep their fields, the defect's are scaled by 1 + gamma), ahead
-# of a batch's one point axis or a grid's two
-_SECTORS = {n: np.array(SECTOR_VALUES, dtype=float).reshape((3,) + (1,) * n) for n in (1, 2)}
-_DEFECT_FAMILY = {n: np.array([0.0, 1.0]).reshape((2, 1) + (1,) * n) for n in (1, 2)}
 # the smallest normal float: below it 1/T overflows, and 4 w0^2 underflows
 _TINY = float(np.finfo(float).tiny)
 # most points per kernel call of limit_states
@@ -120,20 +116,12 @@ _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-12
 
 
-def _point_text(args, index: int) -> str:
-    """The parameter point at `index`, in row order, of broadcast kernel arguments."""
-    columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
-    return ", ".join(f"{name}={float(col.flat[index])!r}"
-                     for name, col in zip(_PARAM_NAMES, columns))
-
-
-def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
-    """Raise `error` naming the first point, in row order, flagged in `bad`,
-    whose last axes are the points' one or two or broadcast to them."""
-    shape = np.broadcast(*args[:-1], np.atleast_1d(args[-1])).shape
-    flagged = bad.reshape((-1,) + bad.shape[bad.ndim - len(shape):]).any(axis=0)
-    i = int(np.flatnonzero(np.broadcast_to(flagged, shape))[0])
-    raise error(f"{message} at {_point_text(args, i)}")
+@functools.cache
+def _leading_axes(rank: int):
+    """The kernel's sector axis (nodal sums s = +1, 0, -1) and family axis (host,
+    then the defect with fields scaled by 1 + gamma) ahead of `rank` point axes."""
+    return (np.array(SECTOR_VALUES, dtype=float).reshape((3,) + (1,) * rank),
+            np.array([0.0, 1.0]).reshape((2, 1) + (1,) * rank))
 
 
 def _projector(x, y, z):
@@ -191,16 +179,16 @@ def _host_power(w1, w0, wm, k: int):
 
 
 def _kernel(args, ring: int | None = None):
-    """States (5, n) of the defect dimer, and log Z of the ring.
+    """States (5, *points) of the defect dimer, and log Z of the ring.
 
     `args` are the ModelParams fields as scalars or arrays broadcasting to
-    one dimension, or to a (rows, k) grid with T two-dimensional.  Levels,
-    shifts and projectors take the shape of the arguments but T, so a
-    (rows, 1) x (1, k) grid takes them once per row.  With ring=None the
+    the points' shape, with T of the points' rank (or a scalar: one axis).
+    Levels, shifts and projectors take the shape of the arguments but T, so
+    a (rows, 1) x (1, k) grid takes them once per row.  With ring=None the
     host coefficients are the infinite chain's dominant projector and log Z
     is None; with ring=N they are those of W_h^(N-1) in the N-cell ring,
-    and log Z_N is returned as an (n,) array.  See limit_states for the
-    guards.
+    and log Z_N is returned with the points' shape.  See limit_states for
+    the guards.
     """
     J, Delta, J0, g1, g2, g3, gamma, B = (np.asarray(a, dtype=float) for a in args[:-1])
     T = np.atleast_1d(np.asarray(args[-1], dtype=float))
@@ -210,7 +198,7 @@ def _kernel(args, ring: int | None = None):
     if t_min < _TINY:
         _raise_at(OverflowRisk, "1/T overflows", T < _TINY, args)
     beta = 1.0 / T
-    sectors, family = _SECTORS[T.ndim], _DEFECT_FAMILY[T.ndim]
+    sectors, family = _leading_axes(T.ndim)
 
     # dimer blocks, shape (family, sector, point).  A Zeeman term or exchange
     # past the float range leaves a level, or its height above its shift, inf
@@ -231,6 +219,8 @@ def _kernel(args, ring: int | None = None):
         b = -zz - nodal - f1 + inner
         mean = 0.5 * (a + b)
         gap, central = _projector(a, c, b)
+        # the defect's upper central projector P, per sector
+        p11, p12, p22 = central[0][1], central[1], central[2][1]
         half_gap = 0.5 * gap
         levels = np.empty((4,) + e00.shape)
         levels[0] = e00
@@ -252,12 +242,14 @@ def _kernel(args, ring: int | None = None):
         if not peak < np.inf:
             _raise_at(OverflowRisk, "a Zeeman term or dimer level is past the float range",
                       ~(exponents < np.inf), args)
-        # an exponent, levels[1] - shift, is at least the central gap g >= |2c|:
-        # where (2c)^2 overflows, P is taken again from the block divided by
-        # |2c| (by 1 elsewhere), which leaves P / tr P as it is
+        # an exponent, levels[1] - shift, is at least the central gap
+        # g >= max(|a - b|, |2c|): where g + |a - b| or (2c)^2 may overflow,
+        # the defect's P is taken again from each block divided by its
+        # largest magnitude (by 1 elsewhere), which leaves P / tr P as it is
         if not peak < 2.0 ** 500:
-            scale = np.where(np.abs(c) < 2.0 ** 510, 1.0, 2.0 * np.abs(c))
-            central = _projector(a / scale, c / scale, b / scale)[1]
+            largest = np.maximum(np.maximum(np.abs(a[1]), np.abs(b[1])), 2.0 * np.abs(c))
+            scale = np.where(largest < 2.0 ** 510, 1.0, largest)
+            p11, p12, p22 = _projector(a[1] / scale, c / scale, b[1] / scale)[1]
         exponents = np.multiply(exponents, -beta)
         if ring is not None:
             # log Z's energy terms, both <= 0, summed here: past the float
@@ -294,7 +286,6 @@ def _kernel(args, ring: int | None = None):
     # defect cell matrices sum_j e^{-beta(e_j - min)} |phi_j><phi_j|: the
     # central pair's projectors are P / tr P and 1 - P / tr P, with P the
     # upper one from _projector (tr P is 2g, and 1 where g = 0)
-    p11, p12, p22 = central[0][1], central[1], central[2][1]
     trace = p11 + p22
     f00, f_up, f_down, f33 = factors[:, 1]
     cells = np.empty((5,) + f00.shape)
@@ -329,10 +320,10 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     """Thermodynamic-limit defect-dimer states over broadcast parameter arrays.
 
     The arguments are the ModelParams fields as scalars or arrays that
-    broadcast to one dimension of length n, or to a (rows, k) grid.
-    Returns a (5, n) or (5, rows, k) array whose rows are the X-state
-    elements r11, r22, r33, r44 and r23 of each point.  The homogeneous
-    chain, whose defect cell is a host cell, is gamma = 0.
+    broadcast to the points' shape, of any rank.  Returns a (5, *points)
+    array, (5, 1) for scalars, whose rows are the X-state elements r11,
+    r22, r33, r44 and r23 of each point.  The homogeneous chain, whose
+    defect cell is a host cell, is gamma = 0.
 
     Per point: the closed-form spectra of the host and defect dimer blocks
     in all three nodal sectors; host sector weights referenced to the host
@@ -350,27 +341,26 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     overflowing), DegenerateGap (a degenerate dominant host eigenvalue, a
     degenerate or non-finite sector mixture, or a trace that disagrees with
     the weight sum) naming the first failing point, and ValueError for a
-    non-positive temperature.  Batches are cut, in order, into kernel calls
-    of at most 601 points (a preset sweep), grids into calls of whole rows
-    (a row longer than that runs flattened), so an error names the first
+    non-positive temperature.  Kernel calls take whole slices of the first
+    axis, at most 601 points (a preset sweep) each, and a slice wider than
+    that is cut again along its own next axis, so an error names the first
     failing point in row order.
     """
     args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
-    points = np.broadcast(*args)
-    if points.ndim == 2 and np.ndim(T) < 2:
-        args = args[:-1] + (np.reshape(T, (1, -1)),)
-    if 0 < points.size <= _BLOCK:
-        return _kernel(args)[0]
-    if not points.size:
-        return np.empty((5,) + points.shape)
-    width = points.size // points.shape[0]  # points per row: 1 in a batch
-    if width > _BLOCK:
-        flat = limit_states(*(a.ravel() for a in np.broadcast_arrays(*args)))
-        return flat.reshape((5,) + points.shape)
-    step = _BLOCK // width
-    blocks = [_kernel([a[i:i + step] if np.ndim(a) == points.ndim and np.shape(a)[0] > 1 else a
-                       for a in args])[0] for i in range(0, points.shape[0], step)]
-    return np.concatenate(blocks, axis=1)
+    shape = np.broadcast(*args).shape
+    rank, size = len(shape), math.prod(shape)
+    # T takes the points' rank, which sets the kernel's; a scalar T takes one
+    if rank > 1 and np.ndim(T) < rank:
+        T = np.asarray(T)
+        args = args[:-1] + (T.reshape((1,) * (rank - T.ndim) + T.shape),)
+    if rank > 1 and shape[0] == 1:  # one slice: the kernel takes it a rank down
+        return limit_states(*(a[0] if np.ndim(a) == rank else a for a in args))[:, None]
+    if size <= _BLOCK:
+        return _kernel(args)[0] if size else np.empty((5,) + shape)
+    step = max(_BLOCK * shape[0] // size, 1)
+    return np.concatenate([
+        limit_states(*(a[i:i + step] if np.ndim(a) == rank and len(a) > 1 else a for a in args))
+        for i in range(0, shape[0], step)], axis=1)
 
 
 def impurity_density_matrix(p: ModelParams) -> XState:

@@ -8,6 +8,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -43,6 +44,19 @@ STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 QUANTITY_ORDER = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB", "favg",
                   "cout", "rho_elements")
 B_STAR = 1.0 / ((5.0 - 1.1) * 0.2)
+
+
+def record_kernel_calls(monkeypatch) -> list:
+    """The arguments of every kernel call from here on."""
+    calls, kernel = [], xfer._kernel
+
+    def recording(args, ring=None):
+        calls.append(args)
+        return kernel(args, ring)
+
+    monkeypatch.setattr(xfer, "_kernel", recording)
+    return calls
+
 
 # the parameters each figure preset sets per curve, axis value or scan point
 PRESET_OWNED = [
@@ -236,7 +250,9 @@ class TestRunPoint:
     def test_non_finite_detection(self, monkeypatch):
         nan_state = XState(0.5, 0.25, 0.25, float("nan"), 0.0)
         monkeypatch.setattr(xfer, "_kernel", lambda args, ring=None: (nan_state.column(), None))
-        with pytest.raises(NonFiniteError):
+        # the point is named as every other numerical failure names it
+        point = ", ".join(f"{k}={v!r}" for k, v in vars(ModelParams()).items())
+        with pytest.raises(NonFiniteError, match=re.escape(f"non-finite ['r44'] at {point}")):
             run_point(ModelParams(), ("rho_elements",))
 
 
@@ -261,6 +277,32 @@ class TestRunSweep:
         t_col = [float(line.split(",")[8]) for line in lines[1:]]
         assert b_col == sorted(b_col)
         assert t_col[:3] == sorted(t_col[:3])
+
+    def test_temperature_first_grid(self, tmp_path, monkeypatch):
+        # a T x B sweep takes the kernel's temperature-free algebra once per
+        # field B, not once per point, and each row has its point's bytes
+        cfg = self.make_config(tmp_path, axes=(("T", 0.05, 1.5, 25), ("B", 0.0, 3.0, 37)),
+                               quantities=QUANTITY_ORDER)
+        calls = record_kernel_calls(monkeypatch)
+        run_sweep(cfg)
+        assert len(calls) == 6 and all(np.broadcast(*args[:-1]).shape == (1, 37)
+                                       for args in calls)
+        lines = open(cfg.out, newline="").read().split("\r\n")[1:-1]
+        assert len(lines) == 25 * 37
+        for line in lines:
+            fields = line.split(",")
+            p = replace(cfg.params, T=float(fields[8]), B=float(fields[7]))
+            row = list(vars(p).values()) + list(run_point(p, QUANTITY_ORDER).values())
+            assert line == ",".join(map(cli._format, row))
+
+    def test_grid_kernel_calls_take_whole_rows(self, tmp_path, monkeypatch):
+        # a 41 x 21 B x T sweep: 28 rows of 21 temperatures a call, then 13
+        quantities = tuple(q for q in QUANTITY_ORDER if q != "qfi_dB")
+        cfg = self.make_config(tmp_path, axes=(("B", 0.0, 3.0, 41), ("T", 0.02, 1.5, 21)),
+                               quantities=quantities)
+        calls = record_kernel_calls(monkeypatch)
+        run_sweep(cfg)
+        assert [np.broadcast(*args).size for args in calls] == [588, 273]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg1 = self.make_config(tmp_path, name="a.csv")
@@ -648,6 +690,12 @@ class TestFigurePresets:
         assert sizes[:18] == [9 * 64] * 18
         assert len(sizes) == 33
         assert max(sizes) <= 601
+
+    def test_dbqfi_kernel_calls_are_whole_curves(self, tmp_path, monkeypatch):
+        # the fields B + delta_b and B - delta_b of 4 curves of 601 fields
+        calls = record_kernel_calls(monkeypatch)
+        run_figure("fig-dbqfi", str(tmp_path), {})
+        assert [np.broadcast(*args).size for args in calls] == [601] * 8
 
     def test_batched_presets_match_per_curve_sweeps(self, tmp_path):
         # every curve of a sweep preset comes from one evaluator call over all

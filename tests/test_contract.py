@@ -40,18 +40,36 @@ LOG_Z_SUM_OVERFLOWS = [
 ]
 
 
+def ordinary_point(rng) -> dict:
+    """A point of ordinary size, B in [0, 5] and T log-uniform in [0.005, 3]."""
+    return dict(J=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), Delta=rng.uniform(0.0, 3.0),
+                J0=rng.uniform(-2.0, 2.0), g1=rng.uniform(0.5, 2.0), g2=rng.uniform(0.5, 6.0),
+                g3=rng.uniform(0.5, 6.0), gamma=rng.uniform(-2.0, 2.0), B=rng.uniform(0.0, 5.0),
+                T=math.exp(rng.uniform(math.log(0.005), math.log(3.0))))
+
+
 def whole_range_draws(seed: int, n: int) -> list[ModelParams]:
     """Ordinary points with one or two of J, Delta, J0, gamma and B set to
-    +-10^U(0, 308), and T log-uniform in [0.005, 3]."""
+    +-10^U(0, 308)."""
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(n):
-        p = dict(J=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), Delta=rng.uniform(0.0, 3.0),
-                 J0=rng.uniform(-2.0, 2.0), g1=rng.uniform(0.5, 2.0), g2=rng.uniform(0.5, 6.0),
-                 g3=rng.uniform(0.5, 6.0), gamma=rng.uniform(-2.0, 2.0), B=rng.uniform(0.0, 5.0),
-                 T=math.exp(rng.uniform(math.log(0.005), math.log(3.0))))
+        p = ordinary_point(rng)
         for key in rng.choice(HUGE_KEYS, rng.integers(1, 3), replace=False):
             p[key] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 308.0)
+        draws.append(ModelParams(**{k: float(v) for k, v in p.items()}))
+    return draws
+
+
+def g_factor_draws(seed: int, n: int) -> list[ModelParams]:
+    """Ordinary points with g2 or g3 set to +-10^U(306, log10 1.79e308): |g B|
+    finite, and often past half the float range."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        p = ordinary_point(rng)
+        p[rng.choice(["g2", "g3"])] = (rng.choice([-1.0, 1.0])
+                                       * 10.0 ** rng.uniform(306.0, math.log10(1.79e308)))
         draws.append(ModelParams(**{k: float(v) for k, v in p.items()}))
     return draws
 
@@ -109,6 +127,13 @@ def test_whole_range_draws():
     assert {XState, OverflowRisk, DegenerateGap} <= kinds
 
 
+def test_g_factors_near_the_float_range():
+    # g + |a - b| of the defect's central block overflowed where |g2 B| or
+    # |g3 B| passes about 9e307, which made its cells inf/inf with a warning
+    states = [check_point(p) for p in g_factor_draws(20261021, 3000)]
+    assert {type(st) for st in states} == {XState, OverflowRisk}
+
+
 def test_evaluator_over_the_whole_range():
     # every column, the shortcut correlators and qfi_dB's shifted fields
     # included, is finite or the point raises a documented error naming it;
@@ -146,10 +171,12 @@ def test_point_exits_cleanly_over_the_whole_range(p, capsys):
 
 
 # ---------------------------------------------------------------------------
-# (rows, 1) x (1, k) grids: each kernel call takes whole rows, and every point
-# keeps the bits and errors of the flattened batch
+# grids of any rank: every argument broadcasts to the points' shape, each
+# kernel call takes whole slices of the first axis, and every point keeps the
+# bits and errors of the flattened batch
 
 GRID_ROWS = 40
+SWEEPS = 8  # the rows as 8 sweeps of 5 points
 TEMPS = np.geomspace(0.005, 3.0, 700)
 FIELDS = tuple(f for f in vars(ModelParams()) if f != "T")
 
@@ -174,33 +201,51 @@ def grid_rows():
 
 
 def grid_and_batch(rows, temps):
-    """limit_states' arguments as a (rows, 1) x (1, k) grid and flattened."""
+    """limit_states' arguments as a (rows, 1) x (1, k) grid, as a
+    (sweeps, axis, 1) x (k,) grid, and flattened."""
     columns = {k: np.array([row[k] for row in rows]) for k in FIELDS}
     grid = dict({k: v[:, None] for k, v in columns.items()}, T=temps[None, :])
+    sweeps = dict({k: v.reshape(SWEEPS, -1, 1) for k, v in columns.items()}, T=temps)
     batch = dict({k: np.repeat(v, len(temps)) for k, v in columns.items()},
                  T=np.tile(temps, len(rows)))
-    return grid, batch
+    return grid, sweeps, batch
 
 
 @pytest.mark.parametrize("k", [1, 7, 64, 601, 700])
 def test_grid_is_its_flattened_batch(grid_rows, k):
     # 64 leaves 601 - 9 * 64 points of a call unused; a 700-point row is
-    # longer than a call and runs flattened
+    # longer than a call and is cut again along its temperatures, as is a
+    # sweep of 5 rows past 120 temperatures
     temps = TEMPS[np.linspace(0, len(TEMPS) - 1, k).astype(int)]
-    grid, batch = grid_and_batch(grid_rows[0], temps)
-    states = limit_states(**grid)
-    assert states.shape == (5, GRID_ROWS, k)
-    assert states.tobytes() == limit_states(**batch).tobytes()
-    # the evaluator too, qfi_dB's flattened stack included
-    columns, flat = (measure_columns(g, tuple(QUANTITY_COLUMNS)) for g in (grid, batch))
-    assert list(columns) == list(flat)
-    for name, values in columns.items():
-        assert values.shape == (GRID_ROWS, k) and values.tobytes() == flat[name].tobytes()
+    grid, sweeps, batch = grid_and_batch(grid_rows[0], temps)
+    states = limit_states(**batch)
+    # the evaluator too, whose qfi_dB fields lead the points: (3, 8, 5, k)
+    # over the sweeps
+    flat = measure_columns(batch, tuple(QUANTITY_COLUMNS))
+    for g, shape in ((grid, (GRID_ROWS, k)), (sweeps, (SWEEPS, GRID_ROWS // SWEEPS, k))):
+        grid_states = limit_states(**g)
+        assert grid_states.shape == (5,) + shape and grid_states.tobytes() == states.tobytes()
+        columns = measure_columns(g, tuple(QUANTITY_COLUMNS))
+        assert list(columns) == list(flat)
+        for name, values in columns.items():
+            assert values.shape == shape and values.tobytes() == flat[name].tobytes()
+
+
+def test_scalars_are_a_batch_of_one():
+    p = ModelParams(Delta=0.5, J0=1.0, gamma=-0.8, B=0.8, T=0.3)
+    assert limit_states(**vars(p)).shape == (5, 1)
+    batch = {k: np.array([v]) for k, v in vars(p).items()}
+    for quantities in (("concurrence", "qfi"), ("qfi_dB",), ("concurrence", "qfi", "qfi_dB")):
+        columns = measure_columns(vars(p), quantities)
+        assert [v.shape for v in columns.values()] == [(1,)] * len(quantities)
+        assert {k: v.tobytes() for k, v in columns.items()} == {
+            k: v.tobytes() for k, v in measure_columns(batch, quantities).items()}
 
 
 def test_empty_grid():
-    grid, _ = grid_and_batch([], TEMPS[:64])
+    grid, sweeps, _ = grid_and_batch([], TEMPS[:64])
     assert limit_states(**grid).shape == (5, 0, 64)
+    assert limit_states(**sweeps).shape == (5, SWEEPS, 0, 64)
     assert cli.threshold_temperatures([], (0.01, 1.2)) == ([], [])
 
 
@@ -208,11 +253,14 @@ def test_grid_errors_name_the_flattened_batch_point(grid_rows):
     valid, overflow = grid_rows
     temps = TEMPS[:64].copy()
     temps[37] = 0.0
-    bad_rows = valid[:23] + [overflow] + valid[23:]
+    bad_rows = valid[:23] + [overflow] + valid[23:-1]
+    evaluators = (lambda g: limit_states(**g), lambda g: measure_columns(g, ("qfi", "qfi_dB")))
     for rows, t, error in ((valid, temps, ValueError), (bad_rows, TEMPS[:64], OverflowRisk)):
-        grid, batch = grid_and_batch(rows, t)
-        with pytest.raises(error) as flat:
-            limit_states(**batch)
-        with pytest.raises(error, match="at J=") as named:
-            limit_states(**grid)
-        assert str(named.value) == str(flat.value)
+        *grids, batch = grid_and_batch(rows, t)
+        for evaluate in evaluators:
+            with pytest.raises(error) as flat:
+                evaluate(batch)
+            for g in grids:
+                with pytest.raises(error, match="at J=") as named:
+                    evaluate(g)
+                assert str(named.value) == str(flat.value)

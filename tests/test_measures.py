@@ -208,10 +208,11 @@ class TestFieldDerivative:
     @pytest.mark.parametrize("varied", [{}, {"B": np.linspace(0.0, 3.0, 41)},
                                         {"T": np.linspace(0.02, 1.0, 41)},
                                         {"B": np.array([0.7]), "T": np.linspace(0.02, 1.0, 41)},
-                                        {"B": np.empty(0)}, {"T": np.empty(0)}])
+                                        {"B": np.empty(0)}, {"T": np.empty(0)},
+                                        {"T": [0.02, 0.5, 1.0]}])
     def test_derivative_is_the_difference_of_two_evaluations(self, varied):
         # scalar B alone, B an array, scalar B and a one-point B broadcast
-        # against an array T, and empty batches
+        # against an array T, empty batches, and T a list
         params = dict(vars(ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0,
                                        T=0.05)), **varied)
         b, step = params["B"], 1e-3

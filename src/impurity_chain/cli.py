@@ -19,7 +19,8 @@ Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path), 3 numerical failure (a non-finite result or a solver
 exception, reported with its parameter point), 4 nothing found (finders).
 One `measures.measure_columns` call evaluates each sweep, all the curves of a
-figure preset together, each finder's coarse scan and each bisection step.
+figure preset together, each finder's coarse scan, each rescan and each
+bisection step.
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ class NonFiniteError(ArithmeticError):
 PARAM_COLUMNS = tuple(f.name for f in fields(ModelParams))
 SWEEPABLE = ("B", "T", "Delta", "J0", "gamma")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# the finders' defaults: temperatures or fields in a coarse scan, and the
-# bracket width where the threshold bisection and the critical field's
-# golden section stop
+# the finders' defaults: temperatures or fields in a coarse scan or rescan,
+# and the bracket width where the threshold bisection and the critical
+# field's rescans stop
 _SCAN_POINTS = 64
 _THRESHOLD_TOL = 1e-6
 _CRITICAL_TOL = 1e-4
@@ -457,49 +457,34 @@ def find_critical_field(p: ModelParams, b_range, target: str, points: int = _SCA
     """Field value extremizing the chosen functional inside b_range.
 
     target: 'max_concurrence' (maximize C), 'qfi_min' (minimize F) or
-    'dqfi_peak' (maximize |dF/dB|).  Coarse scan in one batched call, then
-    golden-section refinement of the best interior sample down to `tol` in
-    B through the same scan on one field at a time.  Raises NotFound when
-    the coarse scan is monotone (extremum at a boundary), and ConfigError (a
-    ValueError) for a range that is not finite and increasing, a tol that is
-    not positive and finite or a scan of fewer than 3 fields (an interior
-    sample needs at least 3).
+    'dqfi_peak' (maximize |dF/dB|).  A coarse scan of `points` fields, then
+    rescans of the bracket between the best sample's two neighbours (clipped
+    to the scan) with the same `points` fields, each scan one batched call,
+    until that bracket is no wider than `tol` or stops shrinking; returns the
+    best sample.  Raises NotFound when the coarse scan is monotone (extremum
+    at a boundary), and ConfigError (a ValueError) for a range that is not
+    finite and increasing, a tol that is not positive and finite or a scan of
+    fewer than 4 fields (a rescan of 3 returns its own 3 fields).
     """
     _check_positive("tol", tol)
-    if points < 3:
-        raise ConfigError(f"points must be at least 3, got {points!r}")
+    if points < 4:
+        raise ConfigError(f"points must be at least 4, got {points!r}")
 
     if target not in _TARGETS:
         raise ConfigError(f"unknown target {target!r}")
     quantity, sign = _TARGETS[target]
 
-    def scan(b: np.ndarray) -> np.ndarray:
-        return sign * np.abs(measure_columns(dict(vars(p), B=b), (quantity,), delta_b)[quantity])
-
-    grid = _axis_values("field", *b_range, points)
-    best = int(np.argmin(scan(grid)))
-    if best in (0, points - 1):
-        raise NotFound(f"{target} has no interior extremum in {b_range}")
-    return _golden_section(lambda b: float(scan(np.array([b]))[0]),
-                           float(grid[best - 1]), float(grid[best + 1]), tol)
-
-
-def _golden_section(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal f on [a, b], reusing evaluations."""
-    h = b - a
-    c, d = b - _GOLDEN * h, a + _GOLDEN * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        h *= _GOLDEN
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    (lo, hi), width = b_range, math.inf
+    while True:
+        grid = _axis_values("field", lo, hi, points)
+        values = measure_columns(dict(vars(p), B=grid), (quantity,), delta_b)[quantity]
+        best = int(np.argmin(sign * np.abs(values)))
+        if width == math.inf and best in (0, points - 1):
+            raise NotFound(f"{target} has no interior extremum in {b_range}")
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, points - 1)]
+        if not tol < hi - lo < width:
+            return float(grid[best])
+        width = hi - lo
 
 
 # ---------------------------------------------------------------------------

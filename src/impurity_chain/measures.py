@@ -158,6 +158,8 @@ def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
     B + delta_b or B - delta_b is B.
     """
     b = params["B"]
+    if not isinstance(b, float):
+        b = np.asarray(b, dtype=float)
     fields = [] if set(quantities) == {"qfi_dB"} else [b]
     if "qfi_dB" in quantities:
         if not 0.0 < delta_b < np.inf:

@@ -11,6 +11,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -581,7 +582,108 @@ class TestThresholdFinder:
             concurrence_sign_brackets(ModelParams(), t_range)
 
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(f, a: float, b: float, tol: float) -> float:
+    """Golden-section minimum of a unimodal f on [a, b], reusing evaluations:
+    the critical field's scalar refinement before its rescans."""
+    h = b - a
+    c, d = b - GOLDEN * h, a + GOLDEN * h
+    fc, fd = f(c), f(d)
+    while h > tol:
+        h *= GOLDEN
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def critical_objective(p: ModelParams, target: str, fields) -> np.ndarray:
+    """What find_critical_field minimizes, at each of `fields`."""
+    quantity, sign = cli._TARGETS[target]
+    b = np.asarray(fields, dtype=float)
+    return sign * np.abs(cli.measure_columns(dict(vars(p), B=b), (quantity,))[quantity])
+
+
+def golden_critical_field(p: ModelParams, target: str, tol: float):
+    """The reference: find_critical_field's coarse scan of (0, 3), then the
+    golden section of the bracket around its best interior sample, one field
+    at a time.  Returns (field, bracket), or None for a monotone scan."""
+    grid = np.linspace(0.0, 3.0, cli._SCAN_POINTS)
+    best = int(np.argmin(critical_objective(p, target, grid)))
+    if best in (0, len(grid) - 1):
+        return None
+    bracket = float(grid[best - 1]), float(grid[best + 1])
+    return golden_section(lambda b: float(critical_objective(p, target, [b])[0]),
+                          *bracket, tol), bracket
+
+
 class TestCriticalFieldFinder:
+    def test_rescans_match_the_golden_section(self):
+        # seeded sets with both signs of J and of gamma and Delta in {0, 0.5,
+        # 1, 2}, each target and two tolerances; the golden section assumes
+        # one extremum in its bracket, and where the bracket holds more the
+        # rescans keep the better sample
+        rng = np.random.default_rng(7)
+        agreed, better = [], 0
+        for i in range(12):
+            p = ModelParams(**STANDARD, J=(-1.0) ** i * rng.uniform(0.5, 1.5),
+                            Delta=(0.0, 0.5, 1.0, 2.0)[i % 4], J0=rng.uniform(0.3, 1.5),
+                            gamma=(-1.0) ** (i // 2 + 1) * rng.uniform(0.2, 0.9),
+                            T=math.exp(rng.uniform(math.log(0.005), math.log(0.1))))
+            for target in cli._TARGETS:
+                for tol in (1e-4, 1e-7):
+                    reference = golden_critical_field(p, target, tol)
+                    if reference is None:
+                        with pytest.raises(NotFound):
+                            find_critical_field(p, (0.0, 3.0), target, tol=tol)
+                        continue
+                    b = find_critical_field(p, (0.0, 3.0), target, tol=tol)
+                    b_ref, bracket = reference
+                    if abs(b - b_ref) <= tol:
+                        agreed.append(abs(b - b_ref) / tol)
+                        continue
+                    dense = critical_objective(p, target, np.linspace(*bracket, 2001))
+                    turns = np.count_nonzero(np.diff(np.sign(np.diff(dense))) > 0)
+                    ours, theirs = critical_objective(p, target, [b, b_ref])
+                    assert turns > 1 and ours < theirs, (p, target, tol)
+                    better += 1
+        assert (len(agreed), better) == (40, 4)
+        assert max(agreed) < 0.5
+
+    def test_tiny_tol_stops_when_the_bracket_stops_shrinking(self, capsys, monkeypatch):
+        # 12 scans reach adjacent floats; a loop that kept rescanning fails
+        # at the 100th scan instead of hanging
+        scans, evaluate = [], cli.measure_columns
+
+        def counting(*args, **kwargs):
+            scans.append(None)
+            assert len(scans) < 100, "the rescans did not stop"
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "measure_columns", counting)
+        start = time.perf_counter()
+        code = cli.main(["critical", "--set", "gamma=-0.8", "--set", "T=0.01",
+                         "--tol", "1e-300"])
+        assert code == 0 and time.perf_counter() - start < 1.0
+        assert len(scans) == 12
+        assert float(capsys.readouterr().out) == pytest.approx(B_STAR, abs=1e-3)
+
+    @pytest.mark.parametrize("target, size", [("max_concurrence", 64), ("qfi_min", 64),
+                                              ("dqfi_peak", 128)])
+    def test_default_rescans_make_three_kernel_calls(self, target, size, monkeypatch):
+        # a 64-field scan of (0, 3), then two rescans; dF/dB takes B +- delta_b
+        p = ModelParams(**STANDARD, Delta=0.5, J0=0.7, gamma=-0.8, T=0.05)
+        calls = record_kernel_calls(monkeypatch)
+        find_critical_field(p, (0.0, 3.0), target)
+        assert [np.broadcast(*args).size for args in calls] == [size] * 3
+
     def test_concurrence_maximum_matches_level_crossing(self):
         p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
         b = find_critical_field(p, (0.0, 3.0), "max_concurrence", tol=1e-5)
@@ -618,7 +720,7 @@ class TestCriticalFieldFinder:
         with pytest.raises(ValueError, match="tol"):
             find_critical_field(p, (0.0, 3.0), "max_concurrence", tol=tol)
 
-    @pytest.mark.parametrize("points", [0, 1, 2])
+    @pytest.mark.parametrize("points", [0, 1, 2, 3])
     def test_scan_needs_an_interior_field(self, points):
         p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
         with pytest.raises(ConfigError, match="points"):
@@ -1035,6 +1137,32 @@ class TestMainEntry:
         assert captured.err.startswith("configuration error:")
         assert "Traceback" not in captured.err and not captured.out
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--set", "axis=B 0 1 3", "--set", "axis2=B 0 2 3"], "axis 'B' given twice"),
+        (["sweep", "--set", "axis=B 0 1 3", "--config", "{config}"], "{config}:1: empty key"),
+        (["point", "--set", "impurity=maybe"], "impurity: expected on/off, got 'maybe'"),
+        (["sweep", "--set", "axis=B 0 1"], "axis needs 'name start stop count', got 'B 0 1'"),
+        (["sweep", "--set", "axis=B 0 1 three"], "bad axis 'B 0 1 three'"),
+        (["sweep"], "no sweep axis given"),
+        (["point", "--set", "foo"], "--set expects key=value, got 'foo'"),
+        (["point"], "cannot write {long}: "),
+    ], ids=["axis-twice", "empty-key", "impurity", "axis-fields", "axis-count", "no-axis",
+            "set-form", "long-name"])
+    def test_configuration_error_names_its_input(self, argv, message, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(" = 3\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        # a 300-character file name: ENAMETOOLONG, whatever the user's permissions
+        names = dict(config=str(config), long=str(out / ("x" * 296 + ".csv")))
+        path = names["long"] if "{long}" in message else str(out / "x.csv")
+        argv = [arg.format(**names) for arg in argv] + ["--out", path]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: " + message.format(**names))
+        assert "Traceback" not in captured.err and not captured.out
+        assert not os.listdir(out)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--set", "axis=B 0 1 3", "--workers", "0"],

@@ -4,11 +4,12 @@ a documented error naming its point, with no numpy warning on the way."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from impurity_chain import cli
+from impurity_chain import cli, xfer
 from impurity_chain.measures import QUANTITY_COLUMNS, measure_columns
 from impurity_chain.model import DELTA_B, ModelParams, OverflowRisk
 from impurity_chain.xfer import (
@@ -264,3 +265,115 @@ def test_grid_errors_name_the_flattened_batch_point(grid_rows):
                 with pytest.raises(error, match="at J=") as named:
                     evaluate(g)
                 assert str(named.value) == str(flat.value)
+
+
+# ---------------------------------------------------------------------------
+# exact identities over the whole range: the model's symmetries, which need
+# no reference value, over ordinary and whole-range draws, one batch of each
+# side per identity
+
+PARAMS = tuple(vars(ModelParams()))
+LONG_RING = 2**60 + 1
+
+
+def error_kind(call):
+    """None if `call()` returns, else the type of the documented error it raised."""
+    try:
+        call()
+    except DOCUMENTED as exc:
+        return type(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def identity_draws():
+    """2,000 ordinary draws and the 2,000 whole-range draws, and the kind of
+    each one's limit state: None, or the documented error it raises."""
+    rng = np.random.default_rng(7)
+    draws = [ModelParams(**{k: float(v) for k, v in ordinary_point(rng).items()})
+             for _ in range(2000)]
+    draws += whole_range_draws(20261019, 2000)
+    return draws, [error_kind(lambda: impurity_density_matrix(p)) for p in draws]
+
+
+def scaled(points, **factors):
+    """limit_states' arguments over `points`, each field times its factor."""
+    return {k: factors.get(k, 1.0) * np.array([getattr(p, k) for p in points]) for k in PARAMS}
+
+
+def states_and_image(draws, kinds, **factors):
+    """The limit states of the draws that give one, in one batch, and of
+    their images under `factors`, in another; each failing draw's image
+    raises the same error kind."""
+    valid = [p for p, kind in zip(draws, kinds) if kind is None]
+    for p, kind in zip(draws, kinds):
+        if kind is not None:
+            image = replace(p, **{k: f * getattr(p, k) for k, f in factors.items()})
+            assert error_kind(lambda: impurity_density_matrix(image)) is kind, p
+    return limit_states(**scaled(valid)), limit_states(**scaled(valid, **factors))
+
+
+def test_mirror_swaps_the_populations(identity_draws):
+    # B -> -B swaps r11 with r44 and r22 with r33
+    states, mirrored = states_and_image(*identity_draws, B=-1.0)
+    assert np.abs(mirrored[[3, 2, 1, 0, 4]] - states).max() <= 1e-15
+
+
+def test_measures_under_the_mirror(identity_draws):
+    # C, the coherence, F and favg are even in B, and dF/dB is odd; a draw
+    # whose step is lost against B fails on both sides (|B| is the same)
+    draws, kinds = identity_draws
+    valid = [p for p, kind in zip(draws, kinds)
+             if kind is None and p.B + DELTA_B != p.B and p.B - DELTA_B != p.B]
+    quantities = ("concurrence", "coherence", "qfi", "favg", "qfi_dB")
+    columns = measure_columns(scaled(valid), quantities)
+    mirrored = measure_columns(scaled(valid, B=-1.0), quantities)
+    parity = dict.fromkeys(quantities, 1.0) | {"qfi_dB": -1.0}
+    bounds = dict(concurrence=3.3e-15, coherence=3.3e-15, qfi=5.3e-14, favg=6.7e-15,
+                  qfi_dB=3.1e-11)
+    for q, bound in bounds.items():
+        assert np.abs(parity[q] * mirrored[q] - columns[q]).max() <= bound, q
+
+
+def test_exchange_sign_negates_the_coherence(identity_draws):
+    # (J, Delta) -> (-J, -Delta) negates r23 and keeps the populations, bit
+    # for bit; a zero r23 stays +0.0
+    states, flipped = states_and_image(*identity_draws, J=-1.0, Delta=-1.0)
+    assert flipped[:4].tobytes() == states[:4].tobytes()
+    assert np.array_equal(-flipped[4], states[4])
+
+
+def test_energy_scale_keeps_the_state(identity_draws):
+    # J, J0, B and T times 4, at the draws where no energy (J, J Delta, J0,
+    # B, T or a Zeeman term) passes the float range only when scaled
+    def scale_stays_finite(p):
+        zeeman = [g * p.B * f for g in (p.g1, p.g2, p.g3) for f in (1.0, 1.0 + p.gamma)]
+        energies = np.array([p.J, p.J * p.Delta, p.J0, p.B, p.T, *zeeman])
+        with np.errstate(over="ignore"):
+            return np.array_equal(np.isfinite(4.0 * energies), np.isfinite(energies))
+
+    draws, kinds = identity_draws
+    kept = [(p, kind) for p, kind in zip(draws, kinds) if scale_stays_finite(p)]
+    assert len(draws) - len(kept) == 7
+    states, image = states_and_image(*zip(*kept), J=4.0, J0=4.0, B=4.0, T=4.0)
+    assert np.abs(image - states).max() <= 1e-300
+
+
+def test_long_ring_is_the_limit(identity_draws):
+    # finite_n_density_matrix at 2^60 + 1 cells, batched through its kernel;
+    # every draw whose limit has a degenerate dominant host eigenvalue (the
+    # limit's own check) is a valid state in the ring
+    draws, kinds = identity_draws
+    valid = [p for p, kind in zip(draws, kinds) if kind is None]
+    ring = xfer._kernel(tuple(scaled(valid).values()), LONG_RING)[0]
+    assert np.abs(ring - limit_states(**scaled(valid))).max() <= 1e-15
+    p = valid[-1]
+    assert finite_n_density_matrix(p, LONG_RING) == XState(*ring[:, -1].tolist())
+    degenerate = 0
+    for p, kind in zip(draws, kinds):
+        if kind is DegenerateGap:
+            assert finite_n_density_matrix(p, LONG_RING).validate(), p
+            degenerate += 1
+        elif kind is not None:
+            assert error_kind(lambda: finite_n_density_matrix(p, LONG_RING)) is kind, p
+    assert degenerate == 433

@@ -5,6 +5,7 @@ import pytest
 
 from impurity_chain import xfer
 from impurity_chain.measures import (
+    QUANTITY_COLUMNS,
     _COLUMNS,
     coherence_batch,
     concurrence_batch,
@@ -224,6 +225,18 @@ class TestFieldDerivative:
             assert columns["qfi_dB"].tobytes() == expected
             assert list(columns) == list(quantities)
         assert columns["qfi"].tobytes() == qfi_batch(limit_states(**params)).tobytes()
+
+    @pytest.mark.parametrize("b, array", [([0.5, 1.0, 1.5], np.array([0.5, 1.0, 1.5])),
+                                          ((0.5, 1.0), np.array([0.5, 1.0])),
+                                          (1, np.array(1.0))])
+    def test_fields_as_a_sequence_or_an_int_are_their_array(self, b, array):
+        # qfi_dB's shifted fields once raised TypeError for a list of fields
+        params = vars(ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, T=0.05))
+        for quantities in (("qfi_dB",), tuple(QUANTITY_COLUMNS)):
+            columns = measure_columns(dict(params, B=b), quantities)
+            expected = measure_columns(dict(params, B=array), quantities)
+            assert {k: (v.shape, v.tobytes()) for k, v in columns.items()} == {
+                k: (v.shape, v.tobytes()) for k, v in expected.items()}
 
     def test_one_point_paths_make_one_kernel_call(self, monkeypatch):
         sizes, kernel = [], xfer._kernel

@@ -72,9 +72,8 @@ class NonFiniteError(ArithmeticError):
 PARAM_COLUMNS = tuple(f.name for f in fields(ModelParams))
 SWEEPABLE = ("B", "T", "Delta", "J0", "gamma")
 
-# the finders' defaults: temperatures or fields in a coarse scan or rescan,
-# and the bracket width where the threshold bisection and the critical
-# field's rescans stop
+# the finders' resolution: samples in a scan or rescan, the bracket width where
+# the threshold bisection stops, and the default of the critical field's `tol`
 _SCAN_POINTS = 64
 _THRESHOLD_TOL = 1e-6
 _CRITICAL_TOL = 1e-4
@@ -275,7 +274,7 @@ def _write_csv(path, header, columns) -> None:
     line = np.frombuffer(b",".join(b"\0" * w for w in widths) + b"\r\n", np.uint8)
     numbers = [c for c in columns if c.dtype.kind == "f"]
     step = max(1, _BLOCK_NUMBERS // len(numbers))
-    with contextlib.nullcontext() if path is None else _create(path, "wb") as fh:
+    with contextlib.nullcontext() if path is None else _create(path) as fh:
         # the CSV is ASCII, and sys.stdout may be a text stream without a byte buffer
         write = fh.write if fh is not None else lambda data: sys.stdout.write(bytes(data).decode())
         write((",".join(header) + "\r\n").encode())
@@ -292,9 +291,16 @@ def _write_csv(path, header, columns) -> None:
 
 def _make_dir(path: str) -> None:
     """Make the directory of the output file `path`, before anything is
-    computed; a `path` that is a directory, a directory that cannot be made,
-    or no write permission (on the file if it exists, else on its directory)
-    raises ConfigError naming the path."""
+    computed; a `path` with a null byte, one that the file system cannot name
+    or that is a directory, a directory that cannot be made, or no write
+    permission (on the file if it exists, else on its directory) raises
+    ConfigError naming the path."""
+    try:
+        name = os.fsencode(path)
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    if b"\0" in name:
+        raise ConfigError(f"cannot write {path!r}: embedded null byte")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
@@ -306,10 +312,10 @@ def _make_dir(path: str) -> None:
         raise ConfigError(f"cannot write {path}: permission denied")
 
 
-def _create(path: str, mode: str = "w"):
-    """open(path, mode); a path that cannot be written raises ConfigError naming it."""
+def _create(path: str):
+    """open(path, "wb"); a path that cannot be written raises ConfigError naming it."""
     try:
-        return open(path, mode)
+        return open(path, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -363,8 +369,9 @@ def _write_manifest(cfg: SweepConfig) -> None:
     lines.append(f"impurity = {'on' if cfg.impurity else 'off'}")
     lines.append(f"delta_b = {cfg.delta_b!r}")
     lines.append(f"out = {cfg.out}")
+    # UTF-8 whatever the locale; surrogate-escaped argv bytes go back out as given
     with _create(cfg.out + ".manifest.txt") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +382,15 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
-def concurrence_sign_brackets(p: ModelParams, t_range, points: int = _SCAN_POINTS) -> int:
+def concurrence_sign_brackets(p: ModelParams, t_range) -> int:
     """(C > 0) sign changes of C(T) on threshold_temperatures' scan, same ConfigErrors."""
-    return int(_coarse_scan([p], t_range, points)[2].sum())
+    return int(_coarse_scan([p], t_range)[2].sum())
 
 
-def _coarse_scan(points: list, t_range, count: int):
+def _coarse_scan(points: list, t_range):
     """The scan temperatures, C > 0 at each per point, its flips between neighbours
     and the points' other parameters; one evaluator call for every point."""
-    if count < 2:
-        raise ConfigError(f"points_per_scan must be at least 2, got {count!r}")
-    temps = _axis_values("temperature", *t_range, count, floor=0.0)
+    temps = _axis_values("temperature", *t_range, _SCAN_POINTS, floor=0.0)
     params = {name: np.array([getattr(p, name) for p in points], dtype=float)
               for name in PARAM_COLUMNS if name != "T"}
     scan = {k: v[:, None] for k, v in params.items()}
@@ -393,35 +398,32 @@ def _coarse_scan(points: list, t_range, count: int):
     return temps, positive, positive[:, :-1] != positive[:, 1:], params
 
 
-def threshold_temperatures(points, t_range, points_per_scan: int = _SCAN_POINTS,
-                           tol: float = _THRESHOLD_TOL):
+def threshold_temperatures(points, t_range):
     """Largest temperature where the concurrence changes between zero and
     positive, for each parameter point (its own T is not used).
 
-    Every point gets a coarse scan of `points_per_scan` temperatures, all in
+    Every point gets a coarse scan of _SCAN_POINTS (64) temperatures, all in
     one measure_columns call; every point's sign flips, their count and its
-    last bracket are then read from one (points, points_per_scan) boolean
-    array.  The last bracket of every point that has one is bisected in
-    lockstep, one evaluator call per step over the points still active; a
-    point stops when its bracket is no wider than `tol` or its midpoint
+    last bracket are then read from one (points, 64) boolean array.  The
+    last bracket of every point that has one is bisected in lockstep, one
+    evaluator call per step over the points still active; a point stops
+    when its bracket is no wider than _THRESHOLD_TOL (1e-6) or its midpoint
     equals an end.  Returns (thresholds, bracket_counts): a threshold is
     None where C is identically zero or strictly positive on the scan, and
     a count is the number of sign changes on that scan.  Raises ConfigError
-    (a ValueError) for a range that is not finite with 0 < lo < hi, a tol
-    that is not positive and finite or a scan of fewer than 2 temperatures.
+    (a ValueError) for a range that is not finite with 0 < lo < hi.
     """
-    _check_positive("tol", tol)
     points = list(points)
-    temps, positive, flips, params = _coarse_scan(points, t_range, points_per_scan)
+    temps, positive, flips, params = _coarse_scan(points, t_range)
     counts = flips.sum(axis=1)
     found = np.flatnonzero(counts)
-    last = points_per_scan - 2 - np.argmax(flips[found, ::-1], axis=1)
+    last = _SCAN_POINTS - 2 - np.argmax(flips[found, ::-1], axis=1)
     params = {k: v[found] for k, v in params.items()}
     t_lo, t_hi = temps[last], temps[last + 1]
     side = positive[found, last]
     while True:
         mid = 0.5 * (t_lo + t_hi)
-        active = np.flatnonzero((t_hi - t_lo > tol) & (mid != t_lo) & (mid != t_hi))
+        active = np.flatnonzero((t_hi - t_lo > _THRESHOLD_TOL) & (mid != t_lo) & (mid != t_hi))
         if not active.size:
             break
         m = mid[active]
@@ -436,15 +438,14 @@ def threshold_temperatures(points, t_range, points_per_scan: int = _SCAN_POINTS,
     return thresholds, counts.tolist()
 
 
-def find_threshold_temperature(p: ModelParams, t_range, points: int = _SCAN_POINTS,
-                               tol: float = _THRESHOLD_TOL):
+def find_threshold_temperature(p: ModelParams, t_range):
     """Largest temperature where the concurrence changes between zero and positive.
 
-    A batch of one of threshold_temperatures: coarse scan with `points`
-    samples, then bisection of the last bracket down to `tol`.  Returns None
-    when C is identically zero or strictly positive over the whole range.
+    A batch of one of threshold_temperatures: a coarse scan of 64
+    temperatures, then bisection of the last bracket down to 1e-6.  Returns
+    None when C is identically zero or strictly positive over the whole range.
     """
-    return threshold_temperatures([p], t_range, points, tol)[0][0]
+    return threshold_temperatures([p], t_range)[0][0]
 
 
 # target -> (quantity, sign): find_critical_field minimizes sign * |quantity|
@@ -452,36 +453,33 @@ _TARGETS = {"max_concurrence": ("concurrence", -1.0), "qfi_min": ("qfi", 1.0),
             "dqfi_peak": ("qfi_dB", -1.0)}
 
 
-def find_critical_field(p: ModelParams, b_range, target: str, points: int = _SCAN_POINTS,
-                        tol: float = _CRITICAL_TOL, delta_b: float = DELTA_B) -> float:
+def find_critical_field(p: ModelParams, b_range, target: str, tol: float = _CRITICAL_TOL,
+                        delta_b: float = DELTA_B) -> float:
     """Field value extremizing the chosen functional inside b_range.
 
     target: 'max_concurrence' (maximize C), 'qfi_min' (minimize F) or
-    'dqfi_peak' (maximize |dF/dB|).  A coarse scan of `points` fields, then
-    rescans of the bracket between the best sample's two neighbours (clipped
-    to the scan) with the same `points` fields, each scan one batched call,
-    until that bracket is no wider than `tol` or stops shrinking; returns the
-    best sample.  Raises NotFound when the coarse scan is monotone (extremum
-    at a boundary), and ConfigError (a ValueError) for a range that is not
-    finite and increasing, a tol that is not positive and finite or a scan of
-    fewer than 4 fields (a rescan of 3 returns its own 3 fields).
+    'dqfi_peak' (maximize |dF/dB|).  A coarse scan of _SCAN_POINTS (64)
+    fields, then rescans of the bracket between the best sample's two
+    neighbours (clipped to the scan) with 64 fields, each scan one batched
+    call, until that bracket is no wider than `tol` or stops shrinking;
+    returns the best sample.  Raises NotFound when the coarse scan is
+    monotone (extremum at a boundary), and ConfigError (a ValueError) for a
+    range that is not finite and increasing or a tol that is not positive
+    and finite.
     """
     _check_positive("tol", tol)
-    if points < 4:
-        raise ConfigError(f"points must be at least 4, got {points!r}")
-
     if target not in _TARGETS:
         raise ConfigError(f"unknown target {target!r}")
     quantity, sign = _TARGETS[target]
 
     (lo, hi), width = b_range, math.inf
     while True:
-        grid = _axis_values("field", lo, hi, points)
+        grid = _axis_values("field", lo, hi, _SCAN_POINTS)
         values = measure_columns(dict(vars(p), B=grid), (quantity,), delta_b)[quantity]
         best = int(np.argmin(sign * np.abs(values)))
-        if width == math.inf and best in (0, points - 1):
+        if width == math.inf and best in (0, _SCAN_POINTS - 1):
             raise NotFound(f"{target} has no interior extremum in {b_range}")
-        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, points - 1)]
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _SCAN_POINTS - 1)]
         if not tol < hi - lo < width:
             return float(grid[best])
         width = hi - lo
@@ -591,10 +589,11 @@ _FALSE_WORDS = ("0", "false", "off", "no")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Read `key = value` lines of UTF-8 text; '#' starts a comment, blank
+    lines ignored."""
     mapping: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -605,7 +604,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                 if not key:
                     raise ConfigError(f"{path}:{lineno}: empty key")
                 mapping[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return mapping
 

@@ -61,6 +61,17 @@ def whole_range_scan() -> list[ModelParams]:
     ]
 
 
+# A point where the host prefers s = -1 and the defect s = +1; the host's
+# s = +1 and s = 0 coefficients underflow to 0 and the defect's s = -1 offset
+# overflows, so no sector keeps a weight in float64, though in exact
+# arithmetic the point has a state: the kernel raises DegenerateGap there
+VANISHED_SECTORS = dict(J=0.9148181759557242, Delta=-1.8733374615171905,
+                        J0=6.094615453555967e27, g1=5.927876203170511,
+                        g2=-5.6088179150416355, g3=-4.104679223990224,
+                        gamma=-2.1219933401361586, B=-4.3359865434815136e17,
+                        T=2.884801951349812e-295)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250808)

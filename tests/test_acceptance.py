@@ -37,8 +37,7 @@ def xstate_array(st: XState) -> np.ndarray:
 
 def test_criterion_1_critical_field_reproduction():
     p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
-    b_found = find_critical_field(p, (0.0, 3.0), "max_concurrence",
-                                  points=128, tol=1e-7)
+    b_found = find_critical_field(p, (0.0, 3.0), "max_concurrence", tol=1e-7)
     c_max = of_state(concurrence_batch, impurity_density_matrix(ModelParams(
         **STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01, B=b_found)))
     ok = (abs(b_found - B_QUOTED) <= 0.002
@@ -71,8 +70,7 @@ def test_criterion_2b_dqfi_extremum_location_j0_independent():
     locations = {}
     for j0 in (0.7, 1.0):
         p = ModelParams(**STANDARD, Delta=0.5, J0=j0, gamma=-0.8, T=0.05)
-        locations[j0] = find_critical_field(p, (0.2, 0.9), "dqfi_peak",
-                                            points=128, tol=1e-4)
+        locations[j0] = find_critical_field(p, (0.2, 0.9), "dqfi_peak", tol=1e-4)
     gap = abs(locations[0.7] - locations[1.0])
     ok = gap <= 0.02
     assert report(
@@ -230,11 +228,10 @@ def test_criterion_7b_host_reentrant_thresholds():
     defect_brackets = {}
     for delta in (0.2, 0.5, 0.8):
         p = ModelParams(**STANDARD, Delta=delta, J0=0.7, B=0.5, T=0.1)
-        host_brackets[delta] = concurrence_sign_brackets(
-            p, t_range, points=64)
+        host_brackets[delta] = concurrence_sign_brackets(p, t_range)
         defect_brackets[delta] = concurrence_sign_brackets(
             ModelParams(**STANDARD, Delta=delta, J0=0.7, gamma=-0.8, B=0.5, T=0.1),
-            t_range, points=64)
+            t_range)
     ok = (any(n >= 2 for n in host_brackets.values())
           and all(n == 1 for n in defect_brackets.values()))
     assert report(

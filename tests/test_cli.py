@@ -39,7 +39,7 @@ from impurity_chain.cli import (
 from impurity_chain.measures import concurrence_batch
 from impurity_chain.model import DELTA_B, ModelParams
 from impurity_chain.xfer import XState, impurity_density_matrix
-from conftest import of_state
+from conftest import VANISHED_SECTORS, of_state
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 QUANTITY_ORDER = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB", "favg",
@@ -541,32 +541,18 @@ class TestThresholdFinder:
         assert concurrence_at(replace(entangled, T=thresholds[1] + 1e-4)) == 0.0
         assert threshold_temperatures([], t_range) == ([], [])
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tol_must_be_positive_and_finite(self, tol):
-        p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
-        with pytest.raises(ValueError, match="tol"):
-            threshold_temperatures([p], (0.02, 2.0), tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            find_threshold_temperature(p, (0.02, 2.0), tol=tol)
-
-    @pytest.mark.parametrize("points", [0, 1])
-    def test_scan_needs_two_temperatures(self, points):
-        p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
-        with pytest.raises(ConfigError, match="points_per_scan"):
-            threshold_temperatures([p], (0.02, 2.0), points_per_scan=points)
-        with pytest.raises(ConfigError, match="points_per_scan"):
-            find_threshold_temperature(p, (0.02, 2.0), points=points)
-        with pytest.raises(ConfigError, match="points_per_scan"):
-            concurrence_sign_brackets(p, (0.02, 2.0), points=points)
-
     def test_bisection_stops_at_adjacent_floats(self):
-        # a tol below the spacing of floats ends when the midpoint is an end
+        # energies scaled by 2^34 scale the threshold exactly, and there one
+        # spacing of floats is wider than the 1e-6 tolerance: the bisection
+        # ends only when the midpoint is an end
+        scale = 2.0 ** 34
         p = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
-        t_fine = find_threshold_temperature(p, (0.02, 2.0), tol=5e-324)
-        t_th = find_threshold_temperature(p, (0.02, 2.0))
-        assert abs(t_fine - t_th) < 1e-6
-        below, above = (concurrence_at(replace(p, T=math.nextafter(t_fine, t))) > 0.0
-                        for t in (0.0, 3.0))
+        scaled = replace(p, J=scale * p.J, J0=scale * p.J0, B=scale * p.B, T=scale * p.T)
+        t_fine = find_threshold_temperature(scaled, (0.02 * scale, 2.0 * scale))
+        assert math.ulp(t_fine) > cli._THRESHOLD_TOL
+        assert abs(t_fine / scale - find_threshold_temperature(p, (0.02, 2.0))) < 1e-6
+        below, above = (concurrence_at(replace(scaled, T=math.nextafter(t_fine, t))) > 0.0
+                        for t in (0.0, math.inf))
         assert below != above
 
     def test_bad_range(self):
@@ -719,12 +705,6 @@ class TestCriticalFieldFinder:
         p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
         with pytest.raises(ValueError, match="tol"):
             find_critical_field(p, (0.0, 3.0), "max_concurrence", tol=tol)
-
-    @pytest.mark.parametrize("points", [0, 1, 2, 3])
-    def test_scan_needs_an_interior_field(self, points):
-        p = ModelParams(**STANDARD, Delta=1.0, J0=1.0, gamma=-0.8, T=0.01)
-        with pytest.raises(ConfigError, match="points"):
-            find_critical_field(p, (0.0, 3.0), "max_concurrence", points=points)
 
 
 class TestFigurePresets:
@@ -1064,6 +1044,14 @@ class TestMainEntry:
         assert err.startswith("numerical failure:")
         assert "T=1e-310" in err and "B=1.0" in err
 
+    def test_vanished_sector_weights_exit_3(self, capsys):
+        point = [arg for key, value in VANISHED_SECTORS.items()
+                 for arg in ("--set", f"{key}={value!r}")]
+        assert cli.main(["point", *point, "--set", "quantities=concurrence"]) == 3
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("numerical failure: every sector weight vanished")
+        assert f"T={VANISHED_SECTORS['T']!r}" in err
+
     @pytest.mark.parametrize("field", [1e308, 3e307])
     def test_field_past_the_float_range_exit_code(self, field, capsys):
         code = cli.main(["point", "--set", f"B={field!r}"])
@@ -1147,17 +1135,25 @@ class TestMainEntry:
         (["sweep"], "no sweep axis given"),
         (["point", "--set", "foo"], "--set expects key=value, got 'foo'"),
         (["point"], "cannot write {long}: "),
+        (["point", "--config", "{latin1}"],
+         "cannot read config {latin1}: 'utf-8' codec can't decode byte 0xe9"),
+        # the sweep's own `out` key, as --out would override it
+        (["sweep", "--config", "{nul}"], "cannot write {nul_out!r}: embedded null byte"),
     ], ids=["axis-twice", "empty-key", "impurity", "axis-fields", "axis-count", "no-axis",
-            "set-form", "long-name"])
+            "set-form", "long-name", "not-utf8", "null-byte"])
     def test_configuration_error_names_its_input(self, argv, message, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text(" = 3\n")
         out = tmp_path / "out"
         out.mkdir()
-        # a 300-character file name: ENAMETOOLONG, whatever the user's permissions
-        names = dict(config=str(config), long=str(out / ("x" * 296 + ".csv")))
+        names = dict(config=str(tmp_path / "bad.cfg"), latin1=str(tmp_path / "latin1.cfg"),
+                     nul=str(tmp_path / "nul.cfg"), nul_out=str(out / "d" / "x\0y.csv"),
+                     # a 300-character file name: ENAMETOOLONG, whatever the user's permissions
+                     long=str(out / ("x" * 296 + ".csv")))
+        pathlib.Path(names["config"]).write_text(" = 3\n")
+        pathlib.Path(names["latin1"]).write_bytes(b"B = 0.5\n# caf\xe9\n")
+        pathlib.Path(names["nul"]).write_text(f"axis = B 0 1 3\nout = {names['nul_out']}\n")
         path = names["long"] if "{long}" in message else str(out / "x.csv")
-        argv = [arg.format(**names) for arg in argv] + ["--out", path]
+        given = [arg.format(**names) for arg in argv]
+        argv = given if "{nul}" in argv else given + ["--out", path]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: " + message.format(**names))
@@ -1240,13 +1236,14 @@ class TestParserReuse:
         assert all(narrow != wide for narrow, wide in zip(helps[:6], helps[6:]))
 
 
-# each finder's scan-size and tolerance parameters, and the constant that is
-# their default
+# each finder's defaulted parameters but delta_b, and their defaults: the
+# scans take _SCAN_POINTS and the bisection _THRESHOLD_TOL with no parameter,
+# and only the critical field's rescans take a tolerance, which --tol sets
 FINDER_DEFAULTS = [
-    (concurrence_sign_brackets, dict(points=cli._SCAN_POINTS)),
-    (threshold_temperatures, dict(points_per_scan=cli._SCAN_POINTS, tol=cli._THRESHOLD_TOL)),
-    (find_threshold_temperature, dict(points=cli._SCAN_POINTS, tol=cli._THRESHOLD_TOL)),
-    (find_critical_field, dict(points=cli._SCAN_POINTS, tol=cli._CRITICAL_TOL)),
+    (concurrence_sign_brackets, {}),
+    (threshold_temperatures, {}),
+    (find_threshold_temperature, {}),
+    (find_critical_field, dict(tol=cli._CRITICAL_TOL)),
 ]
 
 
@@ -1293,8 +1290,9 @@ class TestDefaults:
     @pytest.mark.parametrize("finder, defaults", FINDER_DEFAULTS,
                              ids=[f.__name__ for f, _ in FINDER_DEFAULTS])
     def test_finder_defaults_are_their_constants(self, finder, defaults):
-        parameters = inspect.signature(finder).parameters
-        assert {k: parameters[k].default for k in defaults} == defaults
+        parameters = inspect.signature(finder).parameters.values()
+        assert {p.name: p.default for p in parameters
+                if p.default is not p.empty and p.name != "delta_b"} == defaults
 
     def test_tol_option_defaults_to_the_critical_tolerance(self):
         tol = inspect.signature(find_critical_field).parameters["tol"].default
@@ -1319,3 +1317,31 @@ def test_module_entry_point_runs_without_warnings():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("J,Delta,J0")
+
+
+def test_non_ascii_paths_under_the_c_locale(tmp_path):
+    # argv bytes that the C locale surrogate-escapes go back out as they came
+    # in, so the manifest has the UTF-8 run's bytes; a config file is UTF-8
+    # whatever the locale, and an `out` that the locale cannot name is a
+    # configuration error before anything is written
+    src = os.path.dirname(os.path.dirname(os.path.abspath(impurity_chain.__file__)))
+    c_locale = dict(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    (tmp_path / "e.cfg").write_bytes("axis = B 0 1 3\nout = é.csv\n".encode())
+    runs = {}
+    for name, env, args in [("c", c_locale, ["--out", "é.csv"]),
+                            ("utf8", dict(PYTHONUTF8="1"), ["--out", "é.csv"]),
+                            ("config", c_locale, ["--config", "../e.cfg"])]:
+        directory = tmp_path / name
+        directory.mkdir()
+        runs[name] = subprocess.run(
+            [sys.executable, "-m", "impurity_chain.cli", "sweep", "--set", "axis=B 0 1 3", *args],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=src, **env), cwd=directory,
+            timeout=120)
+    for name in ("c", "utf8"):
+        assert runs[name].returncode == 0, runs[name].stderr
+    assert runs["c"].stdout == runs["utf8"].stdout == "é.csv\n".encode()
+    manifests = [(tmp_path / name / "é.csv.manifest.txt").read_bytes() for name in ("c", "utf8")]
+    assert manifests[0] == manifests[1] and manifests[0].endswith("out = é.csv\n".encode())
+    assert runs["config"].returncode == 2
+    assert runs["config"].stderr.startswith(b"configuration error: cannot write '\\xe9.csv'")
+    assert not os.listdir(tmp_path / "config")

@@ -1,9 +1,10 @@
 """The batched limit-state kernel: batch-size independence and the whole range.
 
 Every output of the solver goes through `xfer.limit_states` and the array
-measures.  Sweeps split grids over worker processes and the finders mix
-batched scans with one-point refinements, so a point must get the same bits
-whatever batch it is evaluated in.
+measures.  A sweep is one call over its whole grid, a figure preset one
+call over all its curves, `point` a batch of one, and the threshold
+bisection steps shrink to the rows still active, so a point must get the
+same bits whatever batch it is evaluated in.
 """
 
 import itertools

@@ -133,6 +133,23 @@ def test_solver_and_oracle_modules_take_no_trigonometry():
     assert not calls, f"trigonometric calls in the solver or oracle: {calls}"
 
 
+def test_every_open_is_utf8_or_binary():
+    # config files and manifests are UTF-8 whatever the locale: an open()
+    # under src/ names encoding="utf-8" or a binary mode, never the locale's
+    package = pathlib.Path(impurity_chain.__file__).parent
+    opens, wrong = 0, []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                opens += 1
+                given = dict(zip(("file", "mode", "buffering", "encoding"), node.args),
+                             **{k.arg: k.value for k in node.keywords})
+                text = {k: v.value for k, v in given.items() if isinstance(v, ast.Constant)}
+                if not ("b" in text.get("mode", "") or text.get("encoding") == "utf-8"):
+                    wrong.append(f"{path.name}:{node.lineno}")
+    assert opens and not wrong, f"open() in the locale's encoding: {wrong}"
+
+
 # run in a fresh interpreter, because install() patches the package and
 # concurrent.futures for the rest of the process
 TRACED_RUN = """

@@ -28,7 +28,7 @@ from impurity_chain.xfer import (
     limit_states,
     partition_function,
 )
-from conftest import draw_params, whole_range_scan
+from conftest import VANISHED_SECTORS, draw_params, whole_range_scan
 
 STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 B_STAR = 1.0 / ((5.0 - 1.1) * 0.2)  # J0 / ((g2 - g3)(1 + gamma)) at J0=1, gamma=-0.8
@@ -491,6 +491,17 @@ def test_huge_nodal_coupling_names_the_degenerate_host_eigenvalue():
         impurity_density_matrix(p)
     # the ring at the same point is well defined
     finite_n_density_matrix(p, 6).validate()
+
+
+def test_every_sector_weight_vanished_names_the_point():
+    # each one-point entry of the kernel raises, with no numpy warning on the way
+    p = ModelParams(**VANISHED_SECTORS)
+    point = ", ".join(f"{k}={v!r}" for k, v in VANISHED_SECTORS.items())
+    for call in (lambda: limit_states(**VANISHED_SECTORS), lambda: finite_n_density_matrix(p, 6),
+                 lambda: partition_function(p, 6)):
+        with pytest.raises(DegenerateGap, match=re.escape(
+                f"every sector weight vanished in log domain at {point}")):
+            call()
 
 
 @pytest.mark.parametrize("J, state", [

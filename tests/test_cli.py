@@ -9,8 +9,10 @@ import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -461,6 +463,55 @@ class TestCsvWriter:
             assert cli.main(argv) == 0
         assert stream.getvalue().encode() == open(out, "rb").read()
         assert stream.getvalue().endswith("\r\n")
+
+
+POINT = ["point", "--set", "B=0.5", "--set", "T=0.1"]
+
+# each command writes its files into "{dir}"
+REWRITERS = [
+    ["sweep", "--set", "axis=B 0 1 5", "--set", "axis2=T 0.1 1 3", "--out", "{dir}/s.csv"],
+    ["figure", "fig3", "--out", "{dir}"],
+    ["figure", "fig22-threshold", "--out", "{dir}"],
+    POINT + ["--out", "{dir}/p.csv"],
+]
+
+
+def written_by(argv, directory) -> dict:
+    assert cli.main([arg.format(dir=directory) for arg in argv]) == 0
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestInPlaceOutput:
+    @pytest.mark.parametrize("size", [2 * 2 ** 20, 7], ids=["longer", "shorter"])
+    @pytest.mark.parametrize("argv", REWRITERS, ids=lambda argv: argv[argv[0] == "figure"])
+    def test_rewrite_over_other_bytes_equals_a_first_run(self, argv, size, tmp_path, capsys):
+        # every file is written over in place and cut to length: it keeps its
+        # inode, mode and hard links, and ends with the first run's bytes
+        out = tmp_path / "out"
+        first = written_by(argv, out)
+        for name in first:
+            (out / name).write_bytes((b"9.9e+99,\r\n" * (size // 10 + 1))[:size])
+            (out / name).chmod(0o640)
+        link = tmp_path / "link"
+        os.link(out / name, link)
+        inodes = {name: (out / name).stat().st_ino for name in first}
+        assert written_by(argv, out) == first
+        for name in first:
+            assert (out / name).stat().st_ino == inodes[name], name
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o640, name
+        assert link.read_bytes() == first[name]
+
+    def test_a_new_file_gets_the_mode_open_gives(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert cli.main(POINT + ["--out", str(tmp_path / "p.csv")]) == 0
+            with open(tmp_path / "reference", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {name: stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("p.csv", "reference")}
+        assert modes == {"p.csv": 0o640, "reference": 0o640}
 
 
 class TestThresholdFinder:
@@ -1021,6 +1072,38 @@ class TestMainEntry:
             assert captured.err.startswith("configuration error:") and str(target) in captured.err
             assert "Traceback" not in captured.err and not captured.out
         assert existing.read_text() == "" and not os.listdir(missing.parent)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_exit_code(self, capsys):
+        # the write, not the open, fails: it is a configuration error naming the path
+        assert cli.main(POINT + ["--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: cannot write /dev/full: ")
+        assert "No space left on device" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_output_to_a_device_is_not_cut(self, capsys):
+        assert cli.main(POINT + ["--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_output_to_a_fifo_is_the_stdout_row(self, tmp_path, capsys):
+        assert cli.main(POINT) == 0
+        expected = capsys.readouterr().out.encode()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert cli.main(POINT + ["--out", str(fifo)]) == 0
+        finally:
+            # a writer that never opened the FIFO would leave the reader blocked
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert not reader.is_alive() and received == [expected]
 
     @pytest.mark.parametrize("quantities, named", BAD_QUANTITIES)
     @pytest.mark.parametrize("argv", [

@@ -150,6 +150,49 @@ def test_every_open_is_utf8_or_binary():
     assert opens and not wrong, f"open() in the locale's encoding: {wrong}"
 
 
+def writer_opens(tree: ast.Module):
+    """(enclosing function, line) of every os.open call, and of every open
+    call whose mode is not a constant or writes, appends, creates
+    exclusively or updates."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr == "open"
+                        and getattr(func.value, "id", None) == "os"):
+                    found.append((function, child.lineno))
+                elif getattr(func, "id", None) == "open":
+                    mode = dict(zip(("file", "mode"), child.args),
+                                **{k.arg: k.value for k in child.keywords}).get("mode")
+                    if mode is not None and not (isinstance(mode, ast.Constant)
+                                                 and not set(mode.value) & set("wax+")):
+                        found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_create_is_the_one_writer_open():
+    # every output file is rewritten in place by cli._create; a second
+    # writer, or a truncating flag, would bring back the cut to zero on open
+    package = pathlib.Path(impurity_chain.__file__).parent
+    writers, truncating = [], []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        writers += [(path.name, *found) for found in writer_opens(ast.parse(text))]
+        if "O_TRUNC" in text:
+            truncating.append(path.name)
+    assert writers and {(name, function) for name, function, _ in writers} == {
+        ("cli.py", "_create")}, f"writer opens outside cli._create: {writers}"
+    assert not truncating, f"O_TRUNC under src/: {truncating}"
+
+
 # run in a fresh interpreter, because install() patches the package and
 # concurrent.futures for the rest of the process
 TRACED_RUN = """

@@ -144,13 +144,12 @@ class SweepConfig:
         _check_positive("delta_b", self.delta_b)
 
 
-def _grid(cfgs) -> dict[str, np.ndarray]:
-    """The points of sweeps that share their axes, one array per ModelParams
-    field broadcasting to (sweeps, axis1[, axis2]): each sweep, and each of
-    its axes, on its own array axis."""
-    axes = cfgs[0].axes
-    grid = {c: np.array([getattr(cfg.params, c) for cfg in cfgs]).reshape((-1,) + (1,) * len(axes))
-            for c in PARAM_COLUMNS}
+def _grid(params, axes) -> dict[str, np.ndarray]:
+    """The points of sweeps of the ModelParams `params` over the same 0-2 `axes`,
+    one float array per field broadcasting to (sweeps[, axis1[, axis2]]): each
+    sweep, and each of its axes, on its own array axis."""
+    grid = {c: np.array([getattr(p, c) for p in params], dtype=float)
+            .reshape((-1,) + (1,) * len(axes)) for c in PARAM_COLUMNS}
     for k, axis in enumerate(axes, start=1):
         grid[axis[0]] = _axis_values(*axis).reshape((1,) * k + (-1,) + (1,) * (len(axes) - k))
     return grid
@@ -191,8 +190,8 @@ def _format(v: float) -> str:
 
 def _decimal_tables():
     """_format_array's tables for 10^p, p = -324..340, from exact integers:
-    (H + L) 2^E = 10^p with H in [0.5, 1], H's upper 26 bits and the rest
-    (Veltkamp's split), and the smallest double >= 10^p."""
+    (H + L) 2^E = 10^p with H in [0.5, 1], as the rows (H, H's upper 26 bits,
+    the rest of H (Veltkamp's split), L); E; and the smallest double >= 10^p."""
     rows = []
     for p in range(-324, 341):
         num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
@@ -206,10 +205,10 @@ def _decimal_tables():
     high, low, exponent, ceiling = (np.array(column) for column in zip(*rows))
     t = high * (2.0 ** 27 + 1.0)
     high1 = t - (t - high)
-    return high, high1, high - high1, low, exponent.astype(np.int32), ceiling
+    return np.stack([high, high1, high - high1, low], axis=1), exponent.astype(np.int32), ceiling
 
 
-_HIGH, _HIGH1, _HIGH2, _LOW, _EXPONENT, _CEILING = _decimal_tables()
+_POWERS, _EXPONENT, _CEILING = _decimal_tables()
 # uint32 words of text: "0000" .. "9999" at i; "\0-d." or "\0\0d." (sign, lead
 # digit d) at 10000 + 10 sign + d; "e-324" .. "e+308" null-padded to two words
 # at 10020 + 2 (k + 324)
@@ -223,69 +222,76 @@ _BLOCK_NUMBERS = 4096  # numbers per _format_array call of _write_csv
 
 def _format_array(x: np.ndarray) -> np.ndarray:
     """`'%.16e' % v` for every v of the float array x, as (len(x), 28) bytes
-    padded with nulls.  k = floor(log10 |v|) is corrected against the
-    smallest double >= 10^k; N = round(|v| 10^(16 - k)) is frexp's mantissa
-    times a double-double 10^(16 - k), with Dekker's exact product (Numer.
-    Math. 18 (1971) 224), to within about 2^-47.  A v whose N has a fraction
-    within 2^-36 of 1/2 (a tie %.16e rounds to even) or that is not finite
-    is _format's."""
+    padded with nulls.  With |v| = m 2^e (frexp), k = floor(log10 |v|) is
+    ((e - 1) 78913) >> 18 or one more, as the smallest double >= 10^k says;
+    N = round(|v| 10^(16 - k)) is m times a double-double 10^(16 - k), with
+    Dekker's exact product (Numer. Math. 18 (1971) 224), to within 2^-47.  A
+    v whose N has a fraction within 2^-36 of 1/2 (a tie %.16e rounds to even)
+    or rounds up to 10^17, or that is not finite, is _format's."""
     a = np.abs(x)
     zero = a == 0.0
     finite = a < np.inf
     a = np.where(finite & ~zero, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.intp)
-    k += (a >= _CEILING.take(k + 325)) - (a < _CEILING.take(k + 324)).astype(np.intp)
     m, e = np.frexp(a)
+    k = ((e - 1) * 78913) >> 18
+    k += a >= _CEILING.take(k + 325)
     i = 340 - k  # 10^(16 - k)
+    h, h1, h2, low = _POWERS.take(i, axis=0).T
     t = m * (2.0 ** 27 + 1.0)
     m1 = t - (t - m)
     m2 = m - m1
-    h, h1, h2 = _HIGH.take(i), _HIGH1.take(i), _HIGH2.take(i)
     high = m * h
-    rest = (((m1 * h1 - high) + m1 * h2 + m2 * h1) + m2 * h2) + m * _LOW.take(i)
+    rest = (((m1 * h1 - high) + m1 * h2 + m2 * h1) + m2 * h2) + m * low
     e += _EXPONENT.take(i)
     # high is an integer, as N >= 10^16 > 2^53, and N - high is small
     high, rest = np.ldexp(high, e), np.ldexp(rest, e)
     whole = np.floor(rest)
     frac = rest - whole
     n = np.where(zero, 0, high.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5))
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    k += carry
-    top, low = n // 10 ** 8, n % 10 ** 8
-    words = np.stack([top // 10 ** 8 + 10 * np.signbit(x) + 10000, top // 10 ** 4 % 10 ** 4,
-                      top % 10 ** 4, low // 10 ** 4, low % 10 ** 4, 2 * k + 10668, 2 * k + 10669],
-                     axis=1)
-    text = _WORDS.take(words).view(np.uint8)
-    for j in np.flatnonzero(~finite | (np.abs(frac - 0.5) < 2.0 ** -36)).tolist():
+    # int32 _WORDS indices by three integer divisions; a minus sign adds 10 to the lead digit
+    top, words = n // 10 ** 8, np.empty((7, len(x)), np.int32)
+    words[2], words[4] = top + np.signbit(x) * 10 ** 9, n - top * 10 ** 8
+    words[1:4:2] = words[2:5:2] // 10 ** 4
+    words[2:5:2] -= words[1:4:2] * 10 ** 4
+    words[0] = words[1] // 10 ** 4
+    words[1] -= words[0] * 10 ** 4
+    words[0] += 10000
+    words[5:] = 2 * k + np.array([[10668], [10669]], np.int32)
+    text = _WORDS.take(words.T).view(np.uint8)
+    # a tie, which %.16e rounds to even, a round-up to 18 digits, inf and nan
+    fallback = ~finite | (np.abs(frac - 0.5) < 2.0 ** -36) | (n == 10 ** 17)
+    for j in np.flatnonzero(fallback).tolist():
         text[j] = np.frombuffer(_format(float(x[j])).encode().ljust(_WIDTH, b"\0"), np.uint8)
     return text
 
 
 def _write_csv(path, header, columns) -> None:
-    """A header line, then a row per element of `columns` (float arrays, or
-    numpy bytes arrays of text) with \\r\\n endings, to `path` in a directory
-    that _make_dir made, rewritten in place and cut to length (_create), or
-    to stdout when path is None.  Blocks of about _BLOCK_NUMBERS numbers are
-    one _format_array call and one byte matrix, written without its null
-    padding.  No field (a name, an empty string, a finite number or `%d`
-    text) needs quoting: these are csv.writer's bytes.
-    """
-    widths = [_WIDTH if c.dtype.kind == "f" else c.itemsize for c in columns]
-    starts = np.cumsum([0] + [w + 1 for w in widths])  # each field, then its separator
-    line = np.frombuffer(b",".join(b"\0" * w for w in widths) + b"\r\n", np.uint8)
-    numbers = [c for c in columns if c.dtype.kind == "f"]
-    step = max(1, _BLOCK_NUMBERS // len(numbers))
+    """A header line, then a row per element of `columns` (float arrays, numpy
+    bytes arrays of text, and bytes that every row repeats, put in the row
+    template once) with \\r\\n endings, to `path` in a directory that
+    _make_dir made, rewritten in place and cut to length (_create), or to
+    stdout when path is None.  Blocks of about _BLOCK_NUMBERS numbers (rows,
+    if none) are one _format_array call and one byte matrix, written without
+    its null padding.  No field (a name, an empty string, a finite number or
+    `%d` text) needs quoting: these are csv.writer's bytes."""
+    cells = [c if isinstance(c, bytes) else b"\0" * (_WIDTH if c.dtype.kind == "f" else c.itemsize)
+             for c in columns]
+    line = np.frombuffer(b",".join(cells) + b"\r\n", np.uint8)
+    starts = np.cumsum([0] + [len(cell) + 1 for cell in cells])  # each field, then its separator
+    fields = [f for f in zip(columns, starts, map(len, cells)) if isinstance(f[0], np.ndarray)]
+    numbers = sum(c.dtype.kind == "f" for c, _, _ in fields)
+    step = max(1, _BLOCK_NUMBERS // max(1, numbers))
     with contextlib.nullcontext() if path is None else _create(path) as fh:
         # the CSV is ASCII, and sys.stdout may be a text stream without a byte buffer
         write = fh.write if fh is not None else lambda data: sys.stdout.write(bytes(data).decode())
         write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(columns[0]), step):
-            part = [c[start:start + step] for c in columns]
-            text = iter(_format_array(np.concatenate([c for c in part if c.dtype.kind == "f"]))
-                        .reshape(len(numbers), len(part[0]), _WIDTH))
+        for start in range(0, len(fields[0][0]), step):
+            part = [c[start:start + step] for c, _, _ in fields]
             block = np.tile(line, (len(part[0]), 1))
-            for c, at, width in zip(part, starts, widths):
+            if numbers:
+                text = iter(_format_array(np.concatenate([c for c in part if c.dtype.kind == "f"]))
+                            .reshape(numbers, len(part[0]), _WIDTH))
+            for c, (_, at, width) in zip(part, fields):
                 block[:, at:at + width] = (next(text) if c.dtype.kind == "f"
                                            else c.view(np.uint8).reshape(-1, width))
             write(block[block != 0])
@@ -355,26 +361,27 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
 
 def _write_sweeps(cfgs) -> list[str]:
     """run_sweep of sweeps that differ only in fixed parameters and output
-    paths, with one evaluator call over all their points (_grid)."""
+    paths, with one evaluator call over all their points (_grid).  The axes
+    are formatted once, in one call; each fixed parameter into its row template."""
     for cfg in cfgs:
         _make_dir(cfg.out)
         _make_dir(cfg.out + ".manifest.txt")
     first = cfgs[0]
-    grid = _grid(cfgs)
+    grid = _grid([cfg.params for cfg in cfgs], first.axes)
     values = _sweep_chunk(_with_impurity(grid, first.impurity), first.quantities,
                           first.delta_b, first.alt_correlators)
-    # the axes and values over the whole grid (with the impurity off, no
-    # value varies along gamma)
-    arrays = dict({name: grid[name] for name, *_ in first.axes}, **values)
-    arrays = dict(zip(arrays, np.broadcast_arrays(*arrays.values())))
-    rows = arrays[first.axes[0][0]][0].size  # of each sweep
+    shape = (len(cfgs),) + tuple(count for *_, count in first.axes)
+    text = _format_array(np.concatenate([grid[name].ravel() for name, *_ in first.axes]))
+    parts = np.split(text.view(f"S{_WIDTH}").ravel(), np.cumsum(shape[1:])[:-1])
+    axes = {name: np.broadcast_to(t.reshape(grid[name].shape[1:]), shape[1:]).ravel()
+            for (name, *_), t in zip(first.axes, parts)}
+    # (with the impurity off, no value varies along gamma)
+    values = {k: v if v.shape == shape else np.broadcast_to(v, shape) for k, v in values.items()}
     for i, cfg in enumerate(cfgs):
-        # fixed parameters are formatted once, as text columns
-        columns = [arrays[c][i].ravel() if c in arrays
-                   else np.full(rows, _format(getattr(cfg.params, c)).encode())
+        columns = [axes[c] if c in axes else _format(getattr(cfg.params, c)).encode()
                    for c in PARAM_COLUMNS]
         _write_csv(cfg.out, PARAM_COLUMNS + tuple(values),
-                   columns + [arrays[k][i].ravel() for k in values])
+                   columns + [v[i].ravel() for v in values.values()])
         _write_manifest(cfg)
     return [cfg.out for cfg in cfgs]
 
@@ -404,18 +411,16 @@ def _check_positive(name: str, value: float) -> None:
 
 def concurrence_sign_brackets(p: ModelParams, t_range) -> int:
     """(C > 0) sign changes of C(T) on threshold_temperatures' scan, same ConfigErrors."""
-    return int(_coarse_scan([p], t_range)[2].sum())
+    return int(_coarse_scan(_grid([p], ()), t_range)[2].sum())
 
 
-def _coarse_scan(points: list, t_range):
-    """The scan temperatures, C > 0 at each per point, its flips between neighbours
-    and the points' other parameters; one evaluator call for every point."""
+def _coarse_scan(params: dict, t_range):
+    """The scan temperatures, C > 0 at each per point of _thresholds' `params`
+    and its flips between neighbours; one evaluator call for every point."""
     temps = _axis_values("temperature", *t_range, _SCAN_POINTS, floor=0.0)
-    params = {name: np.array([getattr(p, name) for p in points], dtype=float)
-              for name in PARAM_COLUMNS if name != "T"}
     scan = {k: v[:, None] for k, v in params.items()}
     positive = measure_columns(dict(scan, T=temps[None, :]), ("concurrence",))["concurrence"] > 0.0
-    return temps, positive, positive[:, :-1] != positive[:, 1:], params
+    return temps, positive, positive[:, :-1] != positive[:, 1:]
 
 
 def threshold_temperatures(points, t_range):
@@ -433,8 +438,12 @@ def threshold_temperatures(points, t_range):
     a count is the number of sign changes on that scan.  Raises ConfigError
     (a ValueError) for a range that is not finite with 0 < lo < hi.
     """
-    points = list(points)
-    temps, positive, flips, params = _coarse_scan(points, t_range)
+    return _thresholds(_grid(list(points), ()), t_range)
+
+
+def _thresholds(params: dict, t_range):
+    """threshold_temperatures of the points whose parameters are `params`' 1-D arrays."""
+    temps, positive, flips = _coarse_scan(params, t_range)
     counts = flips.sum(axis=1)
     found = np.flatnonzero(counts)
     last = _SCAN_POINTS - 2 - np.argmax(flips[found, ::-1], axis=1)
@@ -452,7 +461,7 @@ def threshold_temperatures(points, t_range):
         keep = (step["concurrence"] > 0.0) == side[active]
         t_lo[active] = np.where(keep, m, t_lo[active])
         t_hi[active] = np.where(keep, t_hi[active], m)
-    thresholds = [None] * len(points)
+    thresholds = [None] * len(counts)
     for k, t_th in zip(found.tolist(), (0.5 * (t_lo + t_hi)).tolist()):
         thresholds[k] = t_th
     return thresholds, counts.tolist()
@@ -560,17 +569,17 @@ def _preset_jobs(name: str, outdir: str, overrides: dict) -> list:
 def _write_thresholds(jobs, axis, scan) -> list[str]:
     """One CSV per curve: the threshold temperature over the scan and its
     bracket count at every axis value.  The rows of all curves are one
-    threshold_temperatures call, in one process."""
-    name, start, stop, count = axis
-    values = _axis_values(name, start, stop, count)
-    rows = [replace(params, **{name: v}) for params, _ in jobs for v in values.tolist()]
-    thresholds, counts = threshold_temperatures(rows, scan[1:])
+    _thresholds call over their _grid, in one process."""
+    name, _, _, count = axis
+    grid = _grid([params for params, _ in jobs], (axis,))  # (curves, 1) and (1, count)
+    thresholds, counts = _thresholds({k: np.broadcast_to(v, (len(jobs), count)).ravel()
+                                      for k, v in grid.items()}, scan[1:])
     cells = np.array([b"" if t is None else _format(t).encode() for t in thresholds])
     counts = np.array(counts).astype(bytes)
+    text = _format_array(grid[name].ravel()).view(f"S{_WIDTH}").ravel()  # formatted once
     for k, (_, out) in enumerate(jobs):
         part = slice(count * k, count * (k + 1))
-        _write_csv(out, (name, "T_threshold", "n_brackets"),
-                   [values, cells[part], counts[part]])
+        _write_csv(out, (name, "T_threshold", "n_brackets"), [text, cells[part], counts[part]])
     return [out for _, out in jobs]
 
 

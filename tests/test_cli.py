@@ -61,6 +61,18 @@ def record_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def record_formatted(monkeypatch) -> list:
+    """The input array of every _format_array call from here on."""
+    calls, format_array = [], cli._format_array
+
+    def recording(x):
+        calls.append(x.copy())
+        return format_array(x)
+
+    monkeypatch.setattr(cli, "_format_array", recording)
+    return calls
+
+
 # the parameters each figure preset sets per curve, axis value or scan point
 PRESET_OWNED = [
     ("fig3", "gamma"), ("fig3", "T"), ("fig3", "B"),
@@ -417,10 +429,14 @@ class TestCsvWriter:
         neighbours = [np.nextafter(np.nextafter(p, side), side) for p in powers
                       for side in (0.0, np.inf)]
         neighbours += [np.nextafter(p, side) for p in powers for side in (0.0, np.inf)]
+        # every binade edge, where the estimate ((e - 1) 78913) >> 18 of the
+        # decimal exponent is one below it or not
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        edges = [np.nextafter(twos, 0.0), twos, np.nextafter(twos, np.inf)]
         # exact ties, which %.16e rounds to even, take the fallback
         ties = [1.0 + 2.0 ** -17, 1.0 + 3 * 2.0 ** -17, 1.5 + 2.0 ** -17, 0.5 + 2.0 ** -18]
         special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-100, 1e100]
-        signed = np.array(powers + neighbours + ties + special)
+        signed = np.concatenate([powers, neighbours, ties, special, *edges])
         values = np.concatenate([bits[np.isfinite(bits)], signed, -signed])
         got = self.formatted(values)
         expected = ["%.16e" % v for v in values.tolist()]
@@ -451,6 +467,49 @@ class TestCsvWriter:
                 writer.writerows([[cli._format(float(f)) if "e" in f else f for f in row]
                                   for row in rows[1:]])
                 assert raw == expected.getvalue().encode(), path
+
+    def test_a_text_only_table(self, tmp_path):
+        # no float column: blocks are counted in rows
+        expected = "a,b\r\nx,1\r\ny,22\r\n"
+        columns = [np.array([b"x", b"y"]), np.array([b"1", b"22"])]
+        stream = io.StringIO(newline="")
+        with contextlib.redirect_stdout(stream):
+            cli._write_csv(None, ("a", "b"), columns)
+        assert stream.getvalue() == expected
+        cli._write_csv(str(tmp_path / "t.csv"), ("a", "b"), columns)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    def test_constants_go_into_the_row_template(self, tmp_path):
+        rows = 2 * cli._BLOCK_NUMBERS + 1  # three blocks of one float column
+        values = np.arange(rows) / 7.0
+        cli._write_csv(str(tmp_path / "c.csv"), ("k", "v", "n"), [b"const", values, b"-"])
+        assert (tmp_path / "c.csv").read_bytes() == ("k,v,n\r\n" + "".join(
+            f"const,{v:.16e},-\r\n" for v in values.tolist())).encode()
+
+    def test_preset_formats_its_axis_once_and_no_fixed_parameter(self, monkeypatch, tmp_path):
+        calls = record_formatted(monkeypatch)
+        fixed = {"J0": 0.8765, "J": 1.0625, "g2": 4.875}
+        run_figure("fig3", str(tmp_path), fixed)
+        # the 601-point B axis once, then the concurrence of each of 6 curves
+        assert np.array_equal(calls[0], cli._axis_values("B", 0.0, 3.0, 601))
+        assert sum(map(len, calls)) == 601 + 6 * 601
+        assert not np.isin(list(fixed.values()) + [-0.8], np.concatenate(calls)).any()
+
+    def test_sweep_formats_each_axis_once_and_no_fixed_parameter(self, monkeypatch, tmp_path):
+        calls = record_formatted(monkeypatch)
+        fixed = dict(J=-1.2345, Delta=0.6789, J0=0.4321, gamma=-0.7531, g1=1.25, g2=4.75,
+                     g3=1.1234)
+        argv = ["sweep", "--set", "axis=B 0 3 41", "--set", "axis2=T 0.03 1.7 21",
+                "--set", "quantities=" + ",".join(q for q in QUANTITY_ORDER if q != "qfi_dB"),
+                "--out", str(tmp_path / "g.csv")]
+        for key, value in fixed.items():
+            argv += ["--set", f"{key}={value}"]
+        assert cli.main(argv) == 0
+        # 41 fields and 21 temperatures in one call, then 12 columns over 41 x 21 rows
+        assert np.array_equal(calls[0], np.concatenate([cli._axis_values("B", 0.0, 3.0, 41),
+                                                        cli._axis_values("T", 0.03, 1.7, 21)]))
+        assert sum(map(len, calls)) == 41 + 21 + 12 * 861
+        assert not np.isin(list(fixed.values()), np.concatenate(calls)).any()
 
     def test_point_row_on_a_text_stdout(self, tmp_path):
         # a text stream without a byte buffer gets the row that --out writes

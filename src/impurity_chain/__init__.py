@@ -7,19 +7,14 @@ thermal reduced density matrix (finite rings and the thermodynamic limit)
 and the quantum-information measures built on it: Wootters concurrence,
 l1 coherence, spin-spin correlators, quantum Fisher information and its
 field derivative, and standard-teleportation fidelities.  The sweeps, the
-finders and the command line live in `impurity_chain.cli`, which the package
-neither imports nor re-exports.
+finders and the command line live in `impurity_chain.cli`, and the oracle
+that checks the solver in `impurity_chain.oracle`; the package imports
+neither and re-exports only the solver.
 """
 
 __version__ = "0.1.0"
 
-from .model import (
-    ModelParams,
-    OverflowRisk,
-    boltzmann_weights,
-    dimer_block,
-    dimer_spectrum,
-)
+from .model import ModelParams, OverflowRisk
 from .xfer import (
     DegenerateGap,
     InvalidN,
@@ -30,7 +25,6 @@ from .xfer import (
     limit_states,
     partition_function,
 )
-from .oracle import TooLarge, brute_force_density_matrix, wootters_concurrence
 from .measures import (
     MeasureBundle,
     coherence_batch,
@@ -53,10 +47,8 @@ from .teleport import (
 __all__ = [
     "__version__",
     "ModelParams", "OverflowRisk",
-    "dimer_block", "dimer_spectrum", "boltzmann_weights",
     "XState", "InvalidN", "DegenerateGap", "NotAState", "partition_function",
     "limit_states", "impurity_density_matrix", "finite_n_density_matrix",
-    "TooLarge", "brute_force_density_matrix", "wootters_concurrence",
     "MeasureBundle", "measure_bundle", "spin_correlators", "qfi", "qfi_field_derivative",
     "concurrence_batch", "coherence_batch", "qfi_batch", "measure_columns",
     "InputState", "TeleportOutput", "teleport_output",

@@ -30,15 +30,16 @@ import concurrent.futures  # perfbench/tracing.py patches its pool class; nothin
 import contextlib
 import math
 import os
+import re
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .measures import QUANTITY_COLUMNS, measure_columns
-from .model import DELTA_B, ModelParams, OverflowRisk, _point_text
+from .model import _PARAM_NAMES as PARAM_COLUMNS, DELTA_B, ModelParams, OverflowRisk, _point_text
 from .xfer import DegenerateGap, InvalidN, NotAState
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "SweepConfig",
     "run_point",
     "run_sweep",
-    "threshold_temperatures",
     "find_threshold_temperature",
     "concurrence_sign_brackets",
     "find_critical_field",
@@ -70,7 +70,6 @@ class NonFiniteError(ArithmeticError):
     """A computed quantity came out non-finite; the parameter point is reported."""
 
 
-PARAM_COLUMNS = tuple(f.name for f in fields(ModelParams))
 SWEEPABLE = ("B", "T", "Delta", "J0", "gamma")
 
 # the finders' resolution: samples in a scan or rescan, the bracket width where
@@ -388,11 +387,12 @@ def _write_sweeps(cfgs) -> list[str]:
 
 def _write_manifest(cfg: SweepConfig) -> None:
     lines = [f"tool = impurity-chain {__version__}"]
-    for f in fields(ModelParams):
-        lines.append(f"{f.name} = {getattr(cfg.params, f.name)!r}")
+    lines += [f"{name} = {getattr(cfg.params, name)!r}" for name in PARAM_COLUMNS]
     for i, (name, start, stop, count) in enumerate(cfg.axes, start=1):
         lines.append(f"axis{i} = {name} {start!r} {stop!r} {count}")
     lines.append(f"quantities = {','.join(cfg.quantities)}")
+    if cfg.alt_correlators:
+        lines.append("debug_paper_correlators = on")
     lines.append(f"impurity = {'on' if cfg.impurity else 'off'}")
     lines.append(f"delta_b = {cfg.delta_b!r}")
     lines.append(f"out = {cfg.out}")
@@ -410,7 +410,7 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def concurrence_sign_brackets(p: ModelParams, t_range) -> int:
-    """(C > 0) sign changes of C(T) on threshold_temperatures' scan, same ConfigErrors."""
+    """(C > 0) sign changes of C(T) on _thresholds' scan, same ConfigErrors."""
     return int(_coarse_scan(_grid([p], ()), t_range)[2].sum())
 
 
@@ -423,9 +423,9 @@ def _coarse_scan(params: dict, t_range):
     return temps, positive, positive[:, :-1] != positive[:, 1:]
 
 
-def threshold_temperatures(points, t_range):
+def _thresholds(params: dict, t_range):
     """Largest temperature where the concurrence changes between zero and
-    positive, for each parameter point (its own T is not used).
+    positive, for each point of `params`' 1-D arrays (its own T is not used).
 
     Every point gets a coarse scan of _SCAN_POINTS (64) temperatures, all in
     one measure_columns call; every point's sign flips, their count and its
@@ -433,16 +433,11 @@ def threshold_temperatures(points, t_range):
     last bracket of every point that has one is bisected in lockstep, one
     evaluator call per step over the points still active; a point stops
     when its bracket is no wider than _THRESHOLD_TOL (1e-6) or its midpoint
-    equals an end.  Returns (thresholds, bracket_counts): a threshold is
-    None where C is identically zero or strictly positive on the scan, and
-    a count is the number of sign changes on that scan.  Raises ConfigError
-    (a ValueError) for a range that is not finite with 0 < lo < hi.
+    equals an end.  Returns the arrays (thresholds, bracket_counts): a
+    threshold is nan where C is identically zero or strictly positive on the
+    scan, and a count is the number of sign changes on that scan.  Raises
+    ConfigError (a ValueError) for a range that is not finite with 0 < lo < hi.
     """
-    return _thresholds(_grid(list(points), ()), t_range)
-
-
-def _thresholds(params: dict, t_range):
-    """threshold_temperatures of the points whose parameters are `params`' 1-D arrays."""
     temps, positive, flips = _coarse_scan(params, t_range)
     counts = flips.sum(axis=1)
     found = np.flatnonzero(counts)
@@ -461,20 +456,20 @@ def _thresholds(params: dict, t_range):
         keep = (step["concurrence"] > 0.0) == side[active]
         t_lo[active] = np.where(keep, m, t_lo[active])
         t_hi[active] = np.where(keep, t_hi[active], m)
-    thresholds = [None] * len(counts)
-    for k, t_th in zip(found.tolist(), (0.5 * (t_lo + t_hi)).tolist()):
-        thresholds[k] = t_th
-    return thresholds, counts.tolist()
+    thresholds = np.full(len(counts), np.nan)
+    thresholds[found] = 0.5 * (t_lo + t_hi)
+    return thresholds, counts
 
 
 def find_threshold_temperature(p: ModelParams, t_range):
     """Largest temperature where the concurrence changes between zero and positive.
 
-    A batch of one of threshold_temperatures: a coarse scan of 64
+    A batch of one of _thresholds, fig22's core: a coarse scan of 64
     temperatures, then bisection of the last bracket down to 1e-6.  Returns
     None when C is identically zero or strictly positive over the whole range.
     """
-    return threshold_temperatures([p], t_range)[0][0]
+    t_th = float(_thresholds(_grid([p], ()), t_range)[0][0])
+    return None if math.isnan(t_th) else t_th
 
 
 # target -> (quantity, sign): find_critical_field minimizes sign * |quantity|
@@ -567,16 +562,16 @@ def _preset_jobs(name: str, outdir: str, overrides: dict) -> list:
 
 
 def _write_thresholds(jobs, axis, scan) -> list[str]:
-    """One CSV per curve: the threshold temperature over the scan and its
-    bracket count at every axis value.  The rows of all curves are one
-    _thresholds call over their _grid, in one process."""
+    """One CSV per curve: the threshold temperature over the scan (empty if
+    none) and its bracket count at every axis value.  All curves' rows are one
+    _thresholds call over their _grid, formatted with the axis in one call."""
     name, _, _, count = axis
     grid = _grid([params for params, _ in jobs], (axis,))  # (curves, 1) and (1, count)
     thresholds, counts = _thresholds({k: np.broadcast_to(v, (len(jobs), count)).ravel()
                                       for k, v in grid.items()}, scan[1:])
-    cells = np.array([b"" if t is None else _format(t).encode() for t in thresholds])
-    counts = np.array(counts).astype(bytes)
-    text = _format_array(grid[name].ravel()).view(f"S{_WIDTH}").ravel()  # formatted once
+    text = _format_array(np.concatenate([grid[name].ravel(), thresholds])).view(f"S{_WIDTH}")
+    text, cells = text[:count, 0], np.where(np.isnan(thresholds), b"", text[count:, 0])
+    counts = counts.astype(bytes)
     for k, (_, out) in enumerate(jobs):
         part = slice(count * k, count * (k + 1))
         _write_csv(out, (name, "T_threshold", "n_brackets"), [text, cells[part], counts[part]])
@@ -755,6 +750,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, run, keys, **kwargs):
         """A subcommand that `run`s on a configuration of only the `keys`."""
         sp = sub.add_parser(name, **kwargs)
+        # -5e-1 and -inf are values, not options (Python 3.11's argparse knows only -5 and -.5)
+        sp._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         sp.set_defaults(run=run, keys=keys)
         sp.add_argument("--config", help="key = value configuration file")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",

@@ -21,7 +21,7 @@ import pytest
 
 import impurity_chain
 
-from impurity_chain import cli, xfer
+from impurity_chain import cli, model, xfer
 from impurity_chain.cli import (
     ConfigError,
     NotFound,
@@ -36,7 +36,6 @@ from impurity_chain.cli import (
     run_figure,
     run_point,
     run_sweep,
-    threshold_temperatures,
 )
 from impurity_chain.measures import concurrence_batch
 from impurity_chain.model import DELTA_B, ModelParams
@@ -140,6 +139,11 @@ PRESET_JOBS = {
         ("fig22_threshold_gamma-0.8.csv", dict(gamma=-0.8)),
     ], ("Delta", 0.0, 2.0, 81), ("T", 0.01, 1.2)),
 }
+
+
+def thresholds_of(points, t_range):
+    """fig22's threshold core, cli._thresholds, at ModelParams points."""
+    return cli._thresholds(cli._grid(list(points), ()), t_range)
 
 
 def concurrence_at(p):
@@ -413,6 +417,20 @@ class TestRunSweep:
         assert "gamma = -0.8" in manifest
         assert "axis1 = B" in manifest
 
+    def test_manifest_records_the_debug_correlators_only_when_on(self, tmp_path, capsys):
+        argv = ["sweep", "--set", "axis=B 0 1 3", "--set", "quantities=sxsx"]
+        for name, flag in (("off", []), ("on", ["--debug-paper-correlators"])):
+            assert cli.main(argv + flag + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+        off, on = ((tmp_path / f"{name}.csv.manifest.txt").read_text().splitlines()
+                   for name in ("off", "on"))
+        flag = "debug_paper_correlators = on"
+        # the flag's columns are in the CSV and its line in the manifest, after the quantities
+        assert "sxsx_alt" in (tmp_path / "on.csv").read_text().splitlines()[0]
+        assert on[on.index("quantities = sxsx") + 1] == flag
+        assert [line for line in on if line != flag] == [
+            line.replace("off.csv", "on.csv") for line in off]
+        assert not any(line.startswith("debug_paper_correlators") for line in off)
+
 
 class TestCsvWriter:
     @staticmethod
@@ -494,6 +512,17 @@ class TestCsvWriter:
         assert np.array_equal(calls[0], cli._axis_values("B", 0.0, 3.0, 601))
         assert sum(map(len, calls)) == 601 + 6 * 601
         assert not np.isin(list(fixed.values()) + [-0.8], np.concatenate(calls)).any()
+
+    def test_thresholds_and_their_axis_are_one_format_call(self, monkeypatch, tmp_path):
+        calls = record_formatted(monkeypatch)
+        run_figure("fig22-threshold", str(tmp_path), {})
+        # the 81 Delta values, then both curves' thresholds (nan without a bracket), in one call
+        assert len(calls) == 1 and len(calls[0]) == 81 + 2 * 81
+        assert np.array_equal(calls[0][:81], cli._axis_values("Delta", 0.0, 2.0, 81))
+        assert 0 < np.isnan(calls[0]).sum() < 2 * 81
+        # and no value is written by the one-number formatter outside that call
+        tree = ast.parse(inspect.getsource(cli._write_thresholds))
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_format"]
 
     def test_sweep_formats_each_axis_once_and_no_fixed_parameter(self, monkeypatch, tmp_path):
         calls = record_formatted(monkeypatch)
@@ -597,7 +626,7 @@ class TestThresholdFinder:
     def test_brackets_from_the_finder_scan(self):
         for gamma in (0.0, -0.8):
             p = ModelParams(**STANDARD, Delta=0.6, J0=0.7, gamma=gamma, B=0.5, T=0.05)
-            (t_th,), (n,) = threshold_temperatures([p], (0.01, 1.2))
+            (t_th,), (n,) = thresholds_of([p], (0.01, 1.2))
             assert t_th == find_threshold_temperature(p, (0.01, 1.2))
             assert n == concurrence_sign_brackets(p, (0.01, 1.2))
 
@@ -611,7 +640,7 @@ class TestThresholdFinder:
             positive = [concurrence_at(replace(p, T=t)) > 0.0 for t in temps]
             flips = [i for i in range(63) if positive[i] != positive[i + 1]]
             if not flips:
-                return None
+                return math.nan
             t_lo, t_hi = temps[flips[-1]], temps[flips[-1] + 1]
             side = positive[flips[-1]]
             while t_hi - t_lo > 1e-6:
@@ -625,10 +654,10 @@ class TestThresholdFinder:
         for gamma in (0.0, -0.8):
             rows = [ModelParams(**STANDARD, Delta=2.0 * i / 80.0, J0=0.7, gamma=gamma,
                                 B=0.5, T=0.05) for i in range(81)]
-            thresholds, counts = threshold_temperatures(rows, t_range)
-            assert thresholds == [scalar_threshold(p) for p in rows]
-            assert counts == [concurrence_sign_brackets(p, t_range) for p in rows]
-            assert any(t is not None for t in thresholds)
+            thresholds, counts = thresholds_of(rows, t_range)
+            assert np.array_equal(thresholds, [scalar_threshold(p) for p in rows], equal_nan=True)
+            assert counts.tolist() == [concurrence_sign_brackets(p, t_range) for p in rows]
+            assert not np.isnan(thresholds).all()
 
     def test_batch_mixes_rows_with_and_without_brackets(self):
         entangled = ModelParams(**STANDARD, Delta=0.5, J0=1.0, gamma=-0.8, B=1.0, T=0.1)
@@ -640,16 +669,16 @@ class TestThresholdFinder:
         rows = [unbracketed, entangled, unbracketed, revived, unbracketed,
                 replace(entangled, Delta=1.5), unbracketed]
         t_range = (0.01, 2.0)
-        thresholds, counts = threshold_temperatures(rows, t_range)
-        assert thresholds[0::2] == [None] * 4
-        assert counts[0::2] == [0] * 4
+        thresholds, counts = thresholds_of(rows, t_range)
+        assert np.isnan(thresholds[0::2]).tolist() == [True] * 4
+        assert counts[0::2].tolist() == [0] * 4
         for i in (1, 3, 5):
             assert counts[i] >= 1
             assert thresholds[i] == find_threshold_temperature(rows[i], t_range)
         assert concurrence_at(replace(revived, T=0.01)) == 0.0
         assert concurrence_at(replace(revived, T=thresholds[3] + 1e-4)) > 0.0
         assert concurrence_at(replace(entangled, T=thresholds[1] + 1e-4)) == 0.0
-        assert threshold_temperatures([], t_range) == ([], [])
+        assert [a.tolist() for a in thresholds_of([], t_range)] == [[], []]
 
     def test_bisection_stops_at_adjacent_floats(self):
         # energies scaled by 2^34 scale the threshold exactly, and there one
@@ -673,7 +702,7 @@ class TestThresholdFinder:
                                          (-1.0, 1.0)])
     def test_range_must_be_finite_and_increasing(self, t_range):
         with pytest.raises(ConfigError, match="temperature range"):
-            threshold_temperatures([ModelParams()], t_range)
+            thresholds_of([ModelParams()], t_range)
         with pytest.raises(ConfigError, match="temperature range"):
             concurrence_sign_brackets(ModelParams(), t_range)
 
@@ -982,6 +1011,22 @@ class TestMainEntry:
         assert captured.err.startswith("configuration error:") and not captured.out
         assert "'axis2'" in captured.err
         assert not out.parent.exists()
+
+    def test_negative_bounds_with_an_exponent_are_numbers(self, capsys):
+        # a field that the CLI printed as %.16e can be passed back as a bound
+        printed = []
+        for bound in (["--b-min", "-5e-1"], ["--b-min=-5e-1"]):
+            assert cli.main(["critical", *bound, "--b-max", "3"]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1] and not printed[0].err
+        for argv, message in ((["threshold", "--t-min", "-1e-2"], "bad temperature range"),
+                              (["threshold", "--t-max", "-1e-2"], "bad temperature range"),
+                              (["critical", "--b-max", "-5e-1"], "bad field range"),
+                              (["critical", "--b-min", "-Infinity"], "bad field range"),
+                              (["critical", "--tol", "-1e-4"], "tol must be positive")):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"configuration error: {message}") and not captured.out
 
     def test_threshold_none_exit_code(self, capsys):
         code = cli.main(["threshold", "--set", "B=50", "--set", "gamma=0",
@@ -1383,7 +1428,7 @@ class TestParserReuse:
 # and only the critical field's rescans take a tolerance, which --tol sets
 FINDER_DEFAULTS = [
     (concurrence_sign_brackets, {}),
-    (threshold_temperatures, {}),
+    (cli._thresholds, {}),
     (find_threshold_temperature, {}),
     (find_critical_field, dict(tol=cli._CRITICAL_TOL)),
 ]
@@ -1424,6 +1469,10 @@ class TestDefaults:
                         assert parameters["delta_b"].default == DELTA_B, name
         assert sorted(stepped) == ["SweepConfig", "find_critical_field", "measure_bundle",
                                    "measure_columns", "qfi_field_derivative", "run_point"]
+
+    def test_one_tuple_of_parameter_names(self):
+        assert cli.PARAM_COLUMNS is model._PARAM_NAMES
+        assert cli.PARAM_COLUMNS == tuple(f.name for f in dataclasses.fields(ModelParams))
 
     def test_cli_step_without_a_key_is_the_one_step(self):
         assert build_sweep_config({"axis": "B 0 1 3"}).delta_b == DELTA_B

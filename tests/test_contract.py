@@ -247,7 +247,7 @@ def test_empty_grid():
     grid, sweeps, _ = grid_and_batch([], TEMPS[:64])
     assert limit_states(**grid).shape == (5, 0, 64)
     assert limit_states(**sweeps).shape == (5, SWEEPS, 0, 64)
-    assert cli.threshold_temperatures([], (0.01, 1.2)) == ([], [])
+    assert [a.tolist() for a in cli._thresholds(cli._grid([], ()), (0.01, 1.2))] == [[], []]
 
 
 def test_grid_errors_name_the_flattened_batch_point(grid_rows):

@@ -8,9 +8,14 @@ from impurity_chain.oracle import (
     check_two_qubit_state,
     wootters_concurrence,
 )
-from impurity_chain.xfer import InvalidN, NotAState, finite_n_density_matrix
+from impurity_chain.xfer import (
+    InvalidN,
+    NotAState,
+    finite_n_density_matrix,
+    impurity_density_matrix,
+)
 from impurity_chain.measures import concurrence_batch
-from conftest import draw_params, draw_xstate, of_state
+from conftest import REFERENCE_MISS, draw_params, draw_xstate, of_state
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _FLIP = np.kron(_SY, _SY)
@@ -64,6 +69,15 @@ class TestBruteForce:
                     (states[0].r11, states[0].r22, states[0].r33, states[0].r44, states[0].r23),
                     (other.r11, other.r22, other.r33, other.r44, other.r23)):
                 assert a == pytest.approx(b, abs=1e-13)
+
+    def test_limit_state_where_the_forty_digit_reference_misses(self):
+        # at T = 0.005 the 14-cell ring is the thermodynamic limit to rounding
+        p = ModelParams(**REFERENCE_MISS)
+        state, ring = impurity_density_matrix(p), brute_force_density_matrix(p, 14)
+        for k in ("r11", "r22", "r33", "r44", "r23"):
+            assert abs(getattr(state, k) - getattr(ring, k)) <= 1e-12, k
+        assert wootters_concurrence(ring.to_matrix()) == pytest.approx(0.26110544708922356,
+                                                                       abs=1e-10)
 
     def test_size_cap(self):
         with pytest.raises(TooLarge):

@@ -232,28 +232,36 @@ def test_traced_run_reports_sweep_and_pool_layers(tmp_path):
 
 # the sweep, finder and exception names that only `impurity_chain.cli` provides
 CLI_NAMES = ("ConfigError", "NotFound", "SweepConfig", "run_point", "run_sweep",
-             "threshold_temperatures", "find_threshold_temperature", "find_critical_field")
+             "find_threshold_temperature", "find_critical_field")
+# the enumeration oracle's names, and its scalar path's, from their own modules
+ORACLE_NAMES = {"oracle": ("TooLarge", "brute_force_density_matrix", "wootters_concurrence"),
+                "model": ("dimer_block", "dimer_spectrum", "boltzmann_weights")}
 
 # sys.modules is read before any hasattr, which could import the CLI
 PACKAGE_IMPORT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import impurity_chain
-print(json.dumps({"cli_imported": "impurity_chain.cli" in sys.modules,
+print(json.dumps({"loaded": [m for m in ("impurity_chain.cli", "impurity_chain.oracle")
+                             if m in sys.modules],
                   "names": [n for n in sys.argv[2:] if hasattr(impurity_chain, n)]}))
 """
 
 
 def test_package_does_not_reexport_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(impurity_chain.__file__)))
-    proc = subprocess.run([sys.executable, "-c", PACKAGE_IMPORT, src, *CLI_NAMES],
+    oracle_names = [name for names in ORACLE_NAMES.values() for name in names]
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_IMPORT, src, *CLI_NAMES, *oracle_names],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert not result["cli_imported"], "importing impurity_chain imports its CLI"
-    assert result["names"] == [], f"impurity_chain re-exports CLI names: {result['names']}"
+    assert result["loaded"] == [], f"importing impurity_chain imports {result['loaded']}"
+    assert result["names"] == [], f"impurity_chain re-exports {result['names']}"
     cli = importlib.import_module("impurity_chain.cli")
     assert all(hasattr(cli, name) for name in CLI_NAMES)
+    for module, names in ORACLE_NAMES.items():
+        module = importlib.import_module(f"impurity_chain.{module}")
+        assert all(hasattr(module, name) for name in names)
 
 
 def test_every_exported_name_resolves():

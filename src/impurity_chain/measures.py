@@ -56,6 +56,8 @@ QUANTITY_COLUMNS = {
 # eigenvalue pairs with a + lambda below this fraction of the largest
 # eigenvalue lie outside the state's support and are skipped
 _SUPPORT_TOL = 1e-12
+# the signs of h in the central eigenvalues lambda+- = (r22 + r33)/2 +- h
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -104,24 +106,22 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
     value continuous through eigenvalue crossings.  At h = 0 (r22 = r33 and
     r23 = 0) the central eigenvalues coincide and r23/h is taken as 0.
     """
-    r11, r22, r33, r44, r23 = states
+    r22, r33, r23 = states[1], states[2], states[4]
     h = np.hypot(0.5 * (r22 - r33), r23)
     split = h > 0.0
     ratio = np.where(split, r23 / np.where(split, h, 1.0), 0.0)
-    mean = 0.5 * (r22 + r33)
-    upper = np.maximum(mean + h, 0.0)
-    lower = np.maximum(mean - h, 0.0)
-    outer = (np.maximum(r11, 0.0), np.maximum(r44, 0.0))
-    cutoff = _SUPPORT_TOL * np.maximum(np.maximum(outer[0], outer[1]), upper)
-    centrals = ((upper, 1.0 + ratio), (lower, 1.0 - ratio))
-    total = 0.0
-    for a in outer:
-        for central, overlap in centrals:
-            pair = a + central
-            keep = pair > cutoff
-            diff = a - central
-            total = total + np.where(keep, diff * diff / np.where(keep, pair, 1.0), 0.0) * overlap
-    return 4.0 * total
+    # one pass over the pairs (a, lambda) on axes (r11, r44) x (+, -); a
+    # product with +-1 is exact, so lambda+- and 1 +- r23/h keep their bits
+    central = np.maximum(0.5 * (r22 + r33) + np.multiply.outer(_SIGNS, h), 0.0)
+    outer = np.maximum(states[0:4:3], 0.0)
+    cutoff = _SUPPORT_TOL * np.maximum(np.maximum(outer[0], outer[1]), central[0])
+    pair = outer[:, None] + central
+    keep = pair > cutoff
+    diff = outer[:, None] - central
+    terms = np.where(keep, diff * diff / np.where(keep, pair, 1.0), 0.0)
+    terms *= 1.0 + np.multiply.outer(_SIGNS, ratio)
+    # summed from 0 in the order (r11, +), (r11, -), (r44, +), (r44, -)
+    return 4.0 * np.add.reduce(terms.reshape((4,) + h.shape), axis=0)
 
 
 # column -> its array function of (5, *points) states, but for qfi, qfi_dB and the

@@ -118,33 +118,55 @@ _PSD_TOL = 1e-12
 
 @functools.cache
 def _leading_axes(rank: int):
-    """The kernel's sector axis (nodal sums s = +1, 0, -1) and family axis (host,
-    then the defect with fields scaled by 1 + gamma) ahead of `rank` point axes."""
-    return (np.array(SECTOR_VALUES, dtype=float).reshape((3,) + (1,) * rank),
-            np.array([0.0, 1.0]).reshape((2, 1) + (1,) * rank))
+    """The kernel's constant tables, each with `rank` point axes of length 1.
+
+    The axes ahead of the points are level (the dimer block's diagonal e00,
+    a, b and e33), family (the host, then the defect with fields scaled by
+    1 + gamma) and sector (nodal sums s = +1, 0, -1).  The four diagonal
+    levels are one expression over them,
+
+        (zz s_zz + J0 s_nodal - g1 B s/2) + (b2 + b3 s_zz) s_field,
+
+    with the sign tables s_zz = (1, -1, -1, 1), s_nodal = (1, 1, -1, -1) s/2
+    and s_field = (-1, -1, 1, 1)/2.  A product with +-1 or +-1/2 is exact
+    and x + (-y) is x - y, so every level has the bits of its terms written
+    out, e00 = zz + J0 s/2 - g1 B s/2 - (b2 + b3)/2 and so on.  Returns
+    (s_zz, s_nodal, s/2, s_field, family).
+    """
+    pad = (1,) * rank
+    signs = np.array([1.0, -1.0, -1.0, 1.0]).reshape((4, 1, 1) + pad)
+    half = (np.array(SECTOR_VALUES, dtype=float) / 2.0).reshape((3,) + pad)
+    nodal = np.array([1.0, 1.0, -1.0, -1.0]).reshape((4, 1, 1) + pad) * half
+    field = np.array([-0.5, -0.5, 0.5, 0.5]).reshape((4, 1, 1) + pad)
+    family = np.array([0.0, 1.0]).reshape((2, 1) + pad)
+    return signs, nodal, half, field, family
 
 
 def _projector(x, y, z):
     """g = hypot(d, 2y) with d = x - z, and (g + d, 2y, g - d), elementwise: the
     eigenvalue gap of the symmetric [[x, y], [y, z]] and 2g times its upper
-    eigenprojector.  The smaller of g -+ d is 4y^2 / (g + |d|), never a
-    difference of close numbers ((2y / (g + |d|)) 2y where 4y^2 underflows);
-    at g = 0 the projector is (1, 0, 0), and nothing is divided by 0.
+    eigenprojector, whose three entries are the rows of one array.  The
+    smaller of g -+ d is 4y^2 / (g + |d|), never a difference of close
+    numbers ((2y / (g + |d|)) 2y where 4y^2 underflows); at g = 0 the
+    projector is (1, 0, 0), and nothing is divided by 0.
     """
     d = x - z
     off = 2.0 * y
     gap = np.hypot(d, off)
-    big = gap + np.abs(d)
     square = off * off
+    # rows g + |d|, 2y and the smaller of g -+ d: reversed where d < 0, which
+    # swaps the ends and keeps 2y, they are the projector
+    ends = np.empty((3,) + gap.shape)
+    big = np.add(gap, np.abs(d), out=ends[0])
+    ends[1] = off
     # one-point calls pay per numpy operation, so the selects run only in
     # batches where 4y^2 underflows somewhere (as it does wherever g = 0)
-    if square.min() < _TINY:
-        big = np.where(big > 0.0, big, 1.0)
-        small = np.where(square < _TINY, off / big * off, square / big)
+    if np.minimum.reduce(square, axis=None) < _TINY:
+        big[~(big > 0.0)] = 1.0
+        ends[2] = np.where(square < _TINY, off / big * off, square / big)
     else:
-        small = square / big
-    up = d >= 0.0
-    return gap, (np.where(up, big, small), off, np.where(up, small, big))
+        np.divide(square, big, out=ends[2])
+    return gap, np.where(d >= 0.0, ends, ends[::-1])
 
 
 def _host_power(w1, w0, wm, k: int):
@@ -190,58 +212,53 @@ def _kernel(args, ring: int | None = None):
     and log Z_N is returned with the points' shape.  See limit_states for
     the guards.
     """
-    J, Delta, J0, g1, g2, g3, gamma, B = (np.asarray(a, dtype=float) for a in args[:-1])
-    T = np.atleast_1d(np.asarray(args[-1], dtype=float))
-    t_min = T.min()
+    # a float stays a Python float, whose arithmetic costs no numpy call; any
+    # other scalar, a list or an array is converted
+    J, Delta, J0, g1, g2, g3, gamma, B = [
+        a if isinstance(a, float) else np.asarray(a, dtype=float) for a in args[:-1]]
+    T = np.array(args[-1], dtype=float, ndmin=1)
+    t_min = np.minimum.reduce(T, axis=None)
     if not t_min > 0.0:
         _raise_at(ValueError, "temperature must be positive", ~(T > 0.0), args)
     if t_min < _TINY:
         _raise_at(OverflowRisk, "1/T overflows", T < _TINY, args)
     beta = 1.0 / T
-    sectors, family = _leading_axes(T.ndim)
+    signs, nodal, half, field, family = _leading_axes(T.ndim)
 
-    # dimer blocks, shape (family, sector, point).  A Zeeman term or exchange
-    # past the float range leaves a level, or its height above its shift, inf
-    # or nan, which raises; from finite heights an exponent or sector offset
-    # may overflow, to its true weight of 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # dimer levels, shape (level, family, sector, point).  A Zeeman term or
+    # exchange past the float range leaves a level, or its height above its
+    # shift, inf or nan, which raises; from finite heights an exponent or
+    # sector offset may overflow, to its true weight of 0, and a host
+    # coefficient may underflow, to a log of -inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         zz = J * Delta / 4.0
         c = J / 2.0
-        nodal = J0 * sectors / 2.0
-        f1 = g1 * B * sectors / 2.0
         scale = 1.0 + family * gamma
-        b2 = g2 * B * scale
-        b3 = g3 * B * scale
-        outer = (b2 + b3) / 2.0
-        inner = (b2 - b3) / 2.0
-        e00 = zz + nodal - f1 - outer
-        a = -zz + nodal - f1 - inner
-        b = -zz - nodal - f1 + inner
-        mean = 0.5 * (a + b)
-        gap, central = _projector(a, c, b)
+        levels = (((zz * signs + J0 * nodal) - g1 * B * half)
+                  + (g2 * B * scale + g3 * B * scale * signs) * field)
+        # the central block [[a, c], [c, b]]: its levels (a + b)/2 +- g/2
+        # replace a and b, which the rescaled projector below reads again
+        block = levels[1:3].copy()
+        a, b = block[0], block[1]
+        gap, upper = _projector(a, c, b)
+        np.add(0.5 * (a + b), (0.5 * gap) * signs[:2], out=levels[1:3])
         # the defect's upper central projector P, per sector
-        p11, p12, p22 = central[0][1], central[1], central[2][1]
-        half_gap = 0.5 * gap
-        levels = np.empty((4,) + e00.shape)
-        levels[0] = e00
-        levels[1] = mean + half_gap
-        levels[2] = mean - half_gap
-        levels[3] = zz - nodal - f1 + outer
+        defect = upper[:, 1]
         sector_min = np.minimum(np.minimum(levels[0], levels[2]), levels[3])
-        cell_min = sector_min[1]
-        ref = np.minimum(np.minimum(cell_min[0], cell_min[1]), cell_min[2])
-        offsets = beta * (cell_min - ref)
+        # each family's lowest level: the host's shift, and the reference of
+        # the defect's sector offsets
+        family_min = np.minimum.reduce(sector_min, axis=1)
+        offsets = beta * (sector_min[1] - family_min[1])
         # Boltzmann factors: host levels against the host family's minimum,
         # defect cells against their own sector minimum, so no exponent is
         # positive; in place over the levels, which nothing reads afterwards,
         # until -beta gives them every point
-        shift = sector_min.copy()
-        shift[0] = np.minimum(np.minimum(shift[0, 0], shift[0, 1]), shift[0, 2])
-        exponents = np.subtract(levels, shift, out=levels)
-        peak = exponents.max()
+        np.subtract(levels[:, 0], family_min[0], out=levels[:, 0])
+        np.subtract(levels[:, 1], sector_min[1], out=levels[:, 1])
+        peak = np.maximum.reduce(levels, axis=None)
         if not peak < np.inf:
             _raise_at(OverflowRisk, "a Zeeman term or dimer level is past the float range",
-                      ~(exponents < np.inf), args)
+                      ~(levels < np.inf), args)
         # an exponent, levels[1] - shift, is at least the central gap
         # g >= max(|a - b|, |2c|): where g + |a - b| or (2c)^2 may overflow,
         # the defect's P is taken again from each block divided by its
@@ -249,58 +266,60 @@ def _kernel(args, ring: int | None = None):
         if not peak < 2.0 ** 500:
             largest = np.maximum(np.maximum(np.abs(a[1]), np.abs(b[1])), 2.0 * np.abs(c))
             scale = np.where(largest < 2.0 ** 510, 1.0, largest)
-            p11, p12, p22 = _projector(a[1] / scale, c / scale, b[1] / scale)[1]
-        exponents = np.multiply(exponents, -beta)
-        if ring is not None:
+            defect = _projector(a[1] / scale, c / scale, b[1] / scale)[1]
+        factors = np.multiply(levels, -beta)
+        np.exp(factors, out=factors)
+        # each sector's Boltzmann sum, outer and central pairs apart, so that
+        # mirror sectors (s = +-1 at B = 0) get bit-identical sums
+        sums = (factors[0] + factors[3]) + (factors[1] + factors[2])
+        host = sums[0]
+        w1, w0, wm = host[0], host[1], host[2]
+
+        if ring is None:
+            # the dominant projector, 2Q times: (Q + D, 2 w0, Q - D) with D = w1 - wm
+            q, coef = _projector(w1, w0, wm)
+            # the host's lowest level has weight 1, so g = 0 means w0 = 0 and w1 = w-1 > 0
+            if not np.minimum.reduce(q, axis=None) > 0.0:
+                _raise_at(DegenerateGap, "the host's dominant eigenvalue is degenerate, so the "
+                          "infinite chain's limit state depends on the boundary", ~(q > 0.0), args)
+        else:
             # log Z's energy terms, both <= 0, summed here: past the float
             # range the sum is -inf, log Z inf, and partition_function raises
-            energy = beta * ref + beta * (ring - 1) * shift[0, 0]
-    factors = np.exp(exponents, out=exponents)
-    # each sector's Boltzmann sum, outer and central pairs apart, so that
-    # mirror sectors (s = +-1 at B = 0) get bit-identical sums
-    sums = (factors[0] + factors[3]) + (factors[1] + factors[2])
-    w1, w0, wm = sums[0]
-
-    coef = np.empty((3,) + w0.shape)
-    if ring is None:
-        # the dominant projector, 2Q times: (Q + D, 2 w0, Q - D) with D = w1 - wm
-        q, (coef[0], m0, coef[2]) = _projector(w1, w0, wm)
-        # the host's lowest level has weight 1, so g = 0 means w0 = 0 and w1 = w-1 > 0
-        if not q.min() > 0.0:
-            _raise_at(DegenerateGap, "the host's dominant eigenvalue is degenerate, so the "
-                      "infinite chain's limit state depends on the boundary", ~(q > 0.0), args)
-    else:
-        (coef[0], m0, coef[2]), log_scale = _host_power(w1, w0, wm, ring - 1)
-    # the s = 0 sector takes both off-diagonal entries
-    coef[1] = 2.0 * m0
-
-    # log-domain sector mixing: coefficient times exp(-beta * sector offset)
-    logs = np.log(coef, out=np.full(coef.shape, -np.inf), where=coef > 0.0)
-    logs -= offsets
-    top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
-    if top.min() == -np.inf:
+            energy = beta * family_min[1] + beta * (ring - 1) * family_min[0]
+            coef = np.empty((3,) + w0.shape)
+            (coef[0], coef[1], coef[2]), log_scale = _host_power(w1, w0, wm, ring - 1)
+        # the s = 0 sector takes both off-diagonal entries
+        np.multiply(coef[1], 2.0, out=coef[1])
+        # log-domain sector mixing: coefficient times exp(-beta * sector
+        # offset); the coefficients are finite and >= 0, and log 0 is -inf
+        logs = np.log(coef, out=coef)
+        logs -= offsets
+    top = np.maximum.reduce(logs, axis=0)
+    if np.minimum.reduce(top, axis=None) == -np.inf:
         _raise_at(DegenerateGap, "every sector weight vanished in log domain",
                   top == -np.inf, args)
-    gains = np.exp(logs - top)
+    gains = np.exp(np.subtract(logs, top, out=logs), out=logs)
 
     # defect cell matrices sum_j e^{-beta(e_j - min)} |phi_j><phi_j|: the
     # central pair's projectors are P / tr P and 1 - P / tr P, with P the
-    # upper one from _projector (tr P is 2g, and 1 where g = 0)
-    trace = p11 + p22
-    f00, f_up, f_down, f33 = factors[:, 1]
-    cells = np.empty((5,) + f00.shape)
-    cells[0] = f00
-    cells[1] = (p11 * f_up + p22 * f_down) / trace
-    cells[2] = (p22 * f_up + p11 * f_down) / trace
-    cells[3] = f33
-    cells[4] = p12 * (f_up - f_down) / trace
+    # upper one from _projector (tr P is 2g, and 1 where g = 0); the central
+    # rows (P11 f+ + P22 f-, P22 f+ + P11 f-) / tr P are taken together
+    trace = defect[0] + defect[2]
+    cell = factors[:, 1]
+    f_up, f_down = cell[1], cell[2]
+    cells = np.empty((5,) + f_up.shape)
+    cells[0:4:3] = cell[0:4:3]
+    np.divide(defect[::2] * f_up + defect[2::-2] * f_down, trace, out=cells[1:3])
+    np.divide(defect[1] * (f_up - f_down), trace, out=cells[4])
     cells *= gains
-    num = cells[:, 0] + cells[:, 1] + cells[:, 2]
-    weighted = gains * sums[1]
-    den = weighted[0] + weighted[1] + weighted[2]
+    # sums of 3 and 4 terms: np.add.reduce adds so few in index order, after
+    # its initial value, which is -0 so that x + y + z keeps the sign of a 0
+    num = np.add.reduce(cells, axis=1, initial=-0.0)
+    den = np.add.reduce(gains * sums[1], axis=0, initial=-0.0)
     # the dominant sector contributes gain 1 and trace >= 1
-    tr_num = num[0] + num[1] + num[2] + num[3]
-    if not (tr_num.min() > 0.0 and tr_num.max() < np.inf):
+    tr_num = np.add.reduce(num[:4], axis=0, initial=-0.0)
+    if not (np.minimum.reduce(tr_num, axis=None) > 0.0
+            and np.maximum.reduce(tr_num, axis=None) < np.inf):
         _raise_at(DegenerateGap, "degenerate or non-finite sector mixture",
                   ~(np.isfinite(tr_num) & (tr_num > 0.0)), args)
     mismatch = np.abs(tr_num - den) > 1e-12 * den
@@ -347,7 +366,8 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     failing point in row order.
     """
     args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
-    shape = np.broadcast(*args).shape
+    # floats broadcast to any shape, so only the other arguments are looked at
+    shape = np.broadcast(*[a for a in args if not isinstance(a, float)]).shape
     rank, size = len(shape), math.prod(shape)
     # T takes the points' rank, which sets the kernel's; a scalar T takes one
     if rank > 1 and np.ndim(T) < rank:

@@ -2,6 +2,7 @@
 parameters, returns a valid state (a finite log Z, finite columns) or raises
 a documented error naming its point, with no numpy warning on the way."""
 
+import collections
 import math
 import warnings
 from dataclasses import replace
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from impurity_chain import cli, xfer
-from impurity_chain.measures import QUANTITY_COLUMNS, measure_columns
+from impurity_chain.measures import (QUANTITY_COLUMNS, MeasureBundle, measure_bundle,
+                                     measure_columns)
 from impurity_chain.model import DELTA_B, ModelParams, OverflowRisk
 from impurity_chain.xfer import (
     DegenerateGap,
@@ -268,6 +270,91 @@ def test_grid_errors_name_the_flattened_batch_point(grid_rows):
 
 
 # ---------------------------------------------------------------------------
+# every form of a parameter gives the bits of its float: the kernel keeps a
+# float as it is and converts any other scalar, sequence or array, so an int,
+# a numpy scalar, a 0-d array and one-element sequences must all agree with
+# the float, error type and message included.  J = 3**40 is past 2^53; with
+# every parameter an int (and T of the order of J, so that the state is not
+# saturated), the exact product J * Delta = 3**41 * 5 rounds otherwise than
+# the float product, so an int passed through would show there
+
+INTEGERS = dict(J=3**40, Delta=2, J0=-1, g1=1, g2=5, g3=2, gamma=-1, B=3, T=1)
+ALL_INTEGERS = dict(INTEGERS, J=3**41, Delta=5, J0=2, T=3**41)
+
+
+def bits(call):
+    """The bytes of `call()`'s states or columns, or its documented error."""
+    try:
+        value = call()
+    except DOCUMENTED + (FloatingPointError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, dict):
+        return [(k, v.shape, v.tobytes()) for k, v in value.items()]
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return type(value), np.array(list(vars(value).values()), dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module")
+def form_points():
+    """Three ordinary points, and two whole-range draws of each outcome of
+    measure_bundle: a value, OverflowRisk, DegenerateGap and a lost step."""
+    rng = np.random.default_rng(20261103)
+    points = [ModelParams(**{k: float(v) for k, v in ordinary_point(rng).items()})
+              for _ in range(3)]
+    taken = collections.Counter()
+    for p in whole_range_draws(20261019, 200):
+        kind = bits(lambda: measure_bundle(p, with_derivative=True))[0]
+        if taken[kind] < 2:
+            taken[kind] += 1
+            points.append(p)
+    assert set(taken.values()) == {2} and len(taken) == 4
+    return points
+
+
+def test_parameter_forms_through_model_params(form_points):
+    calls = (impurity_density_matrix, lambda p: finite_n_density_matrix(p, RING),
+             lambda p: measure_bundle(p, with_derivative=True))
+    kinds = set()
+    for name in PARAMS:
+        for p in form_points:
+            integral = replace(p, **{name: float(INTEGERS[name])})
+            pairs = ((integral, replace(p, **{name: INTEGERS[name]})),
+                     (p, replace(p, **{name: np.float64(getattr(p, name))})))
+            for call in calls:
+                for floats, form in pairs:
+                    expected = bits(lambda: call(floats))
+                    assert bits(lambda: call(form)) == expected, (name, form)
+                    kinds.add(expected[0])
+    assert {XState, MeasureBundle, OverflowRisk, DegenerateGap} <= kinds
+    floats = ModelParams(**{k: float(v) for k, v in ALL_INTEGERS.items()})
+    for call in calls:
+        assert bits(lambda: call(ModelParams(**ALL_INTEGERS))) == bits(lambda: call(floats))
+
+
+def test_parameter_forms_into_the_evaluators(form_points):
+    quantities = tuple(QUANTITY_COLUMNS)
+    kinds = set()
+    for name in PARAMS:
+        for p in form_points:
+            v = getattr(p, name)
+            cases = ((float(INTEGERS[name]), INTEGERS[name]),) + tuple(
+                (v, form) for form in (np.float64(v), np.array(v), [v], np.array([v])))
+            for value, form in cases:
+                floats, params = dict(vars(p), **{name: value}), dict(vars(p), **{name: form})
+                for evaluate in (lambda a: limit_states(**a),
+                                 lambda a: measure_columns(a, quantities)):
+                    expected = bits(lambda: evaluate(floats))
+                    assert bits(lambda: evaluate(params)) == expected, (name, form)
+                    kinds.add(expected[0])
+    assert {(5, 1), OverflowRisk, DegenerateGap, FloatingPointError} <= kinds
+    floats = {k: float(v) for k, v in ALL_INTEGERS.items()}
+    assert bits(lambda: limit_states(**ALL_INTEGERS)) == bits(lambda: limit_states(**floats))
+    assert bits(lambda: measure_columns(ALL_INTEGERS, quantities)) == bits(
+        lambda: measure_columns(floats, quantities))
+
+
+# ---------------------------------------------------------------------------
 # exact identities over the whole range: the model's symmetries, which need
 # no reference value, over ordinary and whole-range draws, one batch of each
 # side per identity
@@ -377,3 +464,124 @@ def test_long_ring_is_the_limit(identity_draws):
         elif kind is not None:
             assert error_kind(lambda: finite_n_density_matrix(p, LONG_RING)) is kind, p
     assert degenerate == 433
+
+
+# ---------------------------------------------------------------------------
+# the CLI over the whole range: every command, run in process on whole-range
+# draws, exits 0, 2, 3 or 4 with no traceback and no numpy warning; exit 3
+# names the point and exit 0 writes every row and column.  The histogram of
+# (command, exit code, error kind) is pinned, so a change to the kernel's
+# guards that moves any error to another draw, or to another kind, shows here
+
+CLI_SEED = 20261102
+CLI_DRAWS = 100
+SWEEP_SHAPE = (7, 5)  # T x B
+PRESET_KEYS = ("J", "Delta", "J0", "g1", "g2", "g3")
+EXTREMES = (1.7e308, -1.7e308, 1e308, -1e308, 1e200, -1e200, 5e-324, -5e-324)
+POINT_COLUMNS = len(PARAMS) + sum(map(len, QUANTITY_COLUMNS.values()))
+ZEEMAN = "a Zeeman term or dimer level is past the float range"
+DEGENERATE = ("the host's dominant eigenvalue is degenerate, so the infinite chain's limit "
+              "state depends on the boundary")
+LOST = "the step delta_b=0.001 is lost against B (B +- delta_b == B: dF/dB would read 0)"
+OWNED = "preset {!r} sets 'Delta' per curve, row, axis or scan, so it cannot be overridden"
+CLI_HISTOGRAM = {
+    ("point", 0, ""): 48, ("point", 3, ZEEMAN): 5, ("point", 3, DEGENERATE): 23,
+    ("point", 3, LOST): 24,
+    ("sweep", 0, ""): 48, ("sweep", 3, ZEEMAN): 5, ("sweep", 3, DEGENERATE): 23,
+    ("sweep", 3, LOST): 24,
+    ("threshold", 0, ""): 1, ("threshold", 3, ZEEMAN): 5, ("threshold", 3, DEGENERATE): 23,
+    ("threshold", 4, ""): 71,
+    ("critical max-concurrence", 0, ""): 10, ("critical max-concurrence", 3, ZEEMAN): 3,
+    ("critical max-concurrence", 3, DEGENERATE): 25,
+    ("critical max-concurrence", 4, "max_concurrence has no interior extremum in (0.0, 3.0)"): 62,
+    ("critical qfi-min", 0, ""): 7, ("critical qfi-min", 3, ZEEMAN): 3,
+    ("critical qfi-min", 3, DEGENERATE): 25,
+    ("critical qfi-min", 4, "qfi_min has no interior extremum in (0.0, 3.0)"): 65,
+    ("critical dqfi-peak", 0, ""): 13, ("critical dqfi-peak", 3, ZEEMAN): 3,
+    ("critical dqfi-peak", 3, DEGENERATE): 25,
+    ("critical dqfi-peak", 4, "dqfi_peak has no interior extremum in (0.0, 3.0)"): 59,
+    ("figure", 0, ""): 53, ("figure", 2, OWNED.format("fig-dbqfi")): 1,
+    ("figure", 2, OWNED.format("fig-qfi")): 3, ("figure", 2, OWNED.format("fig22-threshold")): 2,
+    ("figure", 3, ZEEMAN): 30, ("figure", 3, DEGENERATE): 11,
+}
+
+
+def cli_run(argv, capsys):
+    """(exit code, stdout, stderr) of `main(argv)` in this process, with
+    warnings as errors; any exception escaping main fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code == 3:
+        assert err.startswith("numerical failure: ") and " at J=" in err, (argv, err)
+    return code, out, err
+
+
+def cli_kind(code: int, err: str) -> str:
+    """The message of a failing run without its prefix and its point."""
+    return err.partition(": ")[2].split(" at J=")[0].strip() if code else ""
+
+
+def csv_shape(path: str) -> tuple[int, int]:
+    """(rows after the header, columns) of a CSV the CLI wrote."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\r\n")
+    assert lines[-1] == "" and len({line.count(",") for line in lines[:-1]}) == 1, path
+    return len(lines) - 2, lines[0].count(",") + 1
+
+
+def settings(p: ModelParams, *skip: str) -> list[str]:
+    return [f"--set={k}={v!r}" for k, v in vars(p).items() if k not in skip]
+
+
+def test_cli_over_the_whole_range(tmp_path, capsys):
+    histogram = collections.Counter()
+    draws = whole_range_draws(CLI_SEED, CLI_DRAWS)
+    out_csv = str(tmp_path / "sweep.csv")
+    for p in draws:
+        runs = [("point", settings(p), None)]
+        t_lo, b_lo, b_hi = p.T / 2.0, min(p.B / 2.0, p.B), max(p.B / 2.0, p.B)
+        runs.append(("sweep", settings(p) + [
+            f"--set=axis=T,{t_lo!r},{p.T!r},{SWEEP_SHAPE[0]}",
+            f"--set=axis2=B,{b_lo!r},{b_hi!r},{SWEEP_SHAPE[1]}",
+            f"--set=quantities={','.join(QUANTITY_COLUMNS)}", "--out", out_csv], out_csv))
+        runs.append(("threshold", settings(p, "T"), None))
+        for target in ("max-concurrence", "qfi-min", "dqfi-peak"):
+            runs.append(("critical", settings(p, "B") + ["--target", target], target))
+        for command, argv, extra in runs:
+            code, out, err = cli_run([command] + argv, capsys)
+            if code == 3:
+                assert f"J={p.J!r}" in err, (command, p, err)
+            if command == "point" and code == 0:
+                assert out.count("\r\n") == 2 and len(out.split("\r\n")[1].split(",")) \
+                    == POINT_COLUMNS
+            elif command == "sweep" and code == 0:
+                assert out == out_csv + "\n"
+                assert csv_shape(out_csv) == (math.prod(SWEEP_SHAPE), POINT_COLUMNS)
+            elif command in ("threshold", "critical") and code in (0, 4):
+                assert out == ("none\n" if command == "threshold" and code == 4
+                               else "" if code == 4 else f"{float(out):.16e}\n"), (command, out)
+            name = command if command != "critical" else f"critical {extra}"
+            histogram[name, code, cli_kind(code, err)] += 1
+
+    # figure: one extreme value of one of J, Delta, J0 and the g's per run
+    rng = np.random.default_rng(CLI_SEED)
+    presets = sorted(cli.FIGURE_PRESETS)
+    for i in range(CLI_DRAWS):
+        preset, key = presets[i % len(presets)], PRESET_KEYS[rng.integers(len(PRESET_KEYS))]
+        value = EXTREMES[rng.integers(len(EXTREMES))]
+        outdir = tmp_path / f"figure{i}"
+        code, out, err = cli_run(["figure", preset, f"--set={key}={value!r}",
+                                  "--out", str(outdir)], capsys)
+        if code == 3:
+            assert f"{key}={value!r}" in err, (preset, key, value, err)
+        elif code == 0:
+            _, _, curves, axis, output = cli.FIGURE_PRESETS[preset]
+            paths = out.split()
+            assert len(paths) == math.prod(len(values) for _, values in curves)
+            columns = 3 if output[0] in PARAMS else len(PARAMS) + len(output)
+            assert all(csv_shape(path) == (axis[3], columns) for path in paths), preset
+        histogram["figure", code, cli_kind(code, err)] += 1
+    assert dict(histogram) == CLI_HISTOGRAM

@@ -61,6 +61,48 @@ def random_pure_x(rng):
     return XState(0.0, a * a, b * b, 0.0, a * b)
 
 
+def kernel_and_edge_states(rng) -> np.ndarray:
+    """(5, n) states: 400 random_grid points, the 3,168-point whole-range scan
+    and six hand-made states at the closed form's edge cases."""
+    scan = whole_range_scan()
+    columns = {k: np.concatenate([v, [getattr(p, k) for p in scan]])
+               for k, v in random_grid(rng, 400).items()}
+    c, s = 0.6, 0.8
+    pure = 1.0 - 3e-13 - 3e-12
+    edge_cases = np.array([
+        (0.3, 0.2, 0.2, 0.3, 0.0),    # h = 0
+        (0.1, 0.4, 0.4, 0.1, 0.0),    # h = 0
+        (0.0, 0.5, 0.5, 0.0, 0.0),    # h = 0 and r11 = r44 = 0
+        (0.0, 0.5, 0.5, 0.0, 0.5),    # r11 = r44 = 0, lambda- = 0
+        (0.0, 0.7, 0.3, 0.0, -0.2),   # r11 = r44 = 0
+        # lambda- ~ 0: r11 + lambda- falls below the cutoff, r44 + lambda- not
+        (3e-13, pure * c * c, pure * s * s, 3e-12, pure * c * s),
+    ]).T
+    return np.concatenate([limit_states(**columns), edge_cases], axis=1)
+
+
+def qfi_pair_loop(states: np.ndarray) -> np.ndarray:
+    """qfi_batch as a loop over the pairs (a, lambda), a = r11 then r44 and
+    lambda+ then lambda-, summed from 0 in that order."""
+    r11, r22, r33, r44, r23 = states
+    h = np.hypot(0.5 * (r22 - r33), r23)
+    split = h > 0.0
+    ratio = np.where(split, r23 / np.where(split, h, 1.0), 0.0)
+    mean = 0.5 * (r22 + r33)
+    upper = np.maximum(mean + h, 0.0)
+    lower = np.maximum(mean - h, 0.0)
+    outer = (np.maximum(r11, 0.0), np.maximum(r44, 0.0))
+    cutoff = 1e-12 * np.maximum(np.maximum(outer[0], outer[1]), upper)
+    total = 0.0
+    for a in outer:
+        for central, overlap in ((upper, 1.0 + ratio), (lower, 1.0 - ratio)):
+            pair = a + central
+            keep = pair > cutoff
+            diff = a - central
+            total = total + np.where(keep, diff * diff / np.where(keep, pair, 1.0), 0.0) * overlap
+    return 4.0 * total
+
+
 class TestConcurrence:
     def test_bell_state(self):
         assert of_state(concurrence_batch, BELL_PSI_MINUS) == 1.0
@@ -167,26 +209,19 @@ class TestQfi:
     def test_closed_form_against_double_sum_on_kernel_states(self, rng):
         # the closed form against the eigenbasis double sum over the whole
         # physical range, plus hand-made states at its edge cases
-        scan = whole_range_scan()
-        columns = {k: np.concatenate([v, [getattr(p, k) for p in scan]])
-                   for k, v in random_grid(rng, 400).items()}
-        c, s = 0.6, 0.8
-        pure = 1.0 - 3e-13 - 3e-12
-        edge_cases = np.array([
-            (0.3, 0.2, 0.2, 0.3, 0.0),    # h = 0
-            (0.1, 0.4, 0.4, 0.1, 0.0),    # h = 0
-            (0.0, 0.5, 0.5, 0.0, 0.0),    # h = 0 and r11 = r44 = 0
-            (0.0, 0.5, 0.5, 0.0, 0.5),    # r11 = r44 = 0, lambda- = 0
-            (0.0, 0.7, 0.3, 0.0, -0.2),   # r11 = r44 = 0
-            # lambda- ~ 0: r11 + lambda- falls below the cutoff, r44 + lambda- not
-            (3e-13, pure * c * c, pure * s * s, 3e-12, pure * c * s),
-        ]).T
-        states = np.concatenate([limit_states(**columns), edge_cases], axis=1)
+        states = kernel_and_edge_states(rng)
         fisher = qfi_batch(states)
         for i in range(states.shape[1]):
             rho = XState(*states[:, i].tolist()).to_matrix()
             expected = sum(qfi_direct(rho, g) for g in OBSERVABLES)
             assert abs(fisher[i] - expected) <= 1e-12 * max(1.0, expected), i
+
+    def test_one_pass_is_the_pair_loop_bit_for_bit(self, rng):
+        # the closed form is held above only to 1e-12; its one broadcast pass
+        # must also keep the loop's summation order, and so every bit
+        states = kernel_and_edge_states(rng)
+        assert qfi_batch(states).tobytes() == qfi_pair_loop(states).tobytes()
+        assert qfi_batch(states[:, :1]).tobytes() == qfi_pair_loop(states[:, :1]).tobytes()
 
     def test_nonnegative(self, rng):
         for _ in range(100):

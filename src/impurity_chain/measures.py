@@ -108,17 +108,15 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
     """
     r22, r33, r23 = states[1], states[2], states[4]
     h = np.hypot(0.5 * (r22 - r33), r23)
-    split = h > 0.0
-    ratio = np.where(split, r23 / np.where(split, h, 1.0), 0.0)
+    ratio = np.divide(r23, h, out=np.zeros(h.shape), where=h > 0.0)
     # one pass over the pairs (a, lambda) on axes (r11, r44) x (+, -); a
     # product with +-1 is exact, so lambda+- and 1 +- r23/h keep their bits
     central = np.maximum(0.5 * (r22 + r33) + np.multiply.outer(_SIGNS, h), 0.0)
     outer = np.maximum(states[0:4:3], 0.0)
     cutoff = _SUPPORT_TOL * np.maximum(np.maximum(outer[0], outer[1]), central[0])
     pair = outer[:, None] + central
-    keep = pair > cutoff
     diff = outer[:, None] - central
-    terms = np.where(keep, diff * diff / np.where(keep, pair, 1.0), 0.0)
+    terms = np.divide(diff * diff, pair, out=np.zeros(pair.shape), where=pair > cutoff)
     terms *= 1.0 + np.multiply.outer(_SIGNS, ratio)
     # summed from 0 in the order (r11, +), (r11, -), (r44, +), (r44, -)
     return 4.0 * np.add.reduce(terms.reshape((4,) + h.shape), axis=0)

@@ -7,7 +7,9 @@ coherence and the correlators are closed forms; the quantum Fisher
 information is the bipartite sum over the local orthonormal observable set
 sqrt(2) * {I, S^x, S^y, S^z} acting on both qubits, written in the X
 state's eigenbasis, whose eigenvalues and overlaps are closed forms of the
-five elements too: no matrix is built and no eigensolver runs.
+five elements too: no matrix is built and no eigensolver runs, and its four
+eigenvalue pairs are one broadcast pass, summed in the order of a loop over
+them.
 `measure_columns`, the one evaluator of every column over parameter points of
 any shape, takes the states, and those that dF/dB needs, from one
 `limit_states` call.
@@ -104,7 +106,9 @@ def qfi_batch(states: np.ndarray) -> np.ndarray:
     Eigenvalues are clamped at 0.  Pairs outside the support (a + lambda
     below 1e-12 of the largest eigenvalue) are skipped, which keeps the
     value continuous through eigenvalue crossings.  At h = 0 (r22 = r33 and
-    r23 = 0) the central eigenvalues coincide and r23/h is taken as 0.
+    r23 = 0) the central eigenvalues coincide and r23/h is taken as 0.  The
+    four pairs are one broadcast pass over (r11, r44) x (lambda+, lambda-),
+    summed from 0 in that order, which gives the bits of the double loop.
     """
     r22, r33, r23 = states[1], states[2], states[4]
     h = np.hypot(0.5 * (r22 - r33), r23)

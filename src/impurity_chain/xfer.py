@@ -24,6 +24,13 @@ different nodal sectors at low T.  limit_states takes points of any shape in
 kernel calls of whole slices of the first axis, at most 601 points each: on
 rows of parameters over a temperature axis the kernel takes each row's
 levels, shifts and projectors once.
+
+A call of a few points costs its numpy operations, not its arithmetic, so
+the kernel makes few of them and keeps every bit: a float parameter stays a
+Python float; the four diagonal levels are one expression over constant
+sign tables (_leading_axes); each projector's select is one np.where over
+its three rows; and sums of three or four terms are np.add.reduce calls,
+which add so few in index order.
 """
 
 from __future__ import annotations
@@ -154,8 +161,8 @@ def _projector(x, y, z):
     off = 2.0 * y
     gap = np.hypot(d, off)
     square = off * off
-    # rows g + |d|, 2y and the smaller of g -+ d: reversed where d < 0, which
-    # swaps the ends and keeps 2y, they are the projector
+    # rows g + |d|, 2y and the smaller of g -+ d are the projector where
+    # d >= 0; reversed, which swaps the ends and keeps 2y, where d < 0
     ends = np.empty((3,) + gap.shape)
     big = np.add(gap, np.abs(d), out=ends[0])
     ends[1] = off
@@ -237,7 +244,8 @@ def _kernel(args, ring: int | None = None):
         levels = (((zz * signs + J0 * nodal) - g1 * B * half)
                   + (g2 * B * scale + g3 * B * scale * signs) * field)
         # the central block [[a, c], [c, b]]: its levels (a + b)/2 +- g/2
-        # replace a and b, which the rescaled projector below reads again
+        # (signs[:2] is (1, -1)) replace a and b, which the rescaled
+        # projector below reads again
         block = levels[1:3].copy()
         a, b = block[0], block[1]
         gap, upper = _projector(a, c, b)
@@ -374,7 +382,8 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
         T = np.asarray(T)
         args = args[:-1] + (T.reshape((1,) * (rank - T.ndim) + T.shape),)
     if rank > 1 and shape[0] == 1:  # one slice: the kernel takes it a rank down
-        return limit_states(*(a[0] if np.ndim(a) == rank else a for a in args))[:, None]
+        return limit_states(*[a if isinstance(a, float) or np.ndim(a) < rank else a[0]
+                              for a in args])[:, None]
     if size <= _BLOCK:
         return _kernel(args)[0] if size else np.empty((5,) + shape)
     step = max(_BLOCK * shape[0] // size, 1)

@@ -244,12 +244,14 @@ def _kernel(args, ring: int | None = None):
         levels = (((zz * signs + J0 * nodal) - g1 * B * half)
                   + (g2 * B * scale + g3 * B * scale * signs) * field)
         # the central block [[a, c], [c, b]]: its levels (a + b)/2 +- g/2
-        # (signs[:2] is (1, -1)) replace a and b, which the rescaled
-        # projector below reads again
-        block = levels[1:3].copy()
-        a, b = block[0], block[1]
+        # replace a and b; the rescaled projector below reads the defect's
+        # a and b again
+        a, b = levels[1], levels[2]
+        defect_ab = levels[1:3, 1].copy()
         gap, upper = _projector(a, c, b)
-        np.add(0.5 * (a + b), (0.5 * gap) * signs[:2], out=levels[1:3])
+        mean, half_gap = 0.5 * (a + b), 0.5 * gap
+        np.add(mean, half_gap, out=levels[1])
+        np.subtract(mean, half_gap, out=levels[2])
         # the defect's upper central projector P, per sector
         defect = upper[:, 1]
         sector_min = np.minimum(np.minimum(levels[0], levels[2]), levels[3])
@@ -261,8 +263,9 @@ def _kernel(args, ring: int | None = None):
         # defect cells against their own sector minimum, so no exponent is
         # positive; in place over the levels, which nothing reads afterwards,
         # until -beta gives them every point
-        np.subtract(levels[:, 0], family_min[0], out=levels[:, 0])
-        np.subtract(levels[:, 1], sector_min[1], out=levels[:, 1])
+        shift = sector_min.copy()
+        shift[0] = family_min[0]
+        np.subtract(levels, shift, out=levels)
         peak = np.maximum.reduce(levels, axis=None)
         if not peak < np.inf:
             _raise_at(OverflowRisk, "a Zeeman term or dimer level is past the float range",
@@ -272,9 +275,10 @@ def _kernel(args, ring: int | None = None):
         # the defect's P is taken again from each block divided by its
         # largest magnitude (by 1 elsewhere), which leaves P / tr P as it is
         if not peak < 2.0 ** 500:
-            largest = np.maximum(np.maximum(np.abs(a[1]), np.abs(b[1])), 2.0 * np.abs(c))
+            a, b = defect_ab
+            largest = np.maximum(np.maximum(np.abs(a), np.abs(b)), 2.0 * np.abs(c))
             scale = np.where(largest < 2.0 ** 510, 1.0, largest)
-            defect = _projector(a[1] / scale, c / scale, b[1] / scale)[1]
+            defect = _projector(a / scale, c / scale, b / scale)[1]
         factors = np.multiply(levels, -beta)
         np.exp(factors, out=factors)
         # each sector's Boltzmann sum, outer and central pairs apart, so that

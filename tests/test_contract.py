@@ -4,6 +4,7 @@ a documented error naming its point, with no numpy warning on the way."""
 
 import collections
 import math
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -541,29 +542,29 @@ def test_cli_over_the_whole_range(tmp_path, capsys):
     draws = whole_range_draws(CLI_SEED, CLI_DRAWS)
     out_csv = str(tmp_path / "sweep.csv")
     for p in draws:
-        runs = [("point", settings(p), None)]
         t_lo, b_lo, b_hi = p.T / 2.0, min(p.B / 2.0, p.B), max(p.B / 2.0, p.B)
-        runs.append(("sweep", settings(p) + [
-            f"--set=axis=T,{t_lo!r},{p.T!r},{SWEEP_SHAPE[0]}",
-            f"--set=axis2=B,{b_lo!r},{b_hi!r},{SWEEP_SHAPE[1]}",
-            f"--set=quantities={','.join(QUANTITY_COLUMNS)}", "--out", out_csv], out_csv))
-        runs.append(("threshold", settings(p, "T"), None))
-        for target in ("max-concurrence", "qfi-min", "dqfi-peak"):
-            runs.append(("critical", settings(p, "B") + ["--target", target], target))
-        for command, argv, extra in runs:
-            code, out, err = cli_run([command] + argv, capsys)
+        runs = [("point", ["point"] + settings(p)),
+                ("sweep", ["sweep"] + settings(p) + [
+                    f"--set=axis=T,{t_lo!r},{p.T!r},{SWEEP_SHAPE[0]}",
+                    f"--set=axis2=B,{b_lo!r},{b_hi!r},{SWEEP_SHAPE[1]}",
+                    f"--set=quantities={','.join(QUANTITY_COLUMNS)}", "--out", out_csv]),
+                ("threshold", ["threshold"] + settings(p, "T"))]
+        runs += [(f"critical {target}", ["critical"] + settings(p, "B") + ["--target", target])
+                 for target in ("max-concurrence", "qfi-min", "dqfi-peak")]
+        for name, argv in runs:
+            code, out, err = cli_run(argv, capsys)
             if code == 3:
-                assert f"J={p.J!r}" in err, (command, p, err)
-            if command == "point" and code == 0:
+                assert f"J={p.J!r}" in err, (name, p, err)
+            if name == "point" and code == 0:
                 assert out.count("\r\n") == 2 and len(out.split("\r\n")[1].split(",")) \
                     == POINT_COLUMNS
-            elif command == "sweep" and code == 0:
+            elif name == "sweep" and code == 0:
                 assert out == out_csv + "\n"
                 assert csv_shape(out_csv) == (math.prod(SWEEP_SHAPE), POINT_COLUMNS)
-            elif command in ("threshold", "critical") and code in (0, 4):
-                assert out == ("none\n" if command == "threshold" and code == 4
-                               else "" if code == 4 else f"{float(out):.16e}\n"), (command, out)
-            name = command if command != "critical" else f"critical {extra}"
+            elif code == 0:
+                assert out == f"{float(out):.16e}\n", (name, out)
+            elif code == 4:
+                assert out == ("none\n" if name == "threshold" else ""), (name, out)
             histogram[name, code, cli_kind(code, err)] += 1
 
     # figure: one extreme value of one of J, Delta, J0 and the g's per run
@@ -583,5 +584,6 @@ def test_cli_over_the_whole_range(tmp_path, capsys):
             assert len(paths) == math.prod(len(values) for _, values in curves)
             columns = 3 if output[0] in PARAMS else len(PARAMS) + len(output)
             assert all(csv_shape(path) == (axis[3], columns) for path in paths), preset
+        shutil.rmtree(outdir, ignore_errors=True)
         histogram["figure", code, cli_kind(code, err)] += 1
     assert dict(histogram) == CLI_HISTOGRAM

@@ -16,8 +16,9 @@ output is RFC-4180 style with 17 significant digits in numpy's exact `%.16e`
 callers import run_point, run_sweep and the finders from here.
 
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
-unwritable output path), 3 numerical failure (a non-finite result or a solver
-exception, reported with its parameter point), 4 nothing found (finders).
+unwritable output path or standard output), 3 numerical failure (a
+non-finite result or a solver exception, reported with its parameter
+point), 4 nothing found (finders).
 One `measures.measure_columns` call evaluates each sweep, all the curves of a
 figure preset together, each finder's coarse scan, each rescan and each
 bisection step.
@@ -264,48 +265,69 @@ def _format_array(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _write_csv(path, header, columns) -> None:
-    """A header line, then a row per element of `columns` (float arrays, numpy
-    bytes arrays of text, and bytes that every row repeats, put in the row
-    template once) with \\r\\n endings, to `path` in a directory that
-    _make_dir made, rewritten in place and cut to length (_create), or to
-    stdout when path is None.  Blocks of about _BLOCK_NUMBERS numbers (rows,
-    if none) are one _format_array call and one byte matrix, written without
-    its null padding.  No field (a name, an empty string, a finite number or
-    `%d` text) needs quoting: these are csv.writer's bytes."""
-    cells = [c if isinstance(c, bytes) else b"\0" * (_WIDTH if c.dtype.kind == "f" else c.itemsize)
-             for c in columns]
-    line = np.frombuffer(b",".join(cells) + b"\r\n", np.uint8)
-    starts = np.cumsum([0] + [len(cell) + 1 for cell in cells])  # each field, then its separator
-    fields = [f for f in zip(columns, starts, map(len, cells)) if isinstance(f[0], np.ndarray)]
-    numbers = sum(c.dtype.kind == "f" for c, _, _ in fields)
-    step = max(1, _BLOCK_NUMBERS // max(1, numbers))
-    with contextlib.nullcontext() if path is None else _create(path) as fh:
-        # the CSV is ASCII, and sys.stdout may be a text stream without a byte buffer
-        write = fh.write if fh is not None else lambda data: sys.stdout.write(bytes(data).decode())
-        write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(fields[0][0]), step):
-            part = [c[start:start + step] for c, _, _ in fields]
-            block = np.tile(line, (len(part[0]), 1))
-            if numbers:
-                text = iter(_format_array(np.concatenate([c for c in part if c.dtype.kind == "f"]))
-                            .reshape(numbers, len(part[0]), _WIDTH))
-            for c, (_, at, width) in zip(part, fields):
-                block[:, at:at + width] = (next(text) if c.dtype.kind == "f"
-                                           else c.view(np.uint8).reshape(-1, width))
-            write(block[block != 0])
+def _write_csv(paths, header, columns) -> None:
+    """A header line, then the rows of `columns` with \\r\\n endings, to each
+    of `paths` (files that share the header and the row layout) in turn: to
+    a path in a directory that _make_dir made, rewritten in place and cut to
+    length (_create), or to stdout (_stdout) for None.  A column is bytes
+    that every row repeats, or an array that broadcasts to (files, rows):
+    floats, or numpy bytes text; text that is constant along the rows, as
+    bytes or a (files, 1) array, goes into each file's row template.  Blocks
+    of at most _BLOCK_NUMBERS numbers (rows, if none) run over the files'
+    rows in order, each one _format_array call; each file's part of a block
+    is one byte matrix, written without its null padding.  A failed write
+    leaves the files before it complete.  No field (a name, an empty string,
+    a finite number or `%d` text) needs quoting: these are csv.writer's bytes."""
+    columns = [np.array([[c]]) if isinstance(c, bytes) else c for c in columns]
+    files, rows = len(paths), max(c.shape[-1] for c in columns)
+    widths = [_WIDTH if c.dtype.kind == "f" else c.itemsize for c in columns]
+    line = np.frombuffer(b",".join(b"\0" * w for w in widths) + b"\r\n", np.uint8)
+    templates = np.tile(line, (files, 1))
+    numbers, texts = [], []  # (the rows of every file in one array, field start, width)
+    for c, at, width in zip(columns, np.cumsum([0] + [w + 1 for w in widths]), widths):
+        if c.dtype.kind != "f" and c.shape[-1] == 1:
+            templates[:, at:at + width] = c.view(np.uint8).reshape(-1, width)
+        else:
+            # (np.broadcast_to costs 5 us a call; most columns have the shape already)
+            flat = c if c.size == files * rows else np.broadcast_to(c, (files, rows))
+            (numbers if c.dtype.kind == "f" else texts).append((flat.reshape(-1), at, width))
+    step = max(1, _BLOCK_NUMBERS // max(1, len(numbers)))
+    for i, path in enumerate(paths):
+        with contextlib.nullcontext() if path is None else _create(path) as fh:
+            # the CSV is ASCII, and sys.stdout may be a text stream without a byte buffer
+            write = fh.write if fh is not None else lambda data: _stdout(bytes(data).decode())
+            write((",".join(header) + "\r\n").encode())
+            start, end = i * rows, (i + 1) * rows
+            while start < end:
+                # a part ends at a block's or a file's end, so each block's
+                # first row starts a part, and its numbers are formatted there
+                first = start - start % step
+                if numbers and start == first:
+                    text = _format_array(np.concatenate([c[start:start + step] for c, _, _
+                                                         in numbers]))
+                    text = text.reshape(len(numbers), -1, _WIDTH)
+                stop = min(end, first + step)
+                part = np.tile(templates[i], (stop - start, 1))
+                for k, (_, at, width) in enumerate(numbers):
+                    part[:, at:at + width] = text[k, start - first:stop - first]
+                for c, at, width in texts:
+                    part[:, at:at + width] = c[start:stop].view(np.uint8).reshape(-1, width)
+                write(part[part != 0])
+                start = stop
 
 
 def _make_dir(path: str) -> None:
     """Make the directory of the output file `path`, before anything is
-    computed; a `path` with a null byte, one that the file system cannot name
-    or that is a directory, a directory that cannot be made, or no write
-    permission (on the file if it exists, else on its directory) raises
-    ConfigError naming the path."""
+    computed; a `path` that is empty or has a null byte, one that the file
+    system cannot name or that is a directory, a directory that cannot be
+    made, or no write permission (on the file if it exists, else on its
+    directory) raises ConfigError naming the path."""
     try:
         name = os.fsencode(path)
     except UnicodeEncodeError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    if not name:
+        raise ConfigError(f"cannot write {path!r}: empty path")
     if b"\0" in name:
         raise ConfigError(f"cannot write {path!r}: embedded null byte")
     if os.path.isdir(path):
@@ -317,6 +339,21 @@ def _make_dir(path: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     if not os.access(path if os.path.exists(path) else directory, os.W_OK):
         raise ConfigError(f"cannot write {path}: permission denied")
+
+
+def _stdout(text: str) -> None:
+    """Write `text` to standard output and flush it.  A closed standard
+    output (None, or a closed stream), or a failed write or flush, raises
+    ConfigError; after a failure sys.stdout is set to None, which drops the
+    unwritten bytes that the interpreter's flush at exit would fail on again."""
+    if sys.stdout is None:
+        raise ConfigError("cannot write standard output: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        sys.stdout = None
+        raise ConfigError(f"cannot write standard output: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -360,8 +397,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
 
 def _write_sweeps(cfgs) -> list[str]:
     """run_sweep of sweeps that differ only in fixed parameters and output
-    paths, with one evaluator call over all their points (_grid).  The axes
-    are formatted once, in one call; each fixed parameter into its row template."""
+    paths, with one evaluator call over all their points (_grid) and one
+    _write_csv call over all their CSVs; the manifests follow, in the same
+    order, once every CSV is written.  The axes are formatted once, in one
+    call; each fixed parameter by _format, into its file's row template."""
     for cfg in cfgs:
         _make_dir(cfg.out)
         _make_dir(cfg.out + ".manifest.txt")
@@ -374,13 +413,14 @@ def _write_sweeps(cfgs) -> list[str]:
     parts = np.split(text.view(f"S{_WIDTH}").ravel(), np.cumsum(shape[1:])[:-1])
     axes = {name: np.broadcast_to(t.reshape(grid[name].shape[1:]), shape[1:]).ravel()
             for (name, *_), t in zip(first.axes, parts)}
+    columns = [axes[c] if c in axes else
+               np.array([_format(getattr(cfg.params, c)).encode() for cfg in cfgs])[:, None]
+               for c in PARAM_COLUMNS]
     # (with the impurity off, no value varies along gamma)
-    values = {k: v if v.shape == shape else np.broadcast_to(v, shape) for k, v in values.items()}
-    for i, cfg in enumerate(cfgs):
-        columns = [axes[c] if c in axes else _format(getattr(cfg.params, c)).encode()
-                   for c in PARAM_COLUMNS]
-        _write_csv(cfg.out, PARAM_COLUMNS + tuple(values),
-                   columns + [v[i].ravel() for v in values.values()])
+    _write_csv([cfg.out for cfg in cfgs], PARAM_COLUMNS + tuple(values),
+               columns + [(v if v.shape == shape else np.broadcast_to(v, shape))
+                          .reshape(len(cfgs), -1) for v in values.values()])
+    for cfg in cfgs:
         _write_manifest(cfg)
     return [cfg.out for cfg in cfgs]
 
@@ -564,18 +604,19 @@ def _preset_jobs(name: str, outdir: str, overrides: dict) -> list:
 def _write_thresholds(jobs, axis, scan) -> list[str]:
     """One CSV per curve: the threshold temperature over the scan (empty if
     none) and its bracket count at every axis value.  All curves' rows are one
-    _thresholds call over their _grid, formatted with the axis in one call."""
+    _thresholds call over their _grid, formatted with the axis in one call
+    and written as text in one _write_csv call."""
     name, _, _, count = axis
     grid = _grid([params for params, _ in jobs], (axis,))  # (curves, 1) and (1, count)
     thresholds, counts = _thresholds({k: np.broadcast_to(v, (len(jobs), count)).ravel()
                                       for k, v in grid.items()}, scan[1:])
     text = _format_array(np.concatenate([grid[name].ravel(), thresholds])).view(f"S{_WIDTH}")
     text, cells = text[:count, 0], np.where(np.isnan(thresholds), b"", text[count:, 0])
-    counts = counts.astype(bytes)
-    for k, (_, out) in enumerate(jobs):
-        part = slice(count * k, count * (k + 1))
-        _write_csv(out, (name, "T_threshold", "n_brackets"), [text, cells[part], counts[part]])
-    return [out for _, out in jobs]
+    paths = [out for _, out in jobs]
+    _write_csv(paths, (name, "T_threshold", "n_brackets"),
+               [text, cells.reshape(len(jobs), count),
+                counts.astype(bytes).reshape(len(jobs), count)])
+    return paths
 
 
 def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> list[str]:
@@ -809,17 +850,16 @@ def _cmd_point(args) -> int:
     values = run_point(_with_impurity(params, impurity), quantities, delta_b=delta_b,
                        alt_correlators=args.debug_paper_correlators)
     row = tuple(vars(params).values()) + tuple(values.values())
-    _write_csv(args.out, PARAM_COLUMNS + tuple(values), [np.array([v]) for v in row])
+    _write_csv([args.out], PARAM_COLUMNS + tuple(values), [np.array([v]) for v in row])
     return 0
 
 
 def _cmd_sweep(args) -> int:
     mapping = _collect_mapping(args)
-    if args.out:
+    if args.out is not None:
         mapping["out"] = args.out
     cfg = build_sweep_config(mapping, alt_correlators=args.debug_paper_correlators)
-    path = run_sweep(cfg, workers=_workers(args))
-    print(path)
+    _stdout(run_sweep(cfg, workers=_workers(args)) + "\n")
     return 0
 
 
@@ -828,9 +868,9 @@ def _cmd_threshold(args) -> int:
     params = _with_impurity(build_params(mapping), _parse_impurity(mapping))
     t_th = find_threshold_temperature(params, (args.t_min, args.t_max))
     if t_th is None:
-        print("none")
+        _stdout("none\n")
         return 4
-    print(_format(t_th))
+    _stdout(_format(t_th) + "\n")
     return 0
 
 
@@ -841,14 +881,14 @@ def _cmd_critical(args) -> int:
     target = args.target.replace("-", "_")
     b_star = find_critical_field(params, (args.b_min, args.b_max), target,
                                  tol=args.tol, delta_b=delta_b)
-    print(_format(b_star))
+    _stdout(_format(b_star) + "\n")
     return 0
 
 
 def _cmd_figure(args) -> int:
     overrides = _parse_params(_collect_mapping(args))
     for path in run_figure(args.preset, args.out, overrides, workers=_workers(args)):
-        print(path)
+        _stdout(path + "\n")
     return 0
 
 

@@ -60,15 +60,22 @@ def record_kernel_calls(monkeypatch) -> list:
     return calls
 
 
-def record_formatted(monkeypatch) -> list:
-    """The input array of every _format_array call from here on."""
-    calls, format_array = [], cli._format_array
+def record_formatted(monkeypatch, writes: list | None = None) -> list:
+    """The input array of every _format_array call from here on; with
+    `writes`, also the paths of every _write_csv call, appended to it."""
+    calls, format_array, write_csv = [], cli._format_array, cli._write_csv
 
     def recording(x):
         calls.append(x.copy())
         return format_array(x)
 
+    def recording_writer(paths, header, columns):
+        writes.append(list(paths))
+        return write_csv(paths, header, columns)
+
     monkeypatch.setattr(cli, "_format_array", recording)
+    if writes is not None:
+        monkeypatch.setattr(cli, "_write_csv", recording_writer)
     return calls
 
 
@@ -492,17 +499,99 @@ class TestCsvWriter:
         columns = [np.array([b"x", b"y"]), np.array([b"1", b"22"])]
         stream = io.StringIO(newline="")
         with contextlib.redirect_stdout(stream):
-            cli._write_csv(None, ("a", "b"), columns)
+            cli._write_csv([None], ("a", "b"), columns)
         assert stream.getvalue() == expected
-        cli._write_csv(str(tmp_path / "t.csv"), ("a", "b"), columns)
+        cli._write_csv([str(tmp_path / "t.csv")], ("a", "b"), columns)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
     def test_constants_go_into_the_row_template(self, tmp_path):
         rows = 2 * cli._BLOCK_NUMBERS + 1  # three blocks of one float column
         values = np.arange(rows) / 7.0
-        cli._write_csv(str(tmp_path / "c.csv"), ("k", "v", "n"), [b"const", values, b"-"])
+        cli._write_csv([str(tmp_path / "c.csv")], ("k", "v", "n"), [b"const", values, b"-"])
         assert (tmp_path / "c.csv").read_bytes() == ("k,v,n\r\n" + "".join(
             f"const,{v:.16e},-\r\n" for v in values.tolist())).encode()
+
+    @pytest.mark.parametrize("rows", [3000, 2048])
+    def test_one_call_writes_each_file_as_a_batch_of_one(self, rows, tmp_path, monkeypatch):
+        # three files of one float column: the first 4,096-number block ends
+        # inside the second file (3,000 rows) or where the third begins (2,048)
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal((3, rows)) * 10.0 ** rng.integers(-300, 300, (3, rows))
+        axis = np.arange(rows) / 7.0
+        text = cli._format_array(axis).view(f"S{cli._WIDTH}").ravel()
+        gammas = (0.0, -0.8, 1.25)  # per-file constants of 22 and 23 characters
+        constants = np.array([cli._format(g).encode() for g in gammas])[:, None]
+        counts = np.arange(3 * rows).reshape(3, rows)
+        header = ("k", "gamma", "B", "v", "n")
+        columns = [b"k", constants, text, values, counts.astype(bytes)]
+        together = [str(tmp_path / f"all{i}.csv") for i in range(3)]
+        calls = record_formatted(monkeypatch)
+        cli._write_csv(together, header, columns)
+        total = 3 * rows
+        assert [len(c) for c in calls] == [min(cli._BLOCK_NUMBERS, total - start)
+                                           for start in range(0, total, cli._BLOCK_NUMBERS)]
+        assert np.array_equal(np.concatenate(calls), values.ravel())
+        for i, path in enumerate(together):
+            expected = ("k,gamma,B,v,n\r\n" + "".join(
+                f"k,{gammas[i]:.16e},{b:.16e},{v:.16e},{n}\r\n"
+                for b, v, n in zip(axis.tolist(), values[i].tolist(), counts[i].tolist())))
+            alone = tmp_path / f"one{i}.csv"
+            own = [b"k", constants[i:i + 1], text, values[i:i + 1], counts[i:i + 1].astype(bytes)]
+            cli._write_csv([str(alone)], header, own)
+            stream = io.StringIO(newline="")
+            with contextlib.redirect_stdout(stream):
+                cli._write_csv([None], header, own)
+            assert pathlib.Path(path).read_bytes() == alone.read_bytes() == expected.encode()
+            assert stream.getvalue() == expected
+
+    def test_a_text_only_table_over_files(self, tmp_path):
+        # blocks are counted in rows, and also run over the files' rows
+        paths = [str(tmp_path / f"t{i}.csv") for i in range(2)]
+        columns = [np.array([[b"x"], [b"yy"]]), np.array([b"1", b"22", b"333"]),
+                   np.array([[b"a", b"b", b"c"], [b"", b"e", b"f"]])]
+        cli._write_csv(paths, ("p", "q", "r"), columns)
+        assert [pathlib.Path(path).read_bytes() for path in paths] == [
+            b"p,q,r\r\nx,1,a\r\nx,22,b\r\nx,333,c\r\n",
+            b"p,q,r\r\nyy,1,\r\nyy,22,e\r\nyy,333,f\r\n"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_failed_write_leaves_the_files_before_it_complete(self, tmp_path):
+        # fig3's fourth CSV is a symlink to /dev/full: the three before it are
+        # whole, and the manifests, which follow every CSV, are not written
+        names = [name for name, _ in PRESET_JOBS["fig3"][1]]
+        expected = tmp_path / "expected"
+        run_figure("fig3", str(expected), {})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / names[3]).symlink_to("/dev/full")
+        with pytest.raises(ConfigError) as failure:
+            run_figure("fig3", str(out), {})
+        assert str(failure.value).startswith(f"cannot write {out / names[3]}: ")
+        assert "No space left on device" in str(failure.value)
+        assert sorted(os.listdir(out)) == sorted(names[:4])
+        for name in names[:3]:
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_each_preset_formats_its_values_in_blocks_over_its_files(self, monkeypatch, tmp_path):
+        # one _write_csv call per preset; its values reach _format_array once,
+        # in file order, in blocks of at most _BLOCK_NUMBERS, after the axis
+        writes = []
+        calls = record_formatted(monkeypatch, writes)
+        for name, (_, jobs, axis, _) in PRESET_JOBS.items():
+            del calls[:], writes[:]
+            paths = run_figure(name, str(tmp_path), {})
+            assert writes == [paths]
+            assert max(map(len, calls)) <= cli._BLOCK_NUMBERS
+            assert np.array_equal(calls[0][:axis[3]], cli._axis_values(*axis))
+            if name == "fig22-threshold":
+                assert len(calls) == 1 and len(calls[0]) == axis[3] + len(jobs) * axis[3]
+                continue
+            total = len(jobs) * axis[3]
+            assert len(calls) == 1 + math.ceil(total / cli._BLOCK_NUMBERS)
+            assert len(calls[0]) == axis[3]
+            written = [float(line.rsplit(b",", 1)[1]) for path in paths
+                       for line in pathlib.Path(path).read_bytes().splitlines()[1:]]
+            assert np.concatenate(calls[1:]).tolist() == written
 
     def test_preset_formats_its_axis_once_and_no_fixed_parameter(self, monkeypatch, tmp_path):
         calls = record_formatted(monkeypatch)
@@ -1186,6 +1275,19 @@ class TestMainEntry:
         assert "No space left on device" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "axis=B 0 1 3", "--set", "out="],
+        ["sweep", "--set", "axis=B 0 1 3", "--out", ""],
+        ["point", "--out", ""],
+    ])
+    def test_empty_output_path_exit_code(self, argv, tmp_path, capsys, monkeypatch):
+        # rejected by _make_dir before the kernel runs, as any unwritable path
+        monkeypatch.chdir(tmp_path)
+        calls = record_kernel_calls(monkeypatch)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "configuration error: cannot write '': empty path\n")
+        assert not calls and not os.listdir(tmp_path)
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_output_to_a_device_is_not_cut(self, capsys):
         assert cli.main(POINT + ["--out", "/dev/null"]) == 0
@@ -1508,6 +1610,70 @@ def test_module_entry_point_runs_without_warnings():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("J,Delta,J0")
+
+
+# every subcommand that writes to standard output; "{dir}" is a scratch directory
+STDOUT_WRITERS = [
+    ["point", "--set", "B=0.5", "--set", "T=0.1"],
+    ["sweep", "--set", "axis=B 0 1 3", "--out", "{dir}/s.csv"],
+    ["figure", "fig22-threshold", "--out", "{dir}"],
+    ["threshold", "--set", "B=1.0", "--set", "gamma=-0.8"],
+    ["critical", "--set", "T=0.05", "--set", "gamma=-0.8"],
+]
+
+
+def run_with_stdout(argv, tmp_path, stdout, shell=""):
+    """The CLI in a fresh interpreter with `stdout` as its standard output,
+    under `sh -c` with `shell` redirections when given."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(impurity_chain.__file__)))
+    command = [sys.executable, "-m", "impurity_chain.cli",
+               *(arg.replace("{dir}", str(tmp_path)) for arg in argv)]
+    if shell:
+        command = ["sh", "-c", f'exec "$@" {shell}', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+def assert_stdout_failure(proc, reason):
+    # one configuration error line: no traceback, and nothing from the
+    # interpreter's flush at exit
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"configuration error: cannot write standard output: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no POSIX shell")
+@pytest.mark.parametrize("argv", STDOUT_WRITERS)
+def test_closed_stdout_exit_code(argv, tmp_path):
+    assert_stdout_failure(run_with_stdout(argv, tmp_path, None, shell=">&-"), "it is closed")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", STDOUT_WRITERS)
+def test_stdout_on_a_full_device_exit_code(argv, tmp_path):
+    with open("/dev/full", "wb") as full:
+        proc = run_with_stdout(argv, tmp_path, full)
+    assert_stdout_failure(proc, "[Errno 28] No space left on device")
+
+
+def test_stdout_closed_in_process_exit_code(monkeypatch, capsys):
+    # a library caller's closed stream, not a closed descriptor
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert cli.main(STDOUT_WRITERS[4]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: cannot write standard output: I/O operation on closed file\n")
+
+
+def test_stdout_into_a_closed_pipe_exit_code(tmp_path):
+    # the pipe's reader is gone before the run starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_with_stdout(STDOUT_WRITERS[0], tmp_path, write)
+    finally:
+        os.close(write)
+    assert_stdout_failure(proc, "[Errno 32] Broken pipe")
 
 
 def test_non_ascii_paths_under_the_c_locale(tmp_path):

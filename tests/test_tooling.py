@@ -193,6 +193,45 @@ def test_create_is_the_one_writer_open():
     assert not truncating, f"O_TRUNC under src/: {truncating}"
 
 
+def stdout_uses(tree: ast.Module):
+    """(enclosing function, line) of every `sys.stdout` reference, and the
+    line of every print call that does not name file=sys.stderr."""
+    uses, prints = [], []
+
+    def is_sys(node, name):
+        return (isinstance(node, ast.Attribute) and node.attr == name
+                and getattr(node.value, "id", None) == "sys")
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if is_sys(child, "stdout"):
+                uses.append((function, child.lineno))
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "print":
+                if not any(k.arg == "file" and is_sys(k.value, "stderr") for k in child.keywords):
+                    prints.append(child.lineno)
+            visit(child, function)
+
+    visit(tree, None)
+    return uses, prints
+
+
+def test_cli_writes_standard_output_through_one_helper():
+    # cli._stdout turns a closed or failing standard output into a
+    # configuration error; a second writer, or a print to stdout, would
+    # bring back the traceback
+    tree = ast.parse((pathlib.Path(impurity_chain.__file__).parent / "cli.py").read_text())
+    uses, prints = stdout_uses(tree)
+    writes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr == "write" and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "stdout"]
+    assert uses and {function for function, _ in uses} == {"_stdout"}, uses
+    assert len(writes) == 1, f"sys.stdout.write at lines {[w.lineno for w in writes]}"
+    assert not prints, f"print to standard output at lines {prints}"
+
+
 # run in a fresh interpreter, because install() patches the package and
 # concurrent.futures for the rest of the process
 TRACED_RUN = """

@@ -9,11 +9,12 @@ Subcommands:
 
 Configuration is plain `key = value` text (# comments), overridable with
 repeated --set key=value flags; each subparser declares its handler and the
-keys it accepts, and any other key is an error.  The parser is built once,
-when this module is imported, and every `main` call parses with it.  CSV
-output is RFC-4180 style with 17 significant digits in numpy's exact `%.16e`
-(_format_array), byte-identical across reruns and worker counts.  Library
-callers import run_point, run_sweep and the finders from here.
+keys it accepts, and any other key is an error.  Each key's text is parsed
+once, through the table _KEYS.  The parser is built once, when this module
+is imported, and every `main` call parses with it.  CSV output is RFC-4180
+style with 17 significant digits in numpy's exact `%.16e` (_format_array),
+byte-identical across reruns and worker counts.  Library callers import
+run_point, run_sweep and the finders from here.
 
 Exit codes: 0 success, 2 configuration error (a bad or unused key, or an
 unwritable output path or standard output), 3 numerical failure (a
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures  # perfbench/tracing.py patches its pool class; nothing starts one
 import contextlib
+import functools
 import math
 import os
 import re
@@ -41,7 +43,7 @@ import numpy as np
 from . import __version__
 from .measures import QUANTITY_COLUMNS, measure_columns
 from .model import _PARAM_NAMES as PARAM_COLUMNS, DELTA_B, ModelParams, OverflowRisk, _point_text
-from .xfer import DegenerateGap, InvalidN, NotAState
+from .xfer import DegenerateGap
 
 __all__ = [
     "ConfigError",
@@ -174,10 +176,14 @@ def _sweep_chunk(columns: dict, quantities, delta_b: float, alt: bool) -> dict:
 def _axis_values(name: str, start: float, stop: float, count: int,
                  floor: float = -math.inf) -> np.ndarray:
     """`count` >= 2 evenly spaced values from start to stop inclusive; a range
-    that is not increasing above `floor`, or a value that is not finite (the
-    ends, or an overflow between them), raises ConfigError naming the range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = start + (stop - start) * np.arange(count) / (count - 1)
+    that is not increasing above `floor`, a value that is not finite (the ends,
+    or an overflow between them) or a count past memory raises ConfigError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = start + (stop - start) * np.arange(count) / (count - 1)
+    except (MemoryError, ValueError) as exc:  # past the memory, or past numpy's size limit
+        raise ConfigError(f"bad {name} range ({start!r}, {stop!r}): {count} values are too "
+                          f"many to hold") from exc
     if not (floor < start < stop and np.isfinite(values).all()):
         raise ConfigError(f"bad {name} range ({start!r}, {stop!r}): need {floor:g} < lo < hi "
                           f"and {count} finite values")
@@ -406,7 +412,7 @@ def _write_sweeps(cfgs) -> list[str]:
         _make_dir(cfg.out + ".manifest.txt")
     first = cfgs[0]
     grid = _grid([cfg.params for cfg in cfgs], first.axes)
-    values = _sweep_chunk(_with_impurity(grid, first.impurity), first.quantities,
+    values = _sweep_chunk(grid if first.impurity else dict(grid, gamma=0.0), first.quantities,
                           first.delta_b, first.alt_correlators)
     shape = (len(cfgs),) + tuple(count for *_, count in first.axes)
     text = _format_array(np.concatenate([grid[name].ravel() for name, *_ in first.axes]))
@@ -649,18 +655,14 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_TRUE_WORDS = ("1", "true", "on", "yes")
-_FALSE_WORDS = ("0", "false", "off", "no")
-
-
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read `key = value` lines of UTF-8 text; '#' starts a comment, blank
-    lines ignored."""
+    """Read `key = value` lines of UTF-8 text, after one leading byte-order
+    mark; '#' starts a comment, blank lines ignored."""
     mapping: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
+                line = raw.removeprefix("\ufeff" if lineno == 1 else "").split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
@@ -674,31 +676,12 @@ def parse_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
-def _parse_impurity(mapping: dict[str, str]) -> bool:
-    value = mapping.get("impurity", "on")
-    low = value.strip().lower()
-    if low not in _TRUE_WORDS + _FALSE_WORDS:
-        raise ConfigError(f"impurity: expected on/off, got {value!r}")
-    return low in _TRUE_WORDS
-
-
-def _with_impurity(params, impurity: bool):
-    """The parameters (a ModelParams or a sweep grid) the solver evaluates for
-    the `impurity` key: `off` is the homogeneous chain, the chain at gamma = 0."""
-    if impurity:
-        return params
-    if isinstance(params, ModelParams):
-        return replace(params, gamma=0.0)
-    return dict(params, gamma=0.0)
-
-
 def _parse_axis(text: str) -> tuple[str, float, float, int]:
     parts = text.replace(",", " ").split()
     if len(parts) != 4:
         raise ConfigError(f"axis needs 'name start stop count', got {text!r}")
-    name, start, stop, count = parts
     try:
-        return name, float(start), float(stop), int(count)
+        return parts[0], float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ConfigError(f"bad axis {text!r}: {exc}") from exc
 
@@ -711,54 +694,28 @@ def _number(key: str, text: str) -> float:
         raise ConfigError(f"{key}: not a number: {text!r}") from exc
 
 
-def _parse_delta_b(mapping: dict[str, str]) -> float:
-    value = _number("delta_b", mapping["delta_b"]) if "delta_b" in mapping else DELTA_B
-    _check_positive("delta_b", value)
-    return value
+def _on_off(text: str) -> bool:
+    if text.lower() not in ("1", "true", "on", "yes", "0", "false", "off", "no"):
+        raise ConfigError(f"impurity: expected on/off, got {text!r}")
+    return text.lower() in ("1", "true", "on", "yes")
 
 
-def _parse_params(mapping: dict[str, str]) -> dict[str, float]:
-    """The parameter keys of a mapping, in its order, as floats."""
-    return {key: _number(key, text) for key, text in mapping.items() if key in PARAM_COLUMNS}
+# configuration key -> the function that turns its text into its value
+_KEYS = {
+    **{key: functools.partial(_number, key) for key in PARAM_COLUMNS + ("delta_b",)},
+    **dict.fromkeys(("axis", "axis1", "axis2"), _parse_axis),
+    "impurity": _on_off,
+    "quantities": lambda text: tuple(q.strip() for q in text.split(",") if q.strip()),
+    "out": str,
+}
+# the value of an accepted key that the configuration does not give
+_DEFAULTS = {"impurity": True, "delta_b": DELTA_B, "out": "sweep.csv"}
 
 
-def _parse_quantities(mapping: dict[str, str], default: str) -> tuple[str, ...]:
-    return tuple(q.strip() for q in mapping.get("quantities", default).split(",") if q.strip())
-
-
-def _model_params(values: dict) -> ModelParams:
-    """ModelParams(**values); a key or value it rejects raises ConfigError."""
-    try:
-        return ModelParams(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_params(mapping: dict[str, str]) -> ModelParams:
-    return _model_params(_parse_params(mapping))
-
-
-def build_sweep_config(mapping: dict[str, str], alt_correlators: bool = False) -> SweepConfig:
-    params = build_params(mapping)
-    if "axis" in mapping and "axis1" in mapping:
-        raise ConfigError("keys 'axis' and 'axis1' both name the first sweep axis; give one")
-    axes = [_parse_axis(mapping[key]) for key in ("axis", "axis1", "axis2") if key in mapping]
-    if not axes:
-        raise ConfigError("no sweep axis given (use 'axis = NAME START STOP COUNT')")
-    if "axis" not in mapping and "axis1" not in mapping:
-        raise ConfigError("key 'axis2' names a second sweep axis, but no first one is given")
-    return SweepConfig(
-        params=params,
-        axes=tuple(axes),
-        quantities=_parse_quantities(mapping, "concurrence"),
-        out=mapping.get("out", "sweep.csv"),
-        delta_b=_parse_delta_b(mapping),
-        impurity=_parse_impurity(mapping),
-        alt_correlators=alt_correlators,
-    )
-
-
-def _collect_mapping(args) -> dict[str, str]:
+def _collect_mapping(args) -> dict:
+    """The config file's and the --set flags' keys (a flag wins), each parsed
+    by _KEYS in the order given, and the _DEFAULTS of the command's other
+    keys; an unused key or a rejected value raises ConfigError."""
     mapping = parse_config_file(args.config) if args.config else {}
     for item in args.set or []:
         if "=" not in item:
@@ -769,7 +726,40 @@ def _collect_mapping(args) -> dict[str, str]:
     if unknown:
         raise ConfigError(f"configuration key {unknown[0]!r} is not used by "
                           f"{args.command!r}; valid: {', '.join(args.keys)}")
-    return mapping
+    values = {key: _KEYS[key](text) for key, text in mapping.items()}
+    values = {key: value for key, value in _DEFAULTS.items() if key in args.keys} | values
+    _check_positive("delta_b", values.get("delta_b", DELTA_B))
+    return values
+
+
+def _model_params(values: dict) -> ModelParams:
+    """ModelParams(**values); a key or value it rejects raises ConfigError."""
+    try:
+        return ModelParams(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _point(values: dict) -> tuple[ModelParams, ModelParams]:
+    """The configured parameters of a command's `values`, and the point it
+    evaluates: the homogeneous chain, gamma = 0, under `impurity = off`."""
+    params = _model_params({k: v for k, v in values.items() if k in PARAM_COLUMNS})
+    return params, params if values["impurity"] else replace(params, gamma=0.0)
+
+
+def build_sweep_config(values: dict, alt_correlators: bool = False) -> SweepConfig:
+    params, _ = _point(values)
+    if "axis" in values and "axis1" in values:
+        raise ConfigError("keys 'axis' and 'axis1' both name the first sweep axis; give one")
+    axes = [values[key] for key in ("axis", "axis1", "axis2") if key in values]
+    if not axes:
+        raise ConfigError("no sweep axis given (use 'axis = NAME START STOP COUNT')")
+    if "axis" not in values and "axis1" not in values:
+        raise ConfigError("key 'axis2' names a second sweep axis, but no first one is given")
+    return SweepConfig(params=params, axes=tuple(axes),
+                       quantities=values.get("quantities", ("concurrence",)), out=values["out"],
+                       delta_b=values["delta_b"], impurity=values["impurity"],
+                       alt_correlators=alt_correlators)
 
 
 def _workers(args) -> int:
@@ -838,16 +828,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_point(args) -> int:
-    mapping = _collect_mapping(args)
-    params = build_params(mapping)
-    quantities = _parse_quantities(mapping, ",".join(QUANTITY_COLUMNS))
-    impurity = _parse_impurity(mapping)
-    delta_b = _parse_delta_b(mapping)
+    config = _collect_mapping(args)
+    params, evaluated = _point(config)
+    quantities = config.get("quantities", tuple(QUANTITY_COLUMNS))
     # the configuration is checked whole before the output directory is made
     _check_quantities(quantities)
     if args.out is not None:
         _make_dir(args.out)
-    values = run_point(_with_impurity(params, impurity), quantities, delta_b=delta_b,
+    values = run_point(evaluated, quantities, delta_b=config["delta_b"],
                        alt_correlators=args.debug_paper_correlators)
     row = tuple(vars(params).values()) + tuple(values.values())
     _write_csv([args.out], PARAM_COLUMNS + tuple(values), [np.array([v]) for v in row])
@@ -855,39 +843,32 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mapping = _collect_mapping(args)
+    values = _collect_mapping(args)
     if args.out is not None:
-        mapping["out"] = args.out
-    cfg = build_sweep_config(mapping, alt_correlators=args.debug_paper_correlators)
+        values["out"] = args.out
+    cfg = build_sweep_config(values, alt_correlators=args.debug_paper_correlators)
     _stdout(run_sweep(cfg, workers=_workers(args)) + "\n")
     return 0
 
 
 def _cmd_threshold(args) -> int:
-    mapping = _collect_mapping(args)
-    params = _with_impurity(build_params(mapping), _parse_impurity(mapping))
-    t_th = find_threshold_temperature(params, (args.t_min, args.t_max))
-    if t_th is None:
-        _stdout("none\n")
-        return 4
-    _stdout(_format(t_th) + "\n")
-    return 0
+    t_th = find_threshold_temperature(_point(_collect_mapping(args))[1], (args.t_min, args.t_max))
+    _stdout("none\n" if t_th is None else _format(t_th) + "\n")
+    return 4 if t_th is None else 0
 
 
 def _cmd_critical(args) -> int:
-    mapping = _collect_mapping(args)
-    params = _with_impurity(build_params(mapping), _parse_impurity(mapping))
-    delta_b = _parse_delta_b(mapping)
-    target = args.target.replace("-", "_")
-    b_star = find_critical_field(params, (args.b_min, args.b_max), target,
-                                 tol=args.tol, delta_b=delta_b)
+    values = _collect_mapping(args)
+    b_star = find_critical_field(_point(values)[1], (args.b_min, args.b_max),
+                                 args.target.replace("-", "_"), tol=args.tol,
+                                 delta_b=values["delta_b"])
     _stdout(_format(b_star) + "\n")
     return 0
 
 
 def _cmd_figure(args) -> int:
-    overrides = _parse_params(_collect_mapping(args))
-    for path in run_figure(args.preset, args.out, overrides, workers=_workers(args)):
+    # the overrides stay numbers until run_figure has checked the keys it owns
+    for path in run_figure(args.preset, args.out, _collect_mapping(args), workers=_workers(args)):
         _stdout(path + "\n")
     return 0
 
@@ -904,8 +885,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteError, FloatingPointError, OverflowRisk, DegenerateGap, NotAState,
-            InvalidN) as exc:
+    except (NonFiniteError, FloatingPointError, OverflowRisk, DegenerateGap) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except NotFound as exc:

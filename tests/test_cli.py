@@ -27,7 +27,6 @@ from impurity_chain.cli import (
     NotFound,
     NonFiniteError,
     SweepConfig,
-    build_params,
     build_sweep_config,
     concurrence_sign_brackets,
     find_critical_field,
@@ -46,6 +45,11 @@ STANDARD = dict(g1=1.2, g2=5.0, g3=1.1)
 QUANTITY_ORDER = ("concurrence", "coherence", "sxsx", "szsz", "qfi", "qfi_dB", "favg",
                   "cout", "rho_elements")
 B_STAR = 1.0 / ((5.0 - 1.1) * 0.2)
+
+
+def parsed(*argv) -> dict:
+    """The configuration values of a CLI command line, parsed as main parses them."""
+    return cli._collect_mapping(cli._PARSER.parse_args(argv))
 
 
 def record_kernel_calls(monkeypatch) -> list:
@@ -170,8 +174,7 @@ class TestConfigParsing:
             "axis = B 0 3 11\n"
             "quantities = concurrence, favg\n"
         )
-        mapping = parse_config_file(str(path))
-        cfg = build_sweep_config(mapping)
+        cfg = build_sweep_config(parsed("sweep", "--config", str(path)))
         assert cfg.params.Delta == 0.5
         assert cfg.axes == (("B", 0.0, 3.0, 11),)
         assert cfg.quantities == ("concurrence", "favg")
@@ -186,13 +189,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
 
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # as Windows Notepad writes it before the first key
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "run.cfg"
+            path.write_bytes(mark + b"B = 0.5\nT = 0.1\n")
+            assert cli.main(["point", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
+
     def test_bad_number(self):
         with pytest.raises(ConfigError):
-            build_params({"T": "warm"})
+            parsed("point", "--set", "T=warm")
 
     def test_invalid_physics_becomes_config_error(self):
         with pytest.raises(ConfigError):
-            build_params({"J": "0"})
+            cli._point(parsed("point", "--set", "J=0"))
 
     @pytest.mark.parametrize("axes", [
         (), (("B", 0.0, 3.0, 11), ("T", 0.1, 1.0, 5), ("Delta", 0.0, 2.0, 3)),
@@ -1043,6 +1056,20 @@ class TestFigurePresets:
             pytest.fail("no curve failed alone")
 
 
+# every subcommand's configuration keys, and a value of each key that its parser rejects
+COMMAND_KEYS = {name: sp.get_default("keys") for name, sp in next(
+    action for action in cli._PARSER._actions
+    if isinstance(action, argparse._SubParsersAction)).choices.items()}
+MALFORMED = {**dict.fromkeys(cli.PARAM_COLUMNS + ("delta_b",), "abc"),
+             **dict.fromkeys(("axis", "axis1", "axis2"), "B 0 1"),
+             "impurity": "maybe", "quantities": "entropy", "out": ""}
+
+
+def set_flags(config: dict) -> list:
+    """--set KEY=VALUE for each item of `config`."""
+    return [arg for k, v in config.items() for arg in ("--set", f"{k}={v}")]
+
+
 class TestMainEntry:
     @pytest.mark.parametrize("point, step", [(["--set", "B=1e20"], "0.001"),
                                              (["--set", "B=0.3", "--set", "delta_b=5e-324"],
@@ -1153,6 +1180,34 @@ class TestMainEntry:
         assert code == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "sxsx_alt" in header and "szsz_alt" in header
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c, keys in COMMAND_KEYS.items()
+                                              for k in keys])
+    def test_a_malformed_value_of_every_key_exits_2(self, command, key, tmp_path, capsys):
+        config = {"axis": "B 0 1 3", "out": str(tmp_path / "s.csv")} if command == "sweep" else {}
+        if key in ("axis", "axis1"):
+            del config["axis"]
+        config[key] = MALFORMED[key]
+        flags = {"point": ["--out", str(tmp_path / "p.csv")],
+                 "figure": ["fig3", "--out", str(tmp_path / "figs")]}.get(command, [])
+        assert cli.main([command, *flags, *set_flags(config)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error:") and repr(MALFORMED[key]) in line
+        assert not captured.out and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("count", [10 ** 14, 10 ** 19])
+    @pytest.mark.parametrize("key", ["axis", "axis2"])
+    def test_an_axis_count_past_memory_exits_2(self, key, count, tmp_path, capsys):
+        # 10^14 values take 728 TiB, past the address space, so none is allocated;
+        # 10^19 is past numpy's array size limit
+        axes = {"axis": "B 0 1 3", key: f"T 0.1 1 {count}"}
+        assert cli.main(["sweep", "--out", str(tmp_path / "s.csv"), *set_flags(axes)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("configuration error: bad T range (0.1, 1.0): ")
+        assert str(count) in line
+        assert not captured.out and not any(tmp_path.iterdir())
 
     def test_bad_delta_b_exit_code(self, capsys):
         assert cli.main(["point", "--set", "delta_b=abc"]) == 2
@@ -1577,8 +1632,8 @@ class TestDefaults:
         assert cli.PARAM_COLUMNS == tuple(f.name for f in dataclasses.fields(ModelParams))
 
     def test_cli_step_without_a_key_is_the_one_step(self):
-        assert build_sweep_config({"axis": "B 0 1 3"}).delta_b == DELTA_B
-        assert cli._parse_delta_b({}) == DELTA_B
+        assert build_sweep_config(parsed("sweep", "--set", "axis=B 0 1 3")).delta_b == DELTA_B
+        assert parsed("critical")["delta_b"] == DELTA_B
 
     @pytest.mark.parametrize("finder, defaults", FINDER_DEFAULTS,
                              ids=[f.__name__ for f, _ in FINDER_DEFAULTS])

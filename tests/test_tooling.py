@@ -13,6 +13,7 @@ renamed name breaks `perfbench/run.py --trace 1`.  The file is loaded by path
 stays unpatched for the other tests.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -57,6 +58,15 @@ def test_benchmark_runs_every_figure_preset():
                and any(getattr(target, "id", None) == "PRESETS" for target in node.targets)]
     cli = importlib.import_module("impurity_chain.cli")
     assert presets == [tuple(cli.FIGURE_PRESETS)]
+
+
+def test_every_configuration_key_has_one_parser():
+    # no key is accepted without a parser, and none is parsed that no command takes
+    cli = importlib.import_module("impurity_chain.cli")
+    subparsers = next(action for action in cli._PARSER._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    accepted = {key for sp in subparsers.choices.values() for key in sp.get_default("keys")}
+    assert accepted == set(cli._KEYS)
 
 
 def package_attributes(path: pathlib.Path) -> set[tuple[str, str]]:

@@ -456,17 +456,9 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def concurrence_sign_brackets(p: ModelParams, t_range) -> int:
-    """(C > 0) sign changes of C(T) on _thresholds' scan, same ConfigErrors."""
-    return int(_coarse_scan(_grid([p], ()), t_range)[2].sum())
-
-
-def _coarse_scan(params: dict, t_range):
-    """The scan temperatures, C > 0 at each per point of _thresholds' `params`
-    and its flips between neighbours; one evaluator call for every point."""
-    temps = _axis_values("temperature", *t_range, _SCAN_POINTS, floor=0.0)
-    scan = {k: v[:, None] for k, v in params.items()}
-    positive = measure_columns(dict(scan, T=temps[None, :]), ("concurrence",))["concurrence"] > 0.0
-    return temps, positive, positive[:, :-1] != positive[:, 1:]
+    """(C > 0) sign changes of C(T) on the threshold scan: a batch of one of
+    _thresholds, which also bisects the last bracket."""
+    return int(_thresholds(_grid([p], ()), t_range)[1][0])
 
 
 def _thresholds(params: dict, t_range):
@@ -484,7 +476,10 @@ def _thresholds(params: dict, t_range):
     scan, and a count is the number of sign changes on that scan.  Raises
     ConfigError (a ValueError) for a range that is not finite with 0 < lo < hi.
     """
-    temps, positive, flips = _coarse_scan(params, t_range)
+    temps = _axis_values("temperature", *t_range, _SCAN_POINTS, floor=0.0)
+    scan = {k: v[:, None] for k, v in params.items()}
+    positive = measure_columns(dict(scan, T=temps), ("concurrence",))["concurrence"] > 0.0
+    flips = positive[:, :-1] != positive[:, 1:]
     counts = flips.sum(axis=1)
     found = np.flatnonzero(counts)
     last = _SCAN_POINTS - 2 - np.argmax(flips[found, ::-1], axis=1)

@@ -147,17 +147,18 @@ _COLUMNS = {
 def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
     """Every column of the requested quantities at parameter points of any shape.
 
-    `params` holds the keyword arguments of `limit_states`, broadcasting to
-    the points' shape; `quantities` are keys of QUANTITY_COLUMNS, or the
+    `params` holds the keyword arguments of `limit_states`, T included,
+    broadcasting from the right to the points' shape, which is (1,) for a
+    point of floats; `quantities` are keys of QUANTITY_COLUMNS, or the
     columns sxsx_alt and szsz_alt.  The fields [B, B + delta_b, B - delta_b]
-    are a leading axis of B in one limit_states call: B if a quantity needs
-    the points' own states, the others for qfi_dB, the central difference
-    (F(B + delta_b) - F(B - delta_b)) / (2 delta_b) of one QFI evaluation
-    over them all, at the default step model.DELTA_B.  Returns column ->
-    array of the points' shape ((1,) for floats), in request order; raises
-    ValueError for a delta_b that is not positive and finite when qfi_dB is
-    requested, and FloatingPointError naming the first point where
-    B + delta_b or B - delta_b is B.
+    are a leading axis of B, padded to the points' rank, in one limit_states
+    call: B if a quantity needs the points' own states, the others for
+    qfi_dB, the central difference (F(B + delta_b) - F(B - delta_b)) /
+    (2 delta_b) of one QFI evaluation over them all, at the default step
+    model.DELTA_B.  Returns column -> array of the points' shape, in request
+    order; raises ValueError for a delta_b that is not positive and finite
+    when qfi_dB is requested, and FloatingPointError naming the first point
+    where B + delta_b or B - delta_b is B.
     """
     b = params["B"]
     if not isinstance(b, float):
@@ -168,15 +169,12 @@ def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
             raise ValueError(f"step must be positive and finite, got {delta_b}")
         fields += [b + delta_b, b - delta_b]
     # the fields lead B, padded to the points' rank: states (5, fields, *points)
-    rank = max([np.ndim(v) for v in params.values() if not isinstance(v, float)], default=0)
+    rank = max([np.ndim(v) for v in params.values() if not isinstance(v, float)] + [1])
     stacked = np.array(fields)
-    if stacked.ndim <= rank:
-        stacked = np.expand_dims(stacked, tuple(range(1, rank + 2 - stacked.ndim)))
-    states = limit_states(**dict(params, B=stacked))
+    shape = stacked.shape[:1] + (1,) * (rank + 1 - stacked.ndim) + stacked.shape[1:]
+    states = limit_states(**dict(params, B=stacked.reshape(shape)))
     fisher = qfi_batch(states) if "qfi" in quantities or "qfi_dB" in quantities else None
-    # a point of floats is a batch of one, its fields the states' one axis
-    own, plus, minus = (0, -2, -1) if rank else (slice(1), slice(-2, -1), slice(-1, None))
-    at, columns = states[:, own], {}
+    at, columns = states[:, 0], {}
     for q in quantities:
         if q == "qfi_dB":
             lost = (fields[-2] == b) | (fields[-1] == b)
@@ -185,9 +183,9 @@ def measure_columns(params: dict, quantities, delta_b: float = DELTA_B) -> dict:
                 _raise_at(FloatingPointError, f"the step delta_b={delta_b!r} is lost against B "
                           "(B +- delta_b == B: dF/dB would read 0)", np.asarray(lost),
                           [params[k] for k in _PARAM_NAMES])
-            columns[q] = (fisher[plus] - fisher[minus]) / (2.0 * delta_b)
+            columns[q] = (fisher[-2] - fisher[-1]) / (2.0 * delta_b)
         elif q == "qfi":
-            columns[q] = fisher[own]
+            columns[q] = fisher[0]
         elif q == "rho_elements":
             columns.update(zip(QUANTITY_COLUMNS[q], at))
         else:

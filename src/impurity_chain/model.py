@@ -94,9 +94,10 @@ def _point_text(args, index: int) -> str:
 
 def _raise_at(error, message: str, bad: np.ndarray, args) -> None:
     """Raise `error` naming the first point, in row order, flagged in `bad`,
-    whose last axes are the points' or broadcast to them."""
-    shape = np.broadcast(*args[:-1], np.atleast_1d(args[-1])).shape
-    flagged = bad.reshape((-1,) + bad.shape[bad.ndim - len(shape):]).any(axis=0)
+    whose last axes broadcast to the points': the shape of all `args`, with
+    at least one axis."""
+    shape = np.broadcast(*args).shape or (1,)
+    flagged = bad.reshape((-1,) + bad.shape[max(bad.ndim - len(shape), 0):]).any(axis=0)
     i = int(np.flatnonzero(np.broadcast_to(flagged, shape))[0])
     raise error(f"{message} at {_point_text(args, i)}")
 

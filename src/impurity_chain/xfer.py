@@ -20,10 +20,12 @@ angle, so the kernel takes no trigonometric function; the ring's come from
 binary powering over nonnegative entries.  Nothing is divided by w0; the
 ring's coefficients involve no subtraction and the limit's only
 D = w(+1) - w(-1), so no state loses digits when host and defect favour
-different nodal sectors at low T.  limit_states takes points of any shape in
-kernel calls of whole slices of the first axis, at most 601 points each: on
-rows of parameters over a temperature axis the kernel takes each row's
-levels, shifts and projectors once.
+different nodal sectors at low T.  Every argument, T included, broadcasts
+to the points' shape from the right, and the kernel's constant tables take
+the rank of its widest argument, with at least one axis.  limit_states takes
+points of any shape in kernel calls of at most 601 points, cut along the
+first axis: on rows of parameters over a temperature axis the kernel takes
+each row's levels, shifts and projectors once.
 
 A call of a few points costs its numpy operations, not its arithmetic, so
 the kernel makes few of them and keeps every bit: a float parameter stays a
@@ -211,9 +213,10 @@ def _kernel(args, ring: int | None = None):
     """States (5, *points) of the defect dimer, and log Z of the ring.
 
     `args` are the ModelParams fields as scalars or arrays broadcasting to
-    the points' shape, with T of the points' rank (or a scalar: one axis).
-    Levels, shifts and projectors take the shape of the arguments but T, so
-    a (rows, 1) x (1, k) grid takes them once per row.  With ring=None the
+    the points' shape from the right, T included; the points have the rank
+    of the widest argument, and at least one axis.  Levels, shifts and
+    projectors take the shape of the arguments but T, so (rows, 1) rows over
+    (k,) temperatures take them once per row.  With ring=None the
     host coefficients are the infinite chain's dominant projector and log Z
     is None; with ring=N they are those of W_h^(N-1) in the N-cell ring,
     and log Z_N is returned with the points' shape.  See limit_states for
@@ -221,8 +224,8 @@ def _kernel(args, ring: int | None = None):
     """
     # a float stays a Python float, whose arithmetic costs no numpy call; any
     # other scalar, a list or an array is converted
-    J, Delta, J0, g1, g2, g3, gamma, B = [
-        a if isinstance(a, float) else np.asarray(a, dtype=float) for a in args[:-1]]
+    params = [a if isinstance(a, float) else np.asarray(a, dtype=float) for a in args[:-1]]
+    J, Delta, J0, g1, g2, g3, gamma, B = params
     T = np.array(args[-1], dtype=float, ndmin=1)
     t_min = np.minimum.reduce(T, axis=None)
     if not t_min > 0.0:
@@ -230,7 +233,9 @@ def _kernel(args, ring: int | None = None):
     if t_min < _TINY:
         _raise_at(OverflowRisk, "1/T overflows", T < _TINY, args)
     beta = 1.0 / T
-    signs, nodal, half, field, family = _leading_axes(T.ndim)
+    # the points' rank is that of the widest argument (floats are rank 0)
+    rank = max([T.ndim] + [a.ndim for a in params if not isinstance(a, float)])
+    signs, nodal, half, field, family = _leading_axes(rank)
 
     # dimer levels, shape (level, family, sector, point).  A Zeeman term or
     # exchange past the float range leaves a level, or its height above its
@@ -350,11 +355,11 @@ def _kernel(args, ring: int | None = None):
 def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     """Thermodynamic-limit defect-dimer states over broadcast parameter arrays.
 
-    The arguments are the ModelParams fields as scalars or arrays that
-    broadcast to the points' shape, of any rank.  Returns a (5, *points)
-    array, (5, 1) for scalars, whose rows are the X-state elements r11,
-    r22, r33, r44 and r23 of each point.  The homogeneous chain, whose
-    defect cell is a host cell, is gamma = 0.
+    The arguments are the ModelParams fields as scalars or arrays of any
+    rank, which broadcast from the right to the points' shape, T included.
+    Returns a (5, *points) array, (5, 1) for scalars, whose rows are the
+    X-state elements r11, r22, r33, r44 and r23 of each point.  The
+    homogeneous chain, whose defect cell is a host cell, is gamma = 0.
 
     Per point: the closed-form spectra of the host and defect dimer blocks
     in all three nodal sectors; host sector weights referenced to the host
@@ -372,24 +377,20 @@ def limit_states(J, Delta, J0, g1, g2, g3, gamma, B, T) -> np.ndarray:
     overflowing), DegenerateGap (a degenerate dominant host eigenvalue, a
     degenerate or non-finite sector mixture, or a trace that disagrees with
     the weight sum) naming the first failing point, and ValueError for a
-    non-positive temperature.  Kernel calls take whole slices of the first
-    axis, at most 601 points (a preset sweep) each, and a slice wider than
-    that is cut again along its own next axis, so an error names the first
-    failing point in row order.
+    non-positive temperature.  Up to 601 points (a preset sweep) are one
+    kernel call; more are cut into whole slices of the first axis, and a
+    slice wider than 601 points is cut again along its own next axis, so an
+    error names the first failing point in row order.
     """
     args = (J, Delta, J0, g1, g2, g3, gamma, B, T)
     # floats broadcast to any shape, so only the other arguments are looked at
     shape = np.broadcast(*[a for a in args if not isinstance(a, float)]).shape
     rank, size = len(shape), math.prod(shape)
-    # T takes the points' rank, which sets the kernel's; a scalar T takes one
-    if rank > 1 and np.ndim(T) < rank:
-        T = np.asarray(T)
-        args = args[:-1] + (T.reshape((1,) * (rank - T.ndim) + T.shape),)
-    if rank > 1 and shape[0] == 1:  # one slice: the kernel takes it a rank down
-        return limit_states(*[a if isinstance(a, float) or np.ndim(a) < rank else a[0]
-                              for a in args])[:, None]
     if size <= _BLOCK:
         return _kernel(args)[0] if size else np.empty((5,) + shape)
+    if shape[0] == 1:  # one slice, too wide: cut along its next axis
+        return limit_states(*[a if isinstance(a, float) or np.ndim(a) < rank else a[0]
+                              for a in args])[:, None]
     step = max(_BLOCK * shape[0] // size, 1)
     return np.concatenate([
         limit_states(*(a[i:i + step] if np.ndim(a) == rank and len(a) > 1 else a for a in args))

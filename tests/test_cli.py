@@ -739,10 +739,11 @@ class TestThresholdFinder:
         temps = [0.01 + (1.2 - 0.01) * i / 63 for i in range(64)]
 
         def scalar_threshold(p):
+            """The threshold and the count of sign flips on the scan."""
             positive = [concurrence_at(replace(p, T=t)) > 0.0 for t in temps]
             flips = [i for i in range(63) if positive[i] != positive[i + 1]]
             if not flips:
-                return math.nan
+                return math.nan, 0
             t_lo, t_hi = temps[flips[-1]], temps[flips[-1] + 1]
             side = positive[flips[-1]]
             while t_hi - t_lo > 1e-6:
@@ -751,14 +752,15 @@ class TestThresholdFinder:
                     t_lo = mid
                 else:
                     t_hi = mid
-            return 0.5 * (t_lo + t_hi)
+            return 0.5 * (t_lo + t_hi), len(flips)
 
         for gamma in (0.0, -0.8):
             rows = [ModelParams(**STANDARD, Delta=2.0 * i / 80.0, J0=0.7, gamma=gamma,
                                 B=0.5, T=0.05) for i in range(81)]
             thresholds, counts = thresholds_of(rows, t_range)
-            assert np.array_equal(thresholds, [scalar_threshold(p) for p in rows], equal_nan=True)
-            assert counts.tolist() == [concurrence_sign_brackets(p, t_range) for p in rows]
+            scalar_thresholds, flip_counts = zip(*[scalar_threshold(p) for p in rows])
+            assert np.array_equal(thresholds, scalar_thresholds, equal_nan=True)
+            assert counts.tolist() == list(flip_counts)
             assert not np.isnan(thresholds).all()
 
     def test_batch_mixes_rows_with_and_without_brackets(self):

@@ -226,7 +226,14 @@ def test_grid_is_its_flattened_batch(grid_rows, k):
     # the evaluator too, whose qfi_dB fields lead the points: (3, 8, 5, k)
     # over the sweeps
     flat = measure_columns(batch, tuple(QUANTITY_COLUMNS))
-    for g, shape in ((grid, (GRID_ROWS, k)), (sweeps, (SWEEPS, GRID_ROWS // SWEEPS, k))):
+    # T broadcasts from the right like every other argument: as (k,), as
+    # (1, 1, k) over rows of a lower rank, and as a float where k is 1
+    forms = [(grid, (GRID_ROWS, k)), (dict(grid, T=temps), (GRID_ROWS, k)),
+             (dict(grid, T=temps[None, None, :]), (1, GRID_ROWS, k)),
+             (sweeps, (SWEEPS, GRID_ROWS // SWEEPS, k))]
+    if k == 1:
+        forms.append((dict(grid, T=float(temps[0])), (GRID_ROWS, 1)))
+    for g, shape in forms:
         grid_states = limit_states(**g)
         assert grid_states.shape == (5,) + shape and grid_states.tobytes() == states.tobytes()
         columns = measure_columns(g, tuple(QUANTITY_COLUMNS))
@@ -259,8 +266,16 @@ def test_grid_errors_name_the_flattened_batch_point(grid_rows):
     temps[37] = 0.0
     bad_rows = valid[:23] + [overflow] + valid[23:-1]
     evaluators = (lambda g: limit_states(**g), lambda g: measure_columns(g, ("qfi", "qfi_dB")))
-    for rows, t, error in ((valid, temps, ValueError), (bad_rows, TEMPS[:64], OverflowRisk)):
-        *grids, batch = grid_and_batch(rows, t)
+    cases = [(grid_and_batch(valid, temps), ValueError),
+             (grid_and_batch(bad_rows, TEMPS[:64]), OverflowRisk)]
+    # a T of lower rank than the points, (5, 64) under the sweeps' (8, 5, 1)
+    # rows, with a zero in its fourth row only
+    _, sweeps, batch = grid_and_batch(valid, TEMPS[:64])
+    per_row = np.tile(TEMPS[:64], (GRID_ROWS // SWEEPS, 1))
+    per_row[3, 37] = 0.0
+    cases.append(((dict(sweeps, T=per_row), dict(batch, T=np.tile(per_row.ravel(), SWEEPS))),
+                  ValueError))
+    for (*grids, batch), error in cases:
         for evaluate in evaluators:
             with pytest.raises(error) as flat:
                 evaluate(batch)
@@ -268,6 +283,20 @@ def test_grid_errors_name_the_flattened_batch_point(grid_rows):
                 with pytest.raises(error, match="at J=") as named:
                     evaluate(g)
                 assert str(named.value) == str(flat.value)
+
+
+def test_lost_step_names_its_point_under_a_lower_rank_b():
+    # B of shape (3, 1) under (2, 1, 1) rows, its step lost in its third row
+    # only: the error names that point, as the flattened batch does
+    j0 = np.array([1.0, 2.0])[:, None, None]
+    b = np.array([0.5, 0.7, 1e20])[:, None]
+    params = dict(vars(ModelParams(Delta=0.5, gamma=-0.8, T=0.3)), J0=j0, B=b)
+    flat = dict(params, J0=np.repeat(j0.ravel(), 3), B=np.tile(b.ravel(), 2))
+    with pytest.raises(FloatingPointError) as expected:
+        measure_columns(flat, ("qfi_dB",))
+    with pytest.raises(FloatingPointError, match="B=1e[+]20") as named:
+        measure_columns(params, ("qfi_dB",))
+    assert str(named.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,22 @@ def evaluator_or_exception(module: str, name: str) -> bool:
     return isinstance(value, type) and issubclass(value, Exception)
 
 
+def test_reference_imports_nothing_of_the_package():
+    # tests/test_reference.py checks the package against perfbench/reference.py,
+    # which shows something only while the reference shares no code with it:
+    # no import of impurity_chain, relative or by name
+    tree = ast.parse((TRACING.parent / "reference.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    named = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "impurity_chain" in node.value]
+    wrong = [m for m in imported if m.startswith(".") or m.split(".")[0] == "impurity_chain"]
+    assert not wrong + named, f"perfbench/reference.py imports the package: {wrong + named}"
+
+
 def test_cli_evaluates_through_the_one_evaluator():
     # cli.py is read, not imported: of the state, measure and teleport
     # modules it may import only the evaluator, its quantity table and

@@ -146,14 +146,24 @@ class SweepConfig:
         _check_positive("delta_b", self.delta_b)
 
 
-def _grid(params, axes) -> dict[str, np.ndarray]:
+def _grid(params, axes, curves=None) -> dict:
     """The points of sweeps of the ModelParams `params` over the same 0-2 `axes`,
-    one float array per field broadcasting to (sweeps[, axis1[, axis2]]): each
-    sweep, and each of its axes, on its own array axis."""
-    grid = {c: np.array([getattr(p, c) for p in params], dtype=float)
-            .reshape((-1,) + (1,) * len(axes)) for c in PARAM_COLUMNS}
-    for k, axis in enumerate(axes, start=1):
-        grid[axis[0]] = _axis_values(*axis).reshape((1,) * k + (-1,) + (1,) * (len(axes) - k))
+    each axis on its own array axis after those of the sweeps.  Without
+    `curves`, every field is a float array on one axis of the sweeps:
+    (sweeps[, axis1[, axis2]]).  With `curves`, a preset's curve sets (key,
+    values) whose product the sweeps are, in file order, each set has its
+    own array axis and every other field is a float, so that a field has
+    length 1 on every axis it does not vary on: fig3's gamma is (2, 1, 1),
+    its T (1, 3, 1) and its B (1, 1, 601)."""
+    if curves is None:
+        lead, grid = [{c: [getattr(p, c) for p in params] for c in PARAM_COLUMNS}], {}
+    else:
+        lead = [{key: values} for key, values in curves]
+        grid = {c: float(getattr(params[0], c)) for c in PARAM_COLUMNS}
+    lead += [{axis[0]: _axis_values(*axis)} for axis in axes]
+    for k, fields in enumerate(lead):
+        pad = (1,) * k + (-1,) + (1,) * (len(lead) - k - 1)
+        grid.update((c, np.array(v, dtype=float).reshape(pad)) for c, v in fields.items())
     return grid
 
 
@@ -339,10 +349,13 @@ def _make_dir(path: str) -> None:
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    # one stat where the directory exists, as it does for every path of a
+    # preset but the first, instead of the syscalls of os.makedirs
+    if not os.path.isdir(directory):
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     if not os.access(path if os.path.exists(path) else directory, os.W_OK):
         raise ConfigError(f"cannot write {path}: permission denied")
 
@@ -395,29 +408,36 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> str:
     CSV the configured gamma.  An output or manifest path that cannot be
     written raises ConfigError before the grid is computed; the files are
     written once every value is finite, each over its old bytes in place and
-    cut to length (_create), and a failed write raises ConfigError too.  A
-    batch of one of _write_sweeps.
+    cut to length (_create), and a failed write raises ConfigError too.  The
+    manifest is written only beside a regular file or a new path, not
+    beside a device or FIFO (/dev/null, a pipe).  A batch of one of
+    _write_sweeps.
     """
-    return _write_sweeps([cfg])[0]
+    return _write_sweeps([cfg], ())[0]
 
 
-def _write_sweeps(cfgs) -> list[str]:
-    """run_sweep of sweeps that differ only in fixed parameters and output
-    paths, with one evaluator call over all their points (_grid) and one
-    _write_csv call over all their CSVs; the manifests follow, in the same
-    order, once every CSV is written.  The axes are formatted once, in one
-    call; each fixed parameter by _format, into its file's row template."""
+def _write_sweeps(cfgs, curves) -> list[str]:
+    """run_sweep of the sweeps of every combination of the `curves` sets
+    (key, values), in file order, with one evaluator call over their product
+    grid (_grid) and one _write_csv call over all their CSVs, whose values
+    are reshaped to (files, rows); the manifests follow, in the same order,
+    once every CSV is written.  The axes are formatted once, in one call;
+    each fixed parameter by _format, into its file's row template."""
+    manifests = []
     for cfg in cfgs:
         _make_dir(cfg.out)
-        _make_dir(cfg.out + ".manifest.txt")
+        if _file_or_new(cfg.out):
+            _make_dir(cfg.out + ".manifest.txt")
+            manifests.append(cfg)
     first = cfgs[0]
-    grid = _grid([cfg.params for cfg in cfgs], first.axes)
+    grid = _grid([cfg.params for cfg in cfgs], first.axes, curves)
     values = _sweep_chunk(grid if first.impurity else dict(grid, gamma=0.0), first.quantities,
                           first.delta_b, first.alt_correlators)
-    shape = (len(cfgs),) + tuple(count for *_, count in first.axes)
+    counts = tuple(count for *_, count in first.axes)
+    shape = tuple(len(v) for _, v in curves) + counts
     text = _format_array(np.concatenate([grid[name].ravel() for name, *_ in first.axes]))
-    parts = np.split(text.view(f"S{_WIDTH}").ravel(), np.cumsum(shape[1:])[:-1])
-    axes = {name: np.broadcast_to(t.reshape(grid[name].shape[1:]), shape[1:]).ravel()
+    parts = np.split(text.view(f"S{_WIDTH}").ravel(), np.cumsum(counts)[:-1])
+    axes = {name: np.broadcast_to(t.reshape(grid[name].shape[len(curves):]), counts).ravel()
             for (name, *_), t in zip(first.axes, parts)}
     columns = [axes[c] if c in axes else
                np.array([_format(getattr(cfg.params, c)).encode() for cfg in cfgs])[:, None]
@@ -426,9 +446,18 @@ def _write_sweeps(cfgs) -> list[str]:
     _write_csv([cfg.out for cfg in cfgs], PARAM_COLUMNS + tuple(values),
                columns + [(v if v.shape == shape else np.broadcast_to(v, shape))
                           .reshape(len(cfgs), -1) for v in values.values()])
-    for cfg in cfgs:
+    for cfg in manifests:
         _write_manifest(cfg)
     return [cfg.out for cfg in cfgs]
+
+
+def _file_or_new(path: str) -> bool:
+    """Whether `path` is a regular file or names nothing yet (a path that
+    cannot be looked at counts as new): not a device or FIFO."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return True
 
 
 def _write_manifest(cfg: SweepConfig) -> None:
@@ -625,8 +654,9 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
 
     `overrides` may set any parameter the preset holds fixed; one it sets
     per curve, axis value or scan point raises ConfigError before any file
-    is written, as does a bad output path.  A sweep preset's curves are one
-    (curves, axis) grid of one evaluator call, so no file is written unless
+    is written, as does a bad output path or an empty `outdir`.  A sweep
+    preset's grid is the product of its curve sets and its axis, each on
+    its own array axis, in one evaluator call, so no file is written unless
     the whole preset is finite.  Every preset runs in this process;
     `workers` is accepted as in run_sweep and changes no byte.
     """
@@ -637,11 +667,13 @@ def run_figure(name: str, outdir: str, overrides: dict, workers: int = 1) -> lis
         if key in owned:
             raise ConfigError(f"preset {name!r} sets {key!r} per curve, row, axis or scan, "
                               f"so it cannot be overridden")
-    _, _, _, axis, output = FIGURE_PRESETS[name]
+    _, _, curves, axis, output = FIGURE_PRESETS[name]
     jobs = _preset_jobs(name, outdir, overrides)
+    if not outdir:
+        raise ConfigError(f"cannot write {outdir!r}: empty path")
     if output[0] not in PARAM_COLUMNS:
         return _write_sweeps([SweepConfig(params=params, axes=(axis,), quantities=output, out=out)
-                              for params, out in jobs])
+                              for params, out in jobs], curves)
     for _, out in jobs:
         _make_dir(out)
     return _write_thresholds(jobs, axis, output)

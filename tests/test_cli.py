@@ -324,8 +324,10 @@ class TestRunSweep:
                                quantities=QUANTITY_ORDER)
         calls = record_kernel_calls(monkeypatch)
         run_sweep(cfg)
-        assert len(calls) == 6 and all(np.broadcast(*args[:-1]).shape == (1, 37)
-                                       for args in calls)
+        # qfi_dB's 3 fields x 25 x 37 points are past the 2,048-point cap, so
+        # the fields are cut 2 + 1, each call over all 25 temperatures
+        assert [np.broadcast(*args).shape for args in calls] == [(2, 25, 37), (1, 25, 37)]
+        assert [np.broadcast(*args[:-1]).shape[1:] for args in calls] == [(1, 37)] * 2
         lines = open(cfg.out, newline="").read().split("\r\n")[1:-1]
         assert len(lines) == 25 * 37
         for line in lines:
@@ -335,13 +337,13 @@ class TestRunSweep:
             assert line == ",".join(map(cli._format, row))
 
     def test_grid_kernel_calls_take_whole_rows(self, tmp_path, monkeypatch):
-        # a 41 x 21 B x T sweep: 28 rows of 21 temperatures a call, then 13
+        # a 41 x 21 B x T sweep is one call: 861 points, 41 of them temperature-free
         quantities = tuple(q for q in QUANTITY_ORDER if q != "qfi_dB")
         cfg = self.make_config(tmp_path, axes=(("B", 0.0, 3.0, 41), ("T", 0.02, 1.5, 21)),
                                quantities=quantities)
         calls = record_kernel_calls(monkeypatch)
         run_sweep(cfg)
-        assert [np.broadcast(*args).size for args in calls] == [588, 273]
+        assert [np.broadcast(*args).size for args in calls] == [861]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg1 = self.make_config(tmp_path, name="a.csv")
@@ -1002,19 +1004,27 @@ class TestFigurePresets:
             assert len(lines) == 82
 
     def test_fig22_kernel_calls_stay_within_a_sweep_size(self, tmp_path, monkeypatch):
-        sizes, kernel = [], xfer._kernel
-
-        def recording(args, ring=None):
-            sizes.append(np.broadcast(*args).size)
-            return kernel(args, ring)
-
-        monkeypatch.setattr(xfer, "_kernel", recording)
+        calls = record_kernel_calls(monkeypatch)
         run_figure("fig22-threshold", str(tmp_path), {})
-        # 162 rows of 64 temperatures in kernel calls of 9 whole rows, then
-        # 15 lockstep bisection steps from a bracket of 1.19/63 down to 1e-6
-        assert sizes[:18] == [9 * 64] * 18
-        assert len(sizes) == 33
-        assert max(sizes) <= 601
+        sizes = [np.broadcast(*args).size for args in calls]
+        # 162 rows of 64 temperatures in kernel calls of 32 whole rows (the
+        # 2,048-point cap; a row has one temperature-free point), then 15
+        # lockstep bisection steps from a bracket of 1.19/63 down to 1e-6
+        assert sizes[:6] == [32 * 64] * 5 + [2 * 64]
+        assert len(sizes) == 21
+        assert max(sizes) <= xfer._POINTS
+        assert max(np.broadcast(*args[:-1]).size for args in calls) <= xfer._FREE_POINTS
+
+    @pytest.mark.parametrize("name", ["fig3", "fig10"])
+    def test_temperature_curves_share_one_kernel_call_per_gamma(self, name, tmp_path,
+                                                                monkeypatch):
+        # 3 temperatures over 601 fields: the fields' levels are built once
+        calls = record_kernel_calls(monkeypatch)
+        run_figure(name, str(tmp_path), {})
+        assert len(calls) == 2
+        for gamma, args in zip((0.0, -0.8), calls):
+            assert np.broadcast(*args[:-1]).shape == (1, 1, 601)
+            assert np.shape(args[-1]) == (1, 3, 1) and np.ravel(args[6]).tolist() == [gamma]
 
     def test_dbqfi_kernel_calls_are_whole_curves(self, tmp_path, monkeypatch):
         # the fields B + delta_b and B - delta_b of 4 curves of 601 fields
@@ -1336,6 +1346,7 @@ class TestMainEntry:
         ["sweep", "--set", "axis=B 0 1 3", "--set", "out="],
         ["sweep", "--set", "axis=B 0 1 3", "--out", ""],
         ["point", "--out", ""],
+        ["figure", "fig3", "--out", ""],
     ])
     def test_empty_output_path_exit_code(self, argv, tmp_path, capsys, monkeypatch):
         # rejected by _make_dir before the kernel runs, as any unwritable path
@@ -1367,6 +1378,26 @@ class TestMainEntry:
                 os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
             reader.join(timeout=30)
         assert not reader.is_alive() and received == [expected]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_a_sweep_into_a_fifo_writes_no_manifest(self, tmp_path, capsys):
+        sweep = ["sweep", "--set", "axis=B 0 1 3", "--set", "T=0.1"]
+        assert cli.main(sweep + ["--out", str(tmp_path / "file.csv")]) == 0
+        expected = (tmp_path / "file.csv").read_bytes()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert cli.main(sweep + ["--out", str(fifo)]) == 0
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert not reader.is_alive() and received == [expected]
+        assert sorted(os.listdir(tmp_path)) == ["file.csv", "file.csv.manifest.txt", "pipe"]
+        assert capsys.readouterr().out.splitlines()[-1] == str(fifo)
 
     @pytest.mark.parametrize("quantities, named", BAD_QUANTITIES)
     @pytest.mark.parametrize("argv", [

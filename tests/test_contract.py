@@ -215,11 +215,12 @@ def grid_and_batch(rows, temps):
     return grid, sweeps, batch
 
 
-@pytest.mark.parametrize("k", [1, 7, 64, 601, 700])
+@pytest.mark.parametrize("k", [1, 7, 64, 601, 700, 2049])
 def test_grid_is_its_flattened_batch(grid_rows, k):
-    # 64 leaves 601 - 9 * 64 points of a call unused; a 700-point row is
-    # longer than a call and is cut again along its temperatures, as is a
-    # sweep of 5 rows past 120 temperatures
+    # a call takes at most 2,048 points: 32 rows of 64 temperatures, or 2
+    # rows of 700, so that a sweep of 5 rows of 700 is cut again along its
+    # rows; a 2,049-point row is longer than a call and is cut again along
+    # its temperatures
     temps = TEMPS[np.linspace(0, len(TEMPS) - 1, k).astype(int)]
     grid, sweeps, batch = grid_and_batch(grid_rows[0], temps)
     states = limit_states(**batch)

@@ -8,6 +8,7 @@ same bits whatever batch it is evaluated in.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,26 @@ class TestBlocks:
         temps[[700, 900]] = 1e-310, 1e-320
         with pytest.raises(OverflowRisk, match=f"B={float(fields[700])!r}, T=1e-310$"):
             limit_states(1.0, 1.0, 1.0, 1.2, 5.0, 1.1, 0.0, fields, temps)
+
+
+def test_error_names_its_point_in_the_second_slice_of_a_preset_grid():
+    # fig3's (gamma, T, B) layout of 2 x 3 x 601 points is one kernel call
+    # per gamma; a Zeeman term past the float range at the second gamma
+    # names the first such point, as the point alone raises there
+    fields = np.linspace(0.0, 3.0, 601)
+    fixed = (1.0, 0.5, 1.0, 1.2, 5.0, 1.1)
+
+    def raises(b):
+        try:
+            limit_states(*fixed, 1e308, b, 0.01)
+        except OverflowRisk:
+            return True
+        return False
+
+    first = next(b for b in fields.tolist() if raises(b))
+    with pytest.raises(OverflowRisk, match=re.escape(f"gamma=1e+308, B={first!r}, T=0.01") + "$"):
+        limit_states(*fixed, np.array([0.0, 1e308])[:, None, None], fields[None, None, :],
+                     np.array([0.01, 0.05, 0.2])[None, :, None])
 
 
 class TestGuards:

@@ -219,6 +219,46 @@ def test_create_is_the_one_writer_open():
     assert not truncating, f"O_TRUNC under src/: {truncating}"
 
 
+def kernel_calls(tree: ast.Module, by_name: bool):
+    """(enclosing function, line) of every call of `<module>._kernel`, and,
+    with `by_name`, of every call of the bare name `_kernel`."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (getattr(func, "attr", None) == "_kernel"
+                        or by_name and getattr(func, "id", None) == "_kernel"):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_state_entry_points_call_the_kernel():
+    # limit_states cuts every batch into kernel calls that bound its memory,
+    # and the one-point functions are batches of one: a batch handed to
+    # xfer._kernel anywhere else would bypass that cut.  perfbench's own
+    # _kernel is a function of speed.py, not an import from xfer
+    package = pathlib.Path(impurity_chain.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")) + sorted(TRACING.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = any(isinstance(node, ast.ImportFrom) and (node.module or "").endswith("xfer")
+                       and "_kernel" in [alias.name for alias in node.names]
+                       for node in ast.walk(tree))
+        by_name = imported or path == package / "xfer.py"
+        callers += [(path.name, function) for function, _ in kernel_calls(tree, by_name)]
+    assert set(callers) == {("xfer.py", name) for name in (
+        "limit_states", "impurity_density_matrix", "finite_n_density_matrix",
+        "partition_function")}, f"kernel calls outside the xfer entry points: {callers}"
+
+
 def stdout_uses(tree: ast.Module):
     """(enclosing function, line) of every `sys.stdout` reference, and the
     line of every print call that does not name file=sys.stderr."""
